@@ -40,6 +40,7 @@ from .experiment import (
     ExperimentResult,
     HarnessError,
     SplitPlan,
+    fit_combiner,
     hypothesis_report,
     import_external_scores,
     run_experiment,
@@ -54,11 +55,11 @@ from .fusion import (
     bolasso,
     cv_select,
     enet_fit,
+    fit_penalized,
     lars_cv,
     lars_path,
     lars_traps,
     lasso_fit,
-    minmax_fit_apply,
     ols_fit,
     predict,
     ridge_fit,

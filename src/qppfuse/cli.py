@@ -12,19 +12,15 @@ import sys
 from pathlib import Path
 
 from . import fusion
-from .corpus import build_index, dump_stats, ingest, load_lexicon, load_queries, save_index
+from .corpus import build_index, dump_stats, ingest, load_lexicon, load_queries
 from .evaluation import (
-    ReportRow,
-    UndefinedMetricError,
-    kendall_tau_b,
-    pearson,
     predictor_correlation_matrix,
+    report_row,
     rmse_single,
-    smare,
     write_corr_matrix_tsv,
     write_report_tsv,
 )
-from .experiment import ExperimentConfig, HarnessError, run_experiment
+from .experiment import ExperimentConfig, HarnessError, fit_combiner, run_experiment
 from .post_retrieval import compute_post_scores
 from .pre_retrieval import compute_pre_scores, write_scores_long, write_scores_wide
 from .retrieval import retrieve, write_run_file
@@ -54,7 +50,6 @@ def _build(config: ExperimentConfig):
 def cmd_index(config: ExperimentConfig) -> None:
     index = _build(config)
     out = Path(config.out)
-    save_index(index, out / "index.bin")
     dump_stats(index, out / "index_stats.txt")
     print(f"indexed {index.n_docs} documents, {len(index.postings)} terms, "
           f"{index.total_tokens} tokens -> {out}")
@@ -121,15 +116,13 @@ def _load_design(config: ExperimentConfig) -> fusion.ScoreTable:
 
 def cmd_fuse(config: ExperimentConfig) -> None:
     """Fit each configured combiner on the full design matrix and dump models."""
-    from .experiment import _fit_combiner  # shared fitting policy
-
     table = _load_design(config)
     params, _ = fusion.minmax_fit(table)
     normalized = fusion.minmax_apply(table, params)
     out = Path(config.out)
     predictions = {"query_id": table.query_ids}
     for name in config.combiners:
-        model = _fit_combiner(name, normalized, config, config.seed)
+        model = fit_combiner(name, normalized, config, config.seed)
         model.normalization = params
         fusion.write_model(model, out / f"model_{name}.txt")
         y_hat = fusion.predict(model, table, clamp=config.clamp_predictions)
@@ -151,17 +144,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     rows = []
     for name in table.column_names:
         col = normalized.columns[name]
-        row = ReportRow(predictor=name)
-        try:
-            row.tau = kendall_tau_b(col, table.target).coefficient
-        except UndefinedMetricError:
-            pass
-        try:
-            res = pearson(col, table.target)
-            row.rho, row.ci_low, row.ci_high = res.coefficient, res.ci_low, res.ci_high
-        except UndefinedMetricError:
-            pass
-        row.smare = smare(col, table.target)[0]
+        row = report_row(name, col, table.target)
         sq_sum = 0.0
         for i in range(n):
             train_idx = [j for j in range(n) if j != i]

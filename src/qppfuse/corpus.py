@@ -6,7 +6,6 @@ document frequencies df and collection frequencies cf.
 """
 
 import json
-import pickle
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,8 +22,6 @@ __all__ = [
     "tokenize",
     "ingest",
     "build_index",
-    "save_index",
-    "load_index",
     "dump_stats",
     "load_stats",
     "load_queries",
@@ -274,38 +271,6 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     )
 
 
-def save_index(index: Index, path) -> None:
-    """Write a versioned binary snapshot of the index."""
-    payload = {
-        "magic": SNAPSHOT_MAGIC,
-        "version": SNAPSHOT_VERSION,
-        "n_docs": index.n_docs,
-        "total_tokens": index.total_tokens,
-        "doc_len": index.doc_len,
-        "postings": index.postings,
-    }
-    with open(path, "wb") as fh:
-        pickle.dump(payload, fh, protocol=4)
-
-
-def load_index(path) -> Index:
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
-    if not isinstance(payload, dict) or payload.get("magic") != SNAPSHOT_MAGIC:
-        raise CorpusError(f"{path}: not an index snapshot")
-    if payload.get("version") != SNAPSHOT_VERSION:
-        raise CorpusError(f"{path}: unsupported snapshot version {payload.get('version')}")
-    postings = {t: tuple(tuple(p) for p in plist) for t, plist in payload["postings"].items()}
-    return Index(
-        n_docs=payload["n_docs"],
-        total_tokens=payload["total_tokens"],
-        doc_len=dict(payload["doc_len"]),
-        postings=postings,
-        df={t: len(p) for t, p in postings.items()},
-        cf={t: sum(tf for _, tf in p) for t, p in postings.items()},
-    )
-
-
 def dump_stats(index: Index, path) -> None:
     """Plain-text dump of every statistic the predictors consume.
 
@@ -324,34 +289,49 @@ def dump_stats(index: Index, path) -> None:
 
 
 def load_stats(path) -> Index:
-    """Rebuild an Index from a stats dump written by :func:`dump_stats`."""
+    """Rebuild an Index from a stats dump written by :func:`dump_stats`.
+
+    The dump is the index snapshot format. A wrong header, a malformed
+    record or statistics that break an index invariant raise CorpusError.
+    """
+    header = f"# {SNAPSHOT_MAGIC} stats v{SNAPSHOT_VERSION}"
     n_docs = total = None
     doc_len: dict[str, int] = {}
     postings: dict[str, tuple[tuple[str, int], ...]] = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        if fh.readline().rstrip("\n") != header:
+            raise CorpusError(f"{path}: not an index stats dump (expected header {header!r})")
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
             kind = parts[0]
-            if kind == "N":
-                n_docs = int(parts[1])
-            elif kind == "C":
-                total = int(parts[1])
-            elif kind == "doc":
-                doc_len[parts[1]] = int(parts[2])
-            elif kind == "term":
-                entries = []
-                for cell in parts[2:]:
-                    did, _, tf = cell.rpartition(":")
-                    entries.append((did, int(tf)))
-                postings[parts[1]] = tuple(entries)
-            else:
-                raise CorpusError(f"{path}:{lineno}: unknown record {kind!r}")
+            try:
+                if kind == "N":
+                    _, value = parts
+                    n_docs = int(value)
+                elif kind == "C":
+                    _, value = parts
+                    total = int(value)
+                elif kind == "doc":
+                    _, doc_id, length = parts
+                    doc_len[doc_id] = int(length)
+                elif kind == "term":
+                    entries = []
+                    for cell in parts[2:]:
+                        doc_id, _, tf = cell.rpartition(":")
+                        if not doc_id or int(tf) < 1:
+                            raise ValueError(f"bad posting {cell!r}")
+                        entries.append((doc_id, int(tf)))
+                    postings[parts[1]] = tuple(entries)
+                else:
+                    raise CorpusError(f"{path}:{lineno}: unknown record {kind!r}")
+            except (IndexError, ValueError) as exc:
+                raise CorpusError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
     if n_docs is None or total is None:
         raise CorpusError(f"{path}: missing N or C header")
-    return Index(
+    index = Index(
         n_docs=n_docs,
         total_tokens=total,
         doc_len=doc_len,
@@ -359,6 +339,8 @@ def load_stats(path) -> Index:
         df={t: len(p) for t, p in postings.items()},
         cf={t: sum(tf for _, tf in p) for t, p in postings.items()},
     )
+    index.validate()
+    return index
 
 
 def load_queries(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Query]:

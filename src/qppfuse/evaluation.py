@@ -23,11 +23,16 @@ __all__ = [
     "kendall_tau_b",
     "rmse_direct",
     "rmse_single",
+    "single_fit_predictions",
     "smare",
     "paired_t_one_sided",
     "predictor_correlation_matrix",
+    "report_row",
+    "format_metric",
+    "REPORT_COLUMNS",
     "write_corr_matrix_tsv",
     "write_report_tsv",
+    "write_split_report_tsv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -120,23 +125,12 @@ def rmse_single(predictor_col, ap_col, train_idx, test_idx) -> float:
     A constant predictor on the train rows falls back to an intercept-only
     fit (the train AP mean).
     """
-    predictor_col = np.asarray(predictor_col, dtype=float)
-    ap_col = np.asarray(ap_col, dtype=float)
     train_idx = np.asarray(train_idx, dtype=int)
     test_idx = np.asarray(test_idx, dtype=int)
     if set(train_idx.tolist()) & set(test_idx.tolist()):
         raise ValueError("train and test index sets overlap")
-    x_tr = predictor_col[train_idx]
-    y_tr = ap_col[train_idx]
-    x_mean = x_tr.mean()
-    var = float(((x_tr - x_mean) ** 2).sum())
-    if var == 0.0:
-        logger.info("constant predictor on the train rows; intercept-only fit")
-        slope = 0.0
-    else:
-        slope = float((x_tr - x_mean) @ (y_tr - y_tr.mean())) / var
-    intercept = float(y_tr.mean()) - slope * float(x_mean)
-    y_hat = intercept + slope * predictor_col[test_idx]
+    ap_col = np.asarray(ap_col, dtype=float)
+    y_hat = single_fit_predictions(predictor_col, ap_col, train_idx, test_idx)
     return rmse_direct(y_hat, ap_col[test_idx])
 
 
@@ -150,7 +144,11 @@ def single_fit_predictions(predictor_col, ap_col, train_idx, test_idx) -> np.nda
     y_tr = ap_col[train_idx]
     x_mean = x_tr.mean()
     var = float(((x_tr - x_mean) ** 2).sum())
-    slope = 0.0 if var == 0.0 else float((x_tr - x_mean) @ (y_tr - y_tr.mean())) / var
+    if var == 0.0:
+        logger.info("constant predictor on the train rows; intercept-only fit")
+        slope = 0.0
+    else:
+        slope = float((x_tr - x_mean) @ (y_tr - y_tr.mean())) / var
     intercept = float(y_tr.mean()) - slope * float(x_mean)
     return intercept + slope * predictor_col[test_idx]
 
@@ -243,7 +241,8 @@ def predictor_correlation_matrix(columns: dict[str, "np.ndarray"], metric: str =
     return CorrMatrix(names=names, matrix=matrix, metric=metric, missing=missing)
 
 
-def _fmt(value) -> str:
+def format_metric(value) -> str:
+    """4-decimal fixed notation; None and NaN print as ``nan``."""
     if value is None or (isinstance(value, float) and math.isnan(value)):
         return "nan"
     return f"{value:.4f}"
@@ -254,7 +253,7 @@ def write_corr_matrix_tsv(path, corr: CorrMatrix) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("predictor\t" + "\t".join(corr.names) + "\n")
         for i, name in enumerate(corr.names):
-            cells = "\t".join(_fmt(float(v)) for v in corr.matrix[i])
+            cells = "\t".join(format_metric(float(v)) for v in corr.matrix[i])
             fh.write(f"{name}\t{cells}\n")
 
 
@@ -275,12 +274,42 @@ class ReportRow:
 REPORT_COLUMNS = ("predictor", "tau", "rho", "ci_low", "ci_high", "smare", "rmse", "p_value")
 
 
+def report_row(name: str, y_hat, y) -> ReportRow:
+    """Report row for predictions of ``y``: tau, rho with its CI, sMARE, direct RMSE.
+
+    An undefined correlation is recorded as NaN.
+    """
+    row = ReportRow(predictor=name)
+    try:
+        row.tau = kendall_tau_b(y_hat, y).coefficient
+    except UndefinedMetricError:
+        row.tau = math.nan
+    try:
+        result = pearson(y_hat, y)
+        row.rho, row.ci_low, row.ci_high = result.coefficient, result.ci_low, result.ci_high
+    except UndefinedMetricError:
+        row.rho = row.ci_low = row.ci_high = math.nan
+    row.smare = smare(y_hat, y)[0]
+    row.rmse = rmse_direct(y_hat, y)
+    return row
+
+
+def _report_cells(row: ReportRow) -> list[str]:
+    return [row.predictor] + [format_metric(getattr(row, col)) for col in REPORT_COLUMNS[1:]]
+
+
 def write_report_tsv(path, rows) -> None:
     """Evaluation report TSV, one row per predictor, 4-decimal fixed values."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\t".join(REPORT_COLUMNS) + "\n")
         for row in rows:
-            cells = [row.predictor] + [
-                _fmt(getattr(row, col)) for col in REPORT_COLUMNS[1:]
-            ]
-            fh.write("\t".join(cells) + "\n")
+            fh.write("\t".join(_report_cells(row)) + "\n")
+
+
+def write_split_report_tsv(path, per_split) -> None:
+    """Report TSV with a leading split number; one block of rows per split."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("split\t" + "\t".join(REPORT_COLUMNS) + "\n")
+        for s, rows in enumerate(per_split):
+            for row in rows:
+                fh.write("\t".join([str(s)] + _report_cells(row)) + "\n")

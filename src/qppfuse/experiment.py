@@ -26,18 +26,18 @@ from .corpus import (
     load_queries,
 )
 from .evaluation import (
+    REPORT_COLUMNS,
     CorrMatrix,
     ReportRow,
     UndefinedMetricError,
-    kendall_tau_b,
-    pearson,
-    predictor_correlation_matrix,
-    rmse_direct,
-    single_fit_predictions,
-    smare,
+    format_metric,
     paired_t_one_sided,
+    predictor_correlation_matrix,
+    report_row,
+    single_fit_predictions,
     write_corr_matrix_tsv,
     write_report_tsv,
+    write_split_report_tsv,
 )
 from .fusion import ScoreTable, minmax_apply, minmax_fit, predict
 from .post_retrieval import POST_PREDICTORS, compute_post_scores
@@ -57,6 +57,7 @@ __all__ = [
     "split_fixed",
     "import_external_scores",
     "build_score_table",
+    "fit_combiner",
     "run_experiment",
     "hypothesis_report",
 ]
@@ -457,7 +458,12 @@ def build_score_table(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # combiner fitting
 
-def _fit_combiner(name: str, train: ScoreTable, config: ExperimentConfig, seed: int):
+def fit_combiner(name: str, train: ScoreTable, config: ExperimentConfig, seed: int):
+    """Fit one combiner on ``train``; every hyperparameter is tuned on train only.
+
+    Under the fixed protocol the CV combiners pick lam on a seeded tuning
+    subset of train and are then refit on all of train at that lam.
+    """
     try:
         grid = fusion.lambda_grid(train, num=config.grid_size, ratio=config.grid_ratio)
     except fusion.FusionError:
@@ -483,7 +489,7 @@ def _fit_combiner(name: str, train: ScoreTable, config: ExperimentConfig, seed: 
             tuning, method, lam_grid=grid, k_folds=config.k_folds,
             seed=derive_seed(seed, "cv"), alpha=config.enet_alpha)
         if tuning is not train:
-            model = fusion._CV_FITTERS[method](train, best_lam, config.enet_alpha)
+            model = fusion.fit_penalized(train, method, best_lam, config.enet_alpha)
         return model
 
     if name == "OLS":
@@ -506,22 +512,6 @@ def _fit_combiner(name: str, train: ScoreTable, config: ExperimentConfig, seed: 
     raise HarnessError(f"unknown combiner {name!r}")
 
 
-def _test_metrics(name: str, y_hat, y_test) -> tuple[ReportRow, np.ndarray]:
-    row = ReportRow(predictor=name)
-    try:
-        row.tau = kendall_tau_b(y_hat, y_test).coefficient
-    except UndefinedMetricError:
-        row.tau = math.nan
-    try:
-        result = pearson(y_hat, y_test)
-        row.rho, row.ci_low, row.ci_high = result.coefficient, result.ci_low, result.ci_high
-    except UndefinedMetricError:
-        row.rho = row.ci_low = row.ci_high = math.nan
-    row.smare = smare(y_hat, y_test)[0]
-    row.rmse = rmse_direct(y_hat, y_test)
-    return row, (np.asarray(y_hat) - np.asarray(y_test)) ** 2
-
-
 def split_predictions(table: ScoreTable, train_ids, test_ids,
                       config: ExperimentConfig, seed: int) -> dict[str, np.ndarray]:
     """Test-set predictions per row name (every predictor, then every combiner).
@@ -542,7 +532,7 @@ def split_predictions(table: ScoreTable, train_ids, test_ids,
         predictions[name] = single_fit_predictions(
             normalized.columns[name], normalized.target, train_idx, test_idx)
     for name in config.combiners:
-        model = _fit_combiner(name, train, config, derive_seed(seed, name))
+        model = fit_combiner(name, train, config, derive_seed(seed, name))
         predictions[name] = predict(model, test, clamp=config.clamp_predictions)
     return predictions
 
@@ -552,19 +542,14 @@ def rows_from_predictions(predictions: dict[str, np.ndarray], y_test,
     """Metric rows for one evaluation; combiner p-values compare per-query
     squared errors against the best single predictor (lowest RMSE)."""
     combiners = set(combiner_names)
-    rows = []
-    sq_errors = {}
-    for name, y_hat in predictions.items():
-        if name in combiners:
-            continue
-        row, sq = _test_metrics(name, y_hat, y_test)
-        rows.append(row)
-        sq_errors[name] = sq
+    rows = [report_row(name, y_hat, y_test)
+            for name, y_hat in predictions.items() if name not in combiners]
     best_single = min(rows, key=lambda r: r.rmse).predictor
+    best_sq = np.subtract(predictions[best_single], y_test) ** 2
     for name in combiner_names:
-        row, sq = _test_metrics(name, predictions[name], y_test)
+        row = report_row(name, predictions[name], y_test)
         try:
-            row.p_value = paired_t_one_sided(sq, sq_errors[best_single])
+            row.p_value = paired_t_one_sided(np.subtract(predictions[name], y_test) ** 2, best_sq)
         except UndefinedMetricError:
             row.p_value = math.nan
         rows.append(row)
@@ -666,16 +651,13 @@ class ExperimentResult:
     plan: SplitPlan
 
 
-_METRICS = ("tau", "rho", "ci_low", "ci_high", "smare", "rmse", "p_value")
-
-
 def _aggregate_rows(per_split: list[list[ReportRow]]) -> list[ReportRow]:
     """Mean of each metric over splits, skipping undefined (NaN/None) values."""
     names = [r.predictor for r in per_split[0]]
     aggregate = []
     for i, name in enumerate(names):
         row = ReportRow(predictor=name)
-        for metric in _METRICS:
+        for metric in REPORT_COLUMNS[1:]:
             values = [getattr(split[i], metric) for split in per_split]
             values = [v for v in values if v is not None and not math.isnan(v)]
             setattr(row, metric, float(np.mean(values)) if values else math.nan)
@@ -753,21 +735,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _fmt(value) -> str:
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return f"{value:.4f}"
-
-
-def write_split_report_tsv(path, per_split: list[list[ReportRow]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("split\tpredictor\ttau\trho\tci_low\tci_high\tsmare\trmse\tp_value\n")
-        for s, rows in enumerate(per_split):
-            for row in rows:
-                cells = [str(s), row.predictor] + [_fmt(getattr(row, m)) for m in _METRICS]
-                fh.write("\t".join(cells) + "\n")
-
-
 def write_hypothesis_tsv(path, report: HypothesisReport) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("field\tvalue\n")
@@ -775,7 +742,7 @@ def write_hypothesis_tsv(path, report: HypothesisReport) -> None:
         fh.write(f"consistent\t{str(report.consistent).lower()}\n")
         for name in ("mean_rho", "min_rho", "frac_negative",
                      "delta_rho", "delta_tau", "delta_smare", "delta_rmse"):
-            fh.write(f"{name}\t{_fmt(getattr(report, name))}\n")
+            fh.write(f"{name}\t{format_metric(getattr(report, name))}\n")
         for key, value in report.thresholds.items():
             fh.write(f"threshold.{key}\t{value}\n")
 

@@ -33,7 +33,6 @@ __all__ = [
     "LarsKnot",
     "minmax_fit",
     "minmax_apply",
-    "minmax_fit_apply",
     "ols_fit",
     "ridge_fit",
     "lasso_fit",
@@ -46,6 +45,7 @@ __all__ = [
     "lars_cv",
     "bolasso",
     "cv_select",
+    "fit_penalized",
     "predict",
     "write_model",
     "read_model",
@@ -198,12 +198,6 @@ def minmax_apply(table: ScoreTable, params: dict[str, tuple[float, float]], clam
             scaled = (v - lo) / (hi - lo)
             columns[name] = np.clip(scaled, 0.0, 1.0) if clamp else scaled
     return ScoreTable(query_ids=list(table.query_ids), columns=columns, target=table.target.copy())
-
-
-def minmax_fit_apply(train: ScoreTable, test: ScoreTable):
-    """Fit min/max on train and apply to both; test values are clamped to [0,1]."""
-    params, constant = minmax_fit(train)
-    return minmax_apply(train, params), minmax_apply(test, params), params, constant
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +556,15 @@ def _make_folds(n: int, k_folds: int, seed: int):
     return out
 
 
-_CV_FITTERS = {
-    "lasso": lambda tbl, lam, alpha: lasso_fit(tbl, lam),
-    "ridge": lambda tbl, lam, alpha: ridge_fit(tbl, lam),
-    "enet": lambda tbl, lam, alpha: enet_fit(tbl, lam, alpha),
-}
+def fit_penalized(table: ScoreTable, method: str, lam: float, alpha: float = 0.5) -> RegressionModel:
+    """Fit a CV method ("lasso", "ridge" or "enet") at one lam; alpha is E-Net's mix."""
+    if method == "lasso":
+        return lasso_fit(table, lam)
+    if method == "ridge":
+        return ridge_fit(table, lam)
+    if method == "enet":
+        return enet_fit(table, lam, alpha)
+    raise FusionError(f"unknown CV method {method!r}")
 
 
 def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
@@ -576,9 +574,8 @@ def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
     Returns (best_lam, model refit on the full table). Coordinate-descent
     methods walk the grid from the largest lam down with warm starts.
     """
-    if method not in _CV_FITTERS:
+    if method not in ("lasso", "ridge", "enet"):
         raise FusionError(f"unknown CV method {method!r}")
-    fitter = _CV_FITTERS[method]
     grid = lambda_grid(table) if lam_grid is None else np.asarray(lam_grid, dtype=float)
     if grid.size == 0:
         raise FusionError("empty lambda grid")
@@ -609,7 +606,7 @@ def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
                 mean_mse[gi] += float(np.mean((y_hat - val.target) ** 2))
     best_idx = int(np.argmin(mean_mse))  # first index = largest lam on ties
     best_lam = float(grid[best_idx])
-    return best_lam, fitter(table, best_lam, alpha)
+    return best_lam, fit_penalized(table, method, best_lam, alpha)
 
 
 def bolasso(table: ScoreTable, b: int = 100, threshold: float = 1.0,
@@ -677,8 +674,6 @@ def write_model(model: RegressionModel, path) -> None:
         for name, beta in model.coefficients.items():
             fh.write(f"coef\t{name}\t{beta!r}\n")
         for key, value in model.hyperparameters.items():
-            if key == "support_counts":
-                continue
             fh.write(f"hyper\t{key}\t{value!r}\n")
         if model.normalization is not None:
             for name, (lo, hi) in model.normalization.items():

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from qppfuse.cli import main
+from qppfuse.corpus import load_stats
 from qppfuse.fusion import ScoreTable
 
 
@@ -11,6 +13,19 @@ def toy_cfg(toy_dir):
 
 def run_cli(*args) -> int:
     return main(list(args))
+
+
+def loo_rmse(x, y) -> float:
+    """Closed-form leave-one-out RMSE of the one-variable fit y ~ x.
+
+    The held-out residual of row i is e_i / (1 - h_ii), with e the full-fit
+    residual and h_ii = 1/n + (x_i - mean x)^2 / Sxx the leverage.
+    """
+    xc = x - x.mean()
+    sxx = float(xc @ xc)
+    residual = y - y.mean() - (float(xc @ (y - y.mean())) / sxx) * xc
+    leverage = 1.0 / x.size + xc**2 / sxx
+    return float(np.sqrt(np.mean((residual / (1.0 - leverage)) ** 2)))
 
 
 class TestCliBasics:
@@ -30,10 +45,10 @@ class TestCliBasics:
 
 
 class TestSubcommands:
-    def test_index(self, toy_cfg, tmp_path, capsys):
+    def test_index(self, toy_cfg, toy_index, tmp_path, capsys):
         out = tmp_path / "idx"
         assert run_cli("index", "--config", toy_cfg, "--out", str(out)) == 0
-        assert (out / "index.bin").exists()
+        assert load_stats(out / "index_stats.txt") == toy_index
         stats = (out / "index_stats.txt").read_text().splitlines()
         assert stats[1].startswith("N\t50")
         assert "indexed 50 documents" in capsys.readouterr().out
@@ -101,6 +116,27 @@ class TestSubcommands:
         assert run_cli("heatmap", "--config", str(cfg2), "--out", str(out4)) == 0
         matrix = (out4 / "corr_matrix.tsv").read_text().splitlines()
         assert matrix[0].split("\t")[1:] == table.column_names
+
+    def test_evaluate_rmse_is_leave_one_out(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 9
+        x = rng.standard_normal((n, 3))
+        table = ScoreTable(query_ids=[f"q{i}" for i in range(n)],
+                           columns={f"p{j}": x[:, j] for j in range(3)},
+                           target=rng.uniform(0.0, 1.0, n))
+        design = tmp_path / "design.tsv"
+        table.write_tsv(design)
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(f"design = {design}\n")
+        out = tmp_path / "eval"
+        assert run_cli("evaluate", "--config", str(cfg), "--out", str(out)) == 0
+        lines = (out / "report.tsv").read_text().splitlines()
+        rmse_col = lines[0].split("\t").index("rmse")
+        assert len(lines) == 1 + len(table.column_names)
+        for line in lines[1:]:
+            cells = line.split("\t")
+            expected = loo_rmse(table.columns[cells[0]], table.target)
+            assert float(cells[rmse_col]) == pytest.approx(expected, abs=5e-5)
 
     def test_seed_flag_changes_split_outcomes(self, toy_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -12,12 +12,10 @@ from qppfuse.corpus import (
     build_index,
     dump_stats,
     ingest,
-    load_index,
     load_lexicon,
     load_qrels,
     load_queries,
     load_stats,
-    save_index,
     tokenize,
 )
 
@@ -157,19 +155,6 @@ class TestBuildIndex:
 
 
 class TestPersistence:
-    def test_snapshot_round_trip(self, toy_index, tmp_path):
-        path = tmp_path / "index.bin"
-        save_index(toy_index, path)
-        assert load_index(path) == toy_index
-
-    def test_snapshot_rejects_garbage(self, tmp_path):
-        path = tmp_path / "x.bin"
-        import pickle
-
-        path.write_bytes(pickle.dumps({"whatever": 1}))
-        with pytest.raises(CorpusError, match="snapshot"):
-            load_index(path)
-
     def test_stats_dump_round_trip(self, toy_index, tmp_path):
         path = tmp_path / "stats.txt"
         dump_stats(toy_index, path)
@@ -181,6 +166,48 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         assert lines[1] == f"N\t{toy_index.n_docs}"
         assert lines[2] == f"C\t{toy_index.total_tokens}"
+
+    @pytest.mark.parametrize("first_line", [
+        None,
+        "# other-index stats v1",
+        "# qppfuse-index stats v2",
+    ], ids=["missing", "wrong-magic", "wrong-version"])
+    def test_stats_dump_rejects_bad_header(self, toy_index, tmp_path, first_line):
+        path = tmp_path / "stats.txt"
+        dump_stats(toy_index, path)
+        lines = path.read_text().splitlines()
+        lines = lines[1:] if first_line is None else [first_line] + lines[1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError, match="not an index stats dump"):
+            load_stats(path)
+
+    @pytest.mark.parametrize("record", [
+        "doc\td1",
+        "doc\td1\tmany",
+        "term",
+        "term\tdog\td1",
+        "term\tdog\td1:x",
+        "term\tdog\td1:0",
+        "N\tfifty",
+    ], ids=["doc-short", "doc-length", "term-bare", "term-no-tf", "term-tf-text",
+            "term-tf-zero", "n-text"])
+    def test_stats_dump_rejects_malformed_record(self, toy_index, tmp_path, record):
+        path = tmp_path / "stats.txt"
+        dump_stats(toy_index, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [record]) + "\n")
+        with pytest.raises(CorpusError, match=f":{len(lines) + 1}: malformed"):
+            load_stats(path)
+
+    def test_stats_dump_rejects_broken_invariant(self, toy_index, tmp_path):
+        path = tmp_path / "stats.txt"
+        dump_stats(toy_index, path)
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("C\t")
+        lines[2] = f"C\t{toy_index.total_tokens + 1}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusError, match="total_tokens"):
+            load_stats(path)
 
 
 class TestFileLoaders:

@@ -9,6 +9,7 @@ from qppfuse.experiment import (
     HarnessError,
     SplitPlan,
     build_score_table,
+    fit_combiner,
     hypothesis_report,
     import_external_scores,
     run_experiment,
@@ -16,6 +17,7 @@ from qppfuse.experiment import (
     split_leave_one_out,
     split_random_halves,
 )
+from qppfuse.fusion import ScoreTable, cv_select, fit_penalized, lambda_grid
 from qppfuse.seeding import derive_seed
 
 
@@ -304,6 +306,28 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert len(result.per_split) == 1
         assert result.plan.pairs[0][0] == tuple(table.query_ids[:8])
+
+    def test_fixed_protocol_refits_on_train_at_tuned_lam(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((40, 3))
+        train = ScoreTable(query_ids=[f"q{i}" for i in range(40)],
+                           columns={f"p{j}": x[:, j] for j in range(3)},
+                           target=x @ [0.5, -0.3, 0.0] + 0.5 * rng.standard_normal(40))
+        config = ExperimentConfig(protocol="fixed", tuning_fraction=0.25, k_folds=2,
+                                  grid_size=20)
+        seed = 5
+        # the tuning subset fit_combiner draws: 10 of the 40 train rows
+        rng_tune = np.random.default_rng(derive_seed(seed, "tuning-sample"))
+        tuning = train.subset(np.sort(rng_tune.choice(40, size=10, replace=False)))
+        grid = lambda_grid(train, num=20, ratio=config.grid_ratio)
+        lam_star, tuned = cv_select(tuning, "lasso", lam_grid=grid, k_folds=2,
+                                    seed=derive_seed(seed, "cv"))
+        # tuning on all of train would pick another lam
+        assert lam_star != cv_select(train, "lasso", lam_grid=grid, k_folds=2,
+                                     seed=derive_seed(seed, "cv"))[0]
+        model = fit_combiner("LASSO-CV", train, config, seed)
+        assert model == fit_penalized(train, "lasso", lam_star)
+        assert model != tuned
 
 
 def _fixture_matrix(values):

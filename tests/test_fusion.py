@@ -19,7 +19,6 @@ from qppfuse.fusion import (
     lasso_kkt_residual,
     minmax_apply,
     minmax_fit,
-    minmax_fit_apply,
     ols_fit,
     predict,
     read_model,
@@ -79,8 +78,8 @@ class TestMinMax:
     def test_test_values_clamped(self):
         train = make_table([[1.0], [5.0]], [0, 0])
         test = make_table([[7.0], [-1.0]], [0, 0])
-        train2, test2, params, _ = minmax_fit_apply(train, test)
-        assert list(test2.columns["x0"]) == [1.0, 0.0]
+        params, _ = minmax_fit(train)
+        assert list(minmax_apply(test, params).columns["x0"]) == [1.0, 0.0]
 
     def test_constant_column_zeroed_and_flagged(self):
         train = make_table([[2.0], [2.0]], [0, 1])
@@ -483,6 +482,16 @@ class TestModelIo:
         path = tmp_path / "model.txt"
         write_model(model, path)
         loaded = read_model(path)
+        assert loaded == model
+
+    def test_bolasso_support_counts_round_trip(self, tmp_path):
+        rng = np.random.default_rng(27)
+        model = bolasso(random_table(rng, n=40, m=4, noise=1.0), b=8, threshold=0.5,
+                        k_folds=2, seed=7)
+        path = tmp_path / "model.txt"
+        write_model(model, path)
+        loaded = read_model(path)
+        assert loaded.hyperparameters["support_counts"] == model.hyperparameters["support_counts"]
         assert loaded == model
 
     def test_dump_is_text(self, tmp_path):
