@@ -245,55 +245,54 @@ def ridge_fit(table: ScoreTable, lam: float) -> RegressionModel:
     return _as_model("Ridge", table, beta, x_mean, y_mean, lam=lam)
 
 
-def _soft(z: float, threshold: float) -> float:
-    if z > threshold:
-        return z - threshold
-    if z < -threshold:
-        return z + threshold
-    return 0.0
-
-
 def _cd_sweeps(gram, corr, l1, l2, beta, max_sweeps, tol) -> int:
-    """Cyclic soft-threshold sweeps in place; -1 when the budget runs out."""
+    """Cyclic soft-threshold sweeps in place; -1 when the budget runs out.
+
+    The loop runs on Python floats rather than numpy scalars: every operation
+    is the same IEEE double arithmetic in the same order, so the result is
+    bit-identical, but element access does not box a numpy scalar.
+    """
     m = corr.size
-    q = np.zeros(m)
-    for j in range(m):
-        if beta[j] != 0.0:
-            for k in range(m):
-                q[k] += gram[k, j] * beta[j]
+    ks = range(m)
+    cols = gram.T.tolist()  # cols[j][k] == gram[k, j]
+    diag = [cols[j][j] for j in ks]
+    b = beta.tolist()
+    q = [0.0] * m
+    for j in ks:
+        if b[j] != 0.0:
+            col, b_j = cols[j], b[j]
+            for k in ks:
+                q[k] += col[k] * b_j
+    coords = list(zip(ks, diag, [g_jj + l2 for g_jj in diag], corr.tolist(), cols))
+    sweeps = -1
     for sweep in range(max_sweeps):
         max_delta = 0.0
-        for j in range(m):
-            g_jj = gram[j, j]
-            denom = g_jj + l2
+        for j, g_jj, denom, c_j, col in coords:
+            b_j = b[j]
             if denom <= 0.0:
                 new = 0.0
             else:
-                z = corr[j] - q[j] + g_jj * beta[j]
+                z = c_j - q[j] + g_jj * b_j
                 if z > l1:
                     new = (z - l1) / denom
                 elif z < -l1:
                     new = (z + l1) / denom
                 else:
                     new = 0.0
-            delta = new - beta[j]
+            delta = new - b_j
             if delta != 0.0:
-                for k in range(m):
-                    q[k] += gram[k, j] * delta
-                beta[j] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
+                for k in ks:
+                    q[k] += col[k] * delta
+                b[j] = new
+                if delta > max_delta:
+                    max_delta = delta
+                elif -delta > max_delta:
+                    max_delta = -delta
         if max_delta < tol:
-            return sweep + 1
-    return -1
-
-
-try:  # the jitted kernel cuts fit times by ~100x; plain Python works too
-    from numba import njit
-
-    _cd_sweeps = njit(cache=True)(_cd_sweeps)
-except ImportError:  # pragma: no cover - exercised only without numba
-    pass
+            sweeps = sweep + 1
+            break
+    beta[:] = b
+    return sweeps
 
 
 def _cd_solve(gram, corr, lam, alpha, beta0=None):
@@ -304,8 +303,7 @@ def _cd_solve(gram, corr, lam, alpha, beta0=None):
     """
     m = corr.size
     beta = np.zeros(m) if beta0 is None else beta0.copy()
-    sweeps = _cd_sweeps(np.ascontiguousarray(gram), np.ascontiguousarray(corr),
-                        lam * alpha, lam * (1.0 - alpha), beta, CD_MAX_SWEEPS, CD_TOL)
+    sweeps = _cd_sweeps(gram, corr, lam * alpha, lam * (1.0 - alpha), beta, CD_MAX_SWEEPS, CD_TOL)
     if sweeps < 0:
         raise ConvergenceError(f"coordinate descent did not converge in {CD_MAX_SWEEPS} sweeps")
     return beta

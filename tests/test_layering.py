@@ -2,10 +2,14 @@
 
 No module may import a code-executing deserializer (loading a user file must
 not run code), and no module may reach into another module's private names:
-cross-module seams go through public names.
+cross-module seams go through public names. Every import, at any nesting and
+inside ``try`` blocks too, is of the standard library, a declared dependency
+(numpy, scipy) or the package itself, so the dependency list in pyproject.toml
+stays complete and no optional-accelerator fork creeps in.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qppfuse"
 MODULES = sorted(PACKAGE.glob("*.py"))
 UNSAFE = {"pickle", "marshal", "shelve"}
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "scipy", PACKAGE.name}
 
 
 def _private(name: str) -> bool:
@@ -31,13 +36,19 @@ def violations(source: str) -> list[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.split(".")[0] in UNSAFE:
+                top = alias.name.split(".")[0]
+                if top in UNSAFE:
                     found.append(f"{node.lineno}: imports {alias.name}")
-                if alias.name.split(".")[0] == PACKAGE.name:
-                    module_aliases.add(alias.asname or alias.name.split(".")[0])
+                elif top not in ALLOWED:
+                    found.append(f"{node.lineno}: imports undeclared {alias.name}")
+                if top == PACKAGE.name:
+                    module_aliases.add(alias.asname or top)
         elif isinstance(node, ast.ImportFrom):
-            if (node.module or "").split(".")[0] in UNSAFE and node.level == 0:
+            top = node.module.split(".")[0] if node.level == 0 else PACKAGE.name
+            if top in UNSAFE:
                 found.append(f"{node.lineno}: imports from {node.module}")
+            elif top not in ALLOWED:
+                found.append(f"{node.lineno}: imports from undeclared {node.module}")
             if _package_module(node):
                 for alias in node.names:
                     if _private(alias.name):
@@ -64,6 +75,10 @@ def test_module_respects_layering(path):
     "from qppfuse.fusion import _cd_solve",
     "from . import fusion\nfusion._CV_FITTERS",
     "import qppfuse.fusion as fu\nfu._centered",
+    "from numba import njit",
+    "import numba",
+    "try:\n    from numba import njit\nexcept ImportError:\n    pass",
+    "def f():\n    import sklearn.linear_model",
 ])
 def test_checker_flags(source):
     assert violations(source)
