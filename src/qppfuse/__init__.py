@@ -71,7 +71,6 @@ from .post_retrieval import (
     compute_post_scores,
     nqc,
     rm1,
-    uef,
     wig,
 )
 from .pre_retrieval import (

@@ -20,6 +20,7 @@ __all__ = [
     "CorrMatrix",
     "ReportRow",
     "pearson",
+    "pearson_r",
     "kendall_tau_b",
     "rmse_direct",
     "rmse_single",
@@ -61,15 +62,29 @@ def pearson(a, b) -> CorrelationResult:
     n = a.size
     if n < 3:
         raise UndefinedMetricError(f"need n >= 3, got {n}")
-    ac = a - a.mean()
-    bc = b - b.mean()
-    denom = math.sqrt(float(ac @ ac) * float(bc @ bc))
-    if denom == 0.0:
+    r = pearson_r(a.tolist(), b.tolist())
+    if r is None:
         raise UndefinedMetricError("zero variance input")
-    r = float(ac @ bc) / denom
     r = max(-1.0, min(1.0, r))
     low, high = fisher_ci(r, n)
     return CorrelationResult(r, n, low, high)
+
+
+def pearson_r(a, b) -> float | None:
+    """Sample correlation of two equal-length sequences from plain sequential sums.
+
+    No n >= 3 requirement and no clamping; None when sqrt(Saa * Sbb) is zero.
+    """
+    n = len(a)
+    ma = sum(a) / n
+    mb = sum(b) / n
+    sab = sum((x - ma) * (y - mb) for x, y in zip(a, b))
+    saa = sum((x - ma) ** 2 for x in a)
+    sbb = sum((y - mb) ** 2 for y in b)
+    denom = math.sqrt(saa * sbb)
+    if denom == 0.0:
+        return None
+    return sab / denom
 
 
 def fisher_ci(r: float, n: int, z_quantile: float = Z_95) -> tuple[float, float]:

@@ -99,6 +99,8 @@ def split_random_halves(query_ids, repeats: int = 30, seed: int = 0) -> SplitPla
     n = len(ids)
     if n < 4:
         raise HarnessError(f"need at least 4 queries for half splits, got {n}")
+    if repeats < 1:
+        raise HarnessError(f"split.repeats must be >= 1, got {repeats}")
     n_train = math.ceil(n / 2)
     pairs = []
     for r in range(repeats):
@@ -236,14 +238,14 @@ class ExperimentConfig:
     }
 
     @staticmethod
-    def _convert(key, raw, kind):
+    def _convert(raw, kind):
         raw = raw.strip()
         if kind is bool:
             if raw.lower() in ("true", "yes", "1"):
                 return True
             if raw.lower() in ("false", "no", "0"):
                 return False
-            raise HarnessError(f"config key {key}: expected a boolean, got {raw!r}")
+            raise ValueError(f"expected a boolean, got {raw!r}")
         if kind is int:
             return int(raw)
         if kind is float:
@@ -256,7 +258,7 @@ class ExperimentConfig:
             pairs = []
             for item in (p.strip() for p in raw.split(",") if p.strip()):
                 if "=" not in item:
-                    raise HarnessError(f"config key {key}: expected NAME=path, got {item!r}")
+                    raise ValueError(f"expected NAME=path, got {item!r}")
                 name, path = item.split("=", 1)
                 pairs.append((name.strip(), path.strip()))
             return tuple(pairs)
@@ -282,7 +284,10 @@ class ExperimentConfig:
                 if key not in cls._KEYS:
                     raise HarnessError(f"{path}:{lineno}: unknown config key {key!r}")
                 attr, kind = cls._KEYS[key]
-                value = cls._convert(key, raw, kind)
+                try:
+                    value = cls._convert(raw, kind)
+                except ValueError as exc:
+                    raise HarnessError(f"{path}:{lineno}: config key {key}: {exc}") from exc
                 if value == "all" and attr == "pre_predictors":
                     value = PRE_PREDICTORS
                 elif value == "all" and attr == "post_predictors":
@@ -322,6 +327,8 @@ class ExperimentConfig:
             raise HarnessError(f"unknown split protocol {self.protocol!r}")
         if self.protocol == "fixed" and not (self.train_file and self.test_file):
             raise HarnessError("fixed protocol needs split.train_file and split.test_file")
+        if self.mu <= 0:
+            raise HarnessError(f"retrieval.mu must be > 0, got {self.mu}")
         if self.corr_metric not in ("pearson", "kendall"):
             raise HarnessError("corr.metric must be pearson or kendall")
 

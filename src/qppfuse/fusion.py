@@ -56,6 +56,7 @@ logger = logging.getLogger(__name__)
 CD_TOL = 1e-7
 CD_MAX_SWEEPS = 10_000
 TRAP_PREFIX = "__trap_"
+MODEL_HEADER = "# qppfuse model v1"
 
 
 class FusionError(Exception):
@@ -133,8 +134,10 @@ class ScoreTable:
     def read_tsv(cls, path) -> "ScoreTable":
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split("\t")
-            if len(header) < 3 or header[0] != "query_id" or header[-1] != "AP":
-                raise FusionError(f"{path}: expected header 'query_id<TAB>...<TAB>AP'")
+            if (len(header) < 3 or header[0] != "query_id" or header[-1] != "AP"
+                    or len(set(header)) != len(header)):
+                raise FusionError(f"{path}: expected header 'query_id<TAB>...<TAB>AP' "
+                                  "with distinct column names")
             names = header[1:-1]
             qids, rows, targets = [], [], []
             for lineno, line in enumerate(fh, start=2):
@@ -150,6 +153,8 @@ class ScoreTable:
                     targets.append(float(parts[-1]))
                 except ValueError as exc:
                     raise FusionError(f"{path}:{lineno}: non-numeric value") from exc
+        if not rows:
+            raise FusionError(f"{path}: no data rows")
         data = np.asarray(rows, dtype=float)
         columns = {n: data[:, j] for j, n in enumerate(names)}
         return cls(query_ids=qids, columns=columns, target=np.asarray(targets))
@@ -666,7 +671,7 @@ def predict(model: RegressionModel, table: ScoreTable, clamp: bool = False) -> n
 def write_model(model: RegressionModel, path) -> None:
     """Plain-text model dump: method, intercept, coefficients, hyperparameters."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# qppfuse model v1\n")
+        fh.write(MODEL_HEADER + "\n")
         fh.write(f"method\t{model.method}\n")
         fh.write(f"intercept\t{model.intercept!r}\n")
         for name, beta in model.coefficients.items():
@@ -679,30 +684,42 @@ def write_model(model: RegressionModel, path) -> None:
 
 
 def read_model(path) -> RegressionModel:
+    """Load a :func:`write_model` dump; a bad header or record raises FusionError."""
     method = None
     intercept = 0.0
     coefficients: dict[str, float] = {}
     hyper: dict = {}
     norm: dict[str, tuple[float, float]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        if fh.readline().rstrip("\n") != MODEL_HEADER:
+            raise FusionError(f"{path}: not a model dump (expected header {MODEL_HEADER!r})")
+        for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            parts = line.split("\t")
-            if parts[0] == "method":
-                method = parts[1]
-            elif parts[0] == "intercept":
-                intercept = float(parts[1])
-            elif parts[0] == "coef":
-                coefficients[parts[1]] = float(parts[2])
-            elif parts[0] == "hyper":
-                try:
-                    hyper[parts[1]] = ast.literal_eval(parts[2])
-                except (ValueError, SyntaxError):
-                    hyper[parts[1]] = parts[2]
-            elif parts[0] == "norm":
-                norm[parts[1]] = (float(parts[2]), float(parts[3]))
+            kind, *fields = line.split("\t")
+            try:
+                if kind == "method":
+                    (method,) = fields
+                elif kind == "intercept":
+                    (value,) = fields
+                    intercept = float(value)
+                elif kind == "coef":
+                    name, value = fields
+                    coefficients[name] = float(value)
+                elif kind == "hyper":
+                    key, value = fields
+                    try:
+                        hyper[key] = ast.literal_eval(value)
+                    except (ValueError, SyntaxError, TypeError):
+                        hyper[key] = value
+                elif kind == "norm":
+                    name, lo, hi = fields
+                    norm[name] = (float(lo), float(hi))
+                else:
+                    raise FusionError(f"{path}:{lineno}: unknown record {kind!r}")
+            except ValueError as exc:
+                raise FusionError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
     if method is None:
         raise FusionError(f"{path}: missing method line")
     return RegressionModel(method=method, intercept=intercept, coefficients=coefficients,

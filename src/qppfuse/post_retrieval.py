@@ -4,9 +4,9 @@ Clarity is the KL divergence (base 2) between a relevance model built over
 the top feedback documents and the collection language model. WIG is the
 mean gap between top-k document log-scores and the collection likelihood,
 scaled by 1/sqrt(query length). NQC is the population standard deviation of
-top-k log-scores normalized by |collection likelihood|. The UEF variants
-scale a base predictor by the similarity between the original ranking's
-scores and relevance-model re-ranking scores.
+top-k log-scores normalized by |collection likelihood|. UEF (composed in
+compute_post_scores) scales a base predictor by the similarity between the
+original ranking's scores and relevance-model re-ranking scores.
 
 WIG and NQC use natural logs; the query length in WIG is the full
 post-tokenization token count.
@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 
 from .corpus import Index, Query
-from .evaluation import UndefinedMetricError, kendall_tau_b
-from .retrieval import DegenerateQueryError, RankedList, collection_likelihood
+from .evaluation import UndefinedMetricError, kendall_tau_b, pearson_r
+from .retrieval import DegenerateQueryError, RankedList, collection_likelihood, dirichlet_mass
 
 __all__ = [
     "POST_PREDICTORS",
@@ -27,13 +27,10 @@ __all__ = [
     "wig",
     "nqc",
     "rm_rerank_similarity",
-    "uef",
     "compute_post_scores",
 ]
 
 POST_PREDICTORS = ("Clarity", "WIG", "NQC", "UEF-NQC", "UEF-WIG", "UEF-Clarity")
-
-UEF_BASES = {"NQC", "WIG", "Clarity"}
 
 
 @dataclass(frozen=True)
@@ -58,10 +55,6 @@ def _doc_term_freqs(index: Index, doc_ids) -> dict[str, dict[str, int]]:
     return tfs
 
 
-def _smoothed_prob(index: Index, term: str, tf: int, doc_len: int, mu: float) -> float:
-    return (tf + mu * index.cf[term] / index.total_tokens) / (doc_len + mu)
-
-
 def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -> RelevanceModel:
     """Relevance model over the top-k_fb documents.
 
@@ -83,11 +76,13 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
 
     tfs = _doc_term_freqs(index, doc_ids)
     vocab = sorted({t for d in doc_ids for t in tfs[d]})
+    prior = dirichlet_mass(index, vocab, mu)
+    docs = [(tfs[d], w, index.doc_len[d] + mu) for d, w in zip(doc_ids, weights)]
     probs = {}
     for term in vocab:
         p = 0.0
-        for doc_id, w in zip(doc_ids, weights):
-            p += w * _smoothed_prob(index, term, tfs[doc_id].get(term, 0), index.doc_len[doc_id], mu)
+        for doc_tfs, w, denom in docs:
+            p += w * ((doc_tfs.get(term, 0) + prior[term]) / denom)
         probs[term] = p
     mass = sum(probs.values())
     probs = {t: p / mass for t, p in probs.items()}
@@ -130,19 +125,6 @@ def _population_std(values) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
 
 
-def _plain_pearson(a, b) -> float | None:
-    """Correlation without the n >= 3 CI requirement; None on zero variance."""
-    n = len(a)
-    ma = sum(a) / n
-    mb = sum(b) / n
-    sab = sum((x - ma) * (y - mb) for x, y in zip(a, b))
-    saa = sum((x - ma) ** 2 for x in a)
-    sbb = sum((y - mb) ** 2 for y in b)
-    if saa == 0.0 or sbb == 0.0:
-        return None
-    return sab / math.sqrt(saa * sbb)
-
-
 def nqc(index: Index, query, ranked: RankedList, k: int = 100) -> float:
     """Std of top-k log-scores over |collection likelihood|; 0 for a single doc."""
     terms = query.terms if isinstance(query, Query) else tuple(query)
@@ -177,49 +159,23 @@ def rm_rerank_similarity(
     doc_ids = [d for d, _ in top]
     original = [s for _, s in top]
     tfs = _doc_term_freqs(index, doc_ids)
+    prior = dirichlet_mass(index, model.probs, mu)
     rm_scores = []
     for doc_id in doc_ids:
-        dl = index.doc_len[doc_id]
+        doc_tfs = tfs[doc_id]
+        denom = index.doc_len[doc_id] + mu
         s = 0.0
         for term, p in model.probs.items():
-            s += p * math.log(_smoothed_prob(index, term, tfs[doc_id].get(term, 0), dl, mu))
+            s += p * math.log((doc_tfs.get(term, 0) + prior[term]) / denom)
         rm_scores.append(s)
     if metric == "pearson":
-        return _plain_pearson(original, rm_scores)
+        return pearson_r(original, rm_scores)
     if metric == "kendall":
         try:
             return kendall_tau_b(original, rm_scores).coefficient
         except UndefinedMetricError:
             return None
     raise ValueError(f"unknown similarity metric {metric!r}")
-
-
-def uef(
-    index: Index,
-    query,
-    ranked: RankedList,
-    base: str,
-    m: int = 100,
-    k_fb: int = 100,
-    mu: float = 1000.0,
-    wig_k: int = 5,
-    nqc_k: int = 100,
-    sim_metric: str = "pearson",
-    model: RelevanceModel | None = None,
-) -> float | None:
-    """similarity(original, re-ranked) times the base predictor; None if undefined."""
-    if base not in UEF_BASES:
-        raise ValueError(f"base must be one of {sorted(UEF_BASES)}, got {base!r}")
-    sim = rm_rerank_similarity(index, ranked, m=m, k_fb=k_fb, mu=mu, metric=sim_metric, model=model)
-    if sim is None:
-        return None
-    if base == "NQC":
-        base_score = nqc(index, query, ranked, k=nqc_k)
-    elif base == "WIG":
-        base_score = wig(index, query, ranked, k=wig_k)
-    else:
-        base_score = clarity(index, ranked, k_fb=k_fb, mu=mu, model=model)
-    return sim * base_score
 
 
 def compute_post_scores(
@@ -235,7 +191,7 @@ def compute_post_scores(
 ) -> dict[str, float | None]:
     """All six post-retrieval values for one query, keyed by canonical name.
 
-    UEF entries are None when the re-ranking similarity is undefined.
+    UEF-X is re-ranking similarity times X; None when the similarity is undefined.
     """
     model = rm1(index, ranked, k_fb=k_fb, mu=mu)
     base_scores = {

@@ -17,6 +17,7 @@ __all__ = [
     "DegenerateQueryError",
     "RankedList",
     "scoreable_terms",
+    "dirichlet_mass",
     "score_dirichlet",
     "retrieve",
     "collection_likelihood",
@@ -52,6 +53,11 @@ class RankedList:
 def scoreable_terms(index: Index, terms) -> list[str]:
     """Query terms with cf > 0, multiplicity preserved."""
     return [t for t in terms if index.cf.get(t, 0) > 0]
+
+
+def dirichlet_mass(index: Index, terms, mu: float) -> dict[str, float]:
+    """Dirichlet prior mass mu * cf(t) / |C| of each term (cf > 0 assumed)."""
+    return {t: mu * index.cf[t] / index.total_tokens for t in terms}
 
 
 def score_dirichlet(index: Index, terms, doc_id: str, mu: float = 1000.0) -> float:
@@ -97,7 +103,7 @@ def retrieve(index: Index, query: Query, k: int = 1000, mu: float = 1000.0) -> R
     candidates = set()
     for term in qtfs:
         candidates.update(d for d, _ in index.postings[term])
-    mu_pc = {t: mu * index.cf[t] / index.total_tokens for t in qtfs}
+    mu_pc = dirichlet_mass(index, qtfs, mu)
     tf_maps = {t: dict(index.postings[t]) for t in qtfs}
     results = []
     for doc_id in candidates:

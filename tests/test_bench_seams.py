@@ -1,0 +1,86 @@
+"""The package seams that the benchmark in ``perfbench/`` relies on.
+
+The benchmark traces public functions from outside the package and imports
+names from it; a rename or a dropped call shows up there only as a failed
+benchmark run. These tests catch it in the suite instead. They read the
+benchmark's files and change none of them.
+"""
+
+import ast
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import gen  # noqa: E402
+import run  # noqa: E402
+import spans  # noqa: E402
+
+import qppfuse  # noqa: E402
+import qppfuse.cli as cli  # noqa: E402  (the tracer wraps cli functions too)
+
+
+@pytest.fixture
+def tracer():
+    t = spans.Tracer()
+    t.install(qppfuse)
+    try:
+        yield t
+    finally:
+        t.uninstall()
+
+
+def test_every_trace_target_exists(tracer):
+    assert tracer.missing == []
+
+
+@pytest.mark.parametrize("func,params", [
+    ("post_retrieval.rm_rerank_similarity", ("ranked", "m", "model")),
+    ("pre_retrieval.compute_pre_scores", ("index", "query", "distinct")),
+    ("fusion.bolasso", ("b",)),
+    ("fusion.cv_select", ("method",)),
+])
+def test_traced_argument_names_exist(func, params):
+    module, name = func.split(".")
+    signature = inspect.signature(getattr(getattr(qppfuse, module), name))
+    assert set(params) <= set(signature.parameters)
+
+
+def _package_imports(path):
+    """(module, name or None) for every ``qppfuse`` import in a script, at any nesting."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qppfuse":
+            found.extend((node.module, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.extend((alias.name, None) for alias in node.names
+                         if alias.name.split(".")[0] == "qppfuse")
+    return found
+
+
+@pytest.mark.parametrize("script", ["worker.py", "checks.py"])
+def test_imported_names_resolve(script):
+    imports = _package_imports(PERFBENCH / script)
+    assert imports
+    for module, name in imports:
+        mod = importlib.import_module(module)
+        if name is not None:
+            assert hasattr(mod, name), f"{script}: from {module} import {name}"
+
+
+def test_design_eval_commands_open_every_layer_span(tmp_path, tracer):
+    gen.make_design(tmp_path / "design.tsv", seed=1, n_rows=40)
+    config = tmp_path / "design.cfg"
+    config.write_text("design = design.tsv\ncorr.metric = kendall\n", encoding="utf-8")
+    for command in ("evaluate", "heatmap"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    seen = {s[0] for s in tracer.export()}
+    for metric, (sources, _, workloads) in run.LAYER_METRICS.items():
+        if run.DESIGN not in workloads or sources == ("setup.import",):
+            continue  # the worker times the import itself, outside any wrapped call
+        assert seen.intersection(sources), f"{metric}: no {'/'.join(sources)} span"

@@ -59,6 +59,11 @@ class TestSplits:
         with pytest.raises(HarnessError):
             split_random_halves(["a", "b", "c"], repeats=1, seed=0)
 
+    @pytest.mark.parametrize("repeats", [0, -2])
+    def test_halves_need_a_repeat(self, repeats):
+        with pytest.raises(HarnessError, match="split.repeats must be >= 1"):
+            split_random_halves([f"q{i}" for i in range(6)], repeats=repeats, seed=0)
+
     def test_loo(self):
         plan = split_leave_one_out(["a", "b", "c"])
         assert len(plan.pairs) == 3
@@ -153,6 +158,22 @@ class TestConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("corpus.docs = nowhere.jsonl\n")
         with pytest.raises(HarnessError, match="not found"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("mu", ["0", "-5"])
+    def test_nonpositive_mu_rejected(self, tmp_path, mu):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"retrieval.mu = {mu}\n")
+        with pytest.raises(HarnessError, match="retrieval.mu must be > 0"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("line", ["retrieval.k = 1e3", "retrieval.mu = fast",
+                                      "tokenize.stem = maybe", "external.scores = X"])
+    def test_bad_value_names_line_and_key(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# comment\n\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(HarnessError, match=rf"bad\.cfg:3: config key {key}: "):
             ExperimentConfig.from_file(path)
 
     def test_duplicate_predictor_names_rejected(self):

@@ -494,12 +494,35 @@ class TestModelIo:
         assert loaded.hyperparameters["support_counts"] == model.hyperparameters["support_counts"]
         assert loaded == model
 
+    def test_unparseable_hyper_value_kept_as_text(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("# qppfuse model v1\nmethod\tOLS\nhyper\tnote\t{[1]: 2}\n")
+        assert read_model(path).hyperparameters == {"note": "{[1]: 2}"}
+
     def test_dump_is_text(self, tmp_path):
         model = RegressionModel("OLS", 1.0, {"a": 2.0})
         path = tmp_path / "model.txt"
         write_model(model, path)
         text = path.read_text()
         assert "method\tOLS" in text and "coef\ta\t2.0" in text
+
+    @pytest.mark.parametrize("text,message", [
+        ("method\tOLS\n", "not a model dump"),
+        ("# qppfuse model v2\nmethod\tOLS\n", "not a model dump"),
+        ("# qppfuse model v1\nmethod\tOLS\ncoef\tX\n", r":3: malformed 'coef'"),
+        ("# qppfuse model v1\nmethod\tOLS\nintercept\tabc\n", r":3: malformed 'intercept'"),
+        ("# qppfuse model v1\nmethod\tOLS\tLASSO\n", r":2: malformed 'method'"),
+        ("# qppfuse model v1\nmethod\tOLS\nnorm\ta\t0.0\n", r":3: malformed 'norm'"),
+        ("# qppfuse model v1\nmethod\tOLS\nhyper\tlam\n", r":3: malformed 'hyper'"),
+        ("# qppfuse model v1\nmethod\tOLS\nbeta\ta\t1.0\n", r":3: unknown record 'beta'"),
+        ("# qppfuse model v1\nintercept\t1.0\n", "missing method"),
+    ], ids=["no-header", "wrong-version", "coef-fields", "intercept-value", "method-fields",
+            "norm-fields", "hyper-fields", "unknown-kind", "no-method"])
+    def test_rejects_bad_file(self, tmp_path, text, message):
+        path = tmp_path / "model.txt"
+        path.write_text(text)
+        with pytest.raises(FusionError, match=message):
+            read_model(path)
 
 
 class TestScoreTableIo:
@@ -513,6 +536,19 @@ class TestScoreTableIo:
         np.testing.assert_array_equal(loaded.target, table.target)
         for name in table.column_names:
             np.testing.assert_array_equal(loaded.columns[name], table.columns[name])
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "design.tsv"
+        path.write_text("query_id\tNQC\tWIG\tAP\n")
+        with pytest.raises(FusionError, match="no data rows"):
+            ScoreTable.read_tsv(path)
+
+    @pytest.mark.parametrize("header", ["query_id\tNQC\tNQC\tAP", "query_id\tAP\tNQC\tAP"])
+    def test_duplicate_column_rejected(self, tmp_path, header):
+        path = tmp_path / "design.tsv"
+        path.write_text(f"{header}\nq1\t1.0\t2.0\t0.5\n")
+        with pytest.raises(FusionError, match="distinct column names"):
+            ScoreTable.read_tsv(path)
 
     def test_rejects_non_finite(self):
         with pytest.raises(FusionError, match="finite"):

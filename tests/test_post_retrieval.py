@@ -11,7 +11,6 @@ from qppfuse.post_retrieval import (
     nqc,
     rm1,
     rm_rerank_similarity,
-    uef,
     wig,
 )
 from qppfuse.retrieval import DegenerateQueryError, RankedList, retrieve
@@ -165,6 +164,8 @@ class TestNqc:
 
 
 class TestUef:
+    """UEF-X = similarity x X, as composed by compute_post_scores."""
+
     def test_two_docs_give_unit_similarity(self):
         # with two distinct docs any non-constant vectors correlate at +-1
         index = build_index(_docs("a a a b", "a c", "x y"))
@@ -173,48 +174,44 @@ class TestUef:
         assert len(ranked) == 2
         sim = rm_rerank_similarity(index, ranked, m=10, k_fb=10)
         assert abs(sim) == pytest.approx(1.0, abs=1e-12)
-        for base, fn in (("NQC", nqc), ("WIG", wig)):
-            value = uef(index, query, ranked, base, m=10, k_fb=10, wig_k=5, nqc_k=10)
-            base_value = fn(index, query, ranked) if base == "WIG" else nqc(index, query, ranked, k=100)
-            assert value == pytest.approx(sim * base_value, rel=1e-12)
+        scores = compute_post_scores(index, query, ranked, **TOY_PARAMS)
+        for base, base_value in (("NQC", nqc(index, query, ranked, k=10)),
+                                 ("WIG", wig(index, query, ranked, k=5))):
+            assert scores[f"UEF-{base}"] == pytest.approx(sim * base_value, rel=1e-12)
 
     def test_identical_docs_undefined(self):
         index = build_index(_docs("a b", "a b", "z z"))
         query = Query("q", ("a",))
         ranked = retrieve(index, query)
         assert rm_rerank_similarity(index, ranked, m=10, k_fb=10) is None
-        assert uef(index, query, ranked, "NQC", m=10, k_fb=10) is None
+        scores = compute_post_scores(index, query, ranked, **TOY_PARAMS)
+        assert [scores[f"UEF-{b}"] for b in ("NQC", "WIG", "Clarity")] == [None] * 3
 
     def test_recomposition_on_toy(self, toy_index, toy_queries, ranked_lists):
         for query in toy_queries:
             ranked = ranked_lists[query.query_id]
             model = rm1(toy_index, ranked, k_fb=10, mu=1000)
             sim = rm_rerank_similarity(toy_index, ranked, m=10, k_fb=10, model=model)
+            scores = compute_post_scores(toy_index, query, ranked, **TOY_PARAMS)
             for base, base_value in (
                 ("NQC", nqc(toy_index, query, ranked, k=10)),
                 ("WIG", wig(toy_index, query, ranked, k=5)),
                 ("Clarity", clarity(toy_index, ranked, k_fb=10, model=model)),
             ):
-                value = uef(toy_index, query, ranked, base, m=10, k_fb=10,
-                            wig_k=5, nqc_k=10, model=model)
-                assert value == pytest.approx(sim * base_value, rel=1e-12)
+                assert scores[f"UEF-{base}"] == pytest.approx(sim * base_value, rel=1e-12)
 
     def test_kendall_similarity_option(self, toy_index, toy_queries, ranked_lists):
         query = toy_queries[0]
         ranked = ranked_lists[query.query_id]
         sim = rm_rerank_similarity(toy_index, ranked, m=10, k_fb=10, metric="kendall")
         assert sim is not None and -1.0 <= sim <= 1.0
-        value = uef(toy_index, query, ranked, "NQC", m=10, k_fb=10,
-                    nqc_k=10, sim_metric="kendall")
-        assert value == pytest.approx(sim * nqc(toy_index, query, ranked, k=10), rel=1e-12)
+        scores = compute_post_scores(toy_index, query, ranked, **TOY_PARAMS, uef_sim="kendall")
+        assert scores["UEF-NQC"] == pytest.approx(sim * nqc(toy_index, query, ranked, k=10),
+                                                  rel=1e-12)
 
     def test_unknown_similarity_metric_rejected(self, toy_index, ranked_lists):
         with pytest.raises(ValueError):
             rm_rerank_similarity(toy_index, ranked_lists["q01"], metric="cosine")
-
-    def test_unknown_base_rejected(self, toy_index, toy_queries, ranked_lists):
-        with pytest.raises(ValueError):
-            uef(toy_index, toy_queries[0], ranked_lists["q01"], "SMV")
 
 
 class TestComputePostScores:
