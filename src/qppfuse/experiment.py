@@ -11,8 +11,9 @@ choice derives from the root seed, so repeated runs are byte-identical.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -137,141 +138,154 @@ def _read_id_file(path) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1"):
+        return True
+    if raw.lower() in ("false", "no", "0"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+def _parse_pairs(raw: str) -> tuple[tuple[str, str], ...]:
+    pairs = []
+    for item in (p.strip() for p in raw.split(",") if p.strip()):
+        if "=" not in item:
+            raise ValueError(f"expected NAME=path, got {item!r}")
+        name, path = item.split("=", 1)
+        pairs.append((name.strip(), path.strip()))
+    return tuple(pairs)
+
+
+class _Kind(NamedTuple):
+    """How a config value is read from and written back to text."""
+
+    name: str
+    parse: Callable[[str], object]
+    dump: Callable[[object], str] = str
+    names: tuple[str, ...] = ()  # a namelist's "all": the names it may hold
+
+
+_BOOL = _Kind("bool", _parse_bool, lambda v: "true" if v else "false")
+_INT = _Kind("int", int)
+_FLOAT = _Kind("float", float)
+_STR = _Kind("str", str)
+_PATH = _Kind("path", str)  # relative values resolve against the config file's directory
+_PAIRS = _Kind("pairs", _parse_pairs, lambda v: ",".join(f"{n}={p}" for n, p in v))
+
+
+def _namelist(everything: tuple[str, ...]) -> _Kind:
+    def parse(raw: str) -> tuple[str, ...]:
+        if raw.lower() == "all":
+            return everything
+        return tuple(p.strip() for p in raw.split(",") if p.strip())
+    return _Kind("namelist", parse, ",".join, everything)
+
+
+def _rule(holds: Callable[[object], bool], text: str):
+    """A per-key check: None when the value is valid, else what is wrong."""
+    return lambda v: None if holds(v) else f"must be {text}, got {v!r}"
+
+
+def _one_of(*choices: str):
+    return _rule(lambda v: v in choices, " | ".join(choices))
+
+
+def _at_least(lo: int):
+    return _rule(lambda v: v >= lo, f">= {lo}")
+
+
+_POSITIVE = _rule(lambda v: v > 0, "> 0")
+
+
+def _existing(value: str):
+    return None if not value or Path(value).exists() else f"not found: {value}"
+
+
+def _key(key: str, kind: _Kind, default, check=None):
+    return field(default=default, metadata={"key": key, "kind": kind, "check": check})
+
+
+def _problem(spec, value) -> str | None:
+    """What is wrong with ``value`` for the key declared by ``spec``, if anything."""
+    known = spec.metadata["kind"].names
+    unknown = [n for n in value if n not in known] if known else []
+    if unknown:
+        return f"has unknown names: {', '.join(unknown)}"
+    check = spec.metadata["check"]
+    return check(value) if check else None
+
+
 @dataclass
 class ExperimentConfig:
-    """All knobs for one experiment; every field has a documented default."""
+    """All knobs for one experiment: each field declares its config key,
+    kind, default and check once; parsing, path resolution, validation and
+    the ``config_used.txt`` dump are loops over these declarations."""
 
-    docs: str = ""
-    corpus_format: str = "jsonl"
-    queries: str = ""
-    qrels: str = ""
-    lexicon: str = ""
-    design: str = ""
+    docs: str = _key("corpus.docs", _PATH, "", _existing)
+    corpus_format: str = _key("corpus.format", _STR, "jsonl", _one_of("jsonl", "trec", "tsv"))
+    queries: str = _key("corpus.queries", _PATH, "", _existing)
+    qrels: str = _key("corpus.qrels", _PATH, "", _existing)
+    lexicon: str = _key("corpus.lexicon", _PATH, "", _existing)
+    design: str = _key("design", _PATH, "", _existing)
 
-    lowercase: bool = True
-    split_non_alnum: bool = True
-    stopwords_path: str = ""
-    stem: bool = False
+    lowercase: bool = _key("tokenize.lowercase", _BOOL, True)
+    split_non_alnum: bool = _key("tokenize.split_non_alnum", _BOOL, True)
+    stopwords_path: str = _key("tokenize.stopwords", _PATH, "", _existing)
+    stem: bool = _key("tokenize.stem", _BOOL, False)
 
-    mu: float = 1000.0
-    k: int = 1000
+    mu: float = _key("retrieval.mu", _FLOAT, 1000.0, _POSITIVE)
+    k: int = _key("retrieval.k", _INT, 1000, _at_least(1))
 
-    distinct_terms: bool = True
-    k_fb: int = 100
-    wig_k: int = 5
-    nqc_k: int = 100
-    uef_m: int = 100
-    uef_sim: str = "pearson"
+    distinct_terms: bool = _key("preret.distinct_terms", _BOOL, True)
+    k_fb: int = _key("postret.k_fb", _INT, 100, _at_least(1))
+    wig_k: int = _key("postret.wig_k", _INT, 5, _at_least(1))
+    nqc_k: int = _key("postret.nqc_k", _INT, 100, _at_least(1))
+    uef_m: int = _key("postret.uef_m", _INT, 100)
+    uef_sim: str = _key("postret.uef_sim", _STR, "pearson", _one_of("pearson", "kendall"))
 
-    pre_predictors: tuple[str, ...] = PRE_PREDICTORS
-    post_predictors: tuple[str, ...] = POST_PREDICTORS
-    external_scores: tuple[tuple[str, str], ...] = ()
+    pre_predictors: tuple[str, ...] = _key("predictors.pre", _namelist(PRE_PREDICTORS),
+                                           PRE_PREDICTORS)
+    post_predictors: tuple[str, ...] = _key("predictors.post", _namelist(POST_PREDICTORS),
+                                            POST_PREDICTORS)
+    external_scores: tuple[tuple[str, str], ...] = _key("external.scores", _PAIRS, ())
 
-    combiners: tuple[str, ...] = COMBINERS
-    k_folds: int = 5
-    grid_size: int = 50
-    grid_ratio: float = 1e-4
-    enet_alpha: float = 0.5
-    bolasso_b: int = 100
-    bolasso_threshold: float = 1.0
-    n_traps: int = 0  # 0 means one trap per predictor column
-    clamp_predictions: bool = False
+    combiners: tuple[str, ...] = _key("combiners", _namelist(COMBINERS), COMBINERS)
+    k_folds: int = _key("fusion.k_folds", _INT, 5, _at_least(2))
+    grid_size: int = _key("fusion.grid_size", _INT, 50, _at_least(1))
+    grid_ratio: float = _key("fusion.grid_ratio", _FLOAT, 1e-4, _POSITIVE)
+    enet_alpha: float = _key("fusion.enet_alpha", _FLOAT, 0.5,
+                             _rule(lambda v: 0 <= v <= 1, "in [0, 1]"))
+    bolasso_b: int = _key("fusion.bolasso_b", _INT, 100, _at_least(2))
+    bolasso_threshold: float = _key("fusion.bolasso_threshold", _FLOAT, 1.0,
+                                    _rule(lambda v: 0 < v <= 1, "in (0, 1]"))
+    n_traps: int = _key("fusion.n_traps", _INT, 0)  # 0 means one trap per predictor column
+    clamp_predictions: bool = _key("fusion.clamp_predictions", _BOOL, False)
 
-    protocol: str = "halves"
-    repeats: int = 30
-    train_file: str = ""
-    test_file: str = ""
-    tuning_fraction: float = 0.1
+    protocol: str = _key("split.protocol", _STR, "halves", _one_of("halves", "loo", "fixed"))
+    repeats: int = _key("split.repeats", _INT, 30, _at_least(1))
+    train_file: str = _key("split.train_file", _PATH, "", _existing)
+    test_file: str = _key("split.test_file", _PATH, "", _existing)
+    tuning_fraction: float = _key("split.tuning_fraction", _FLOAT, 0.1)
 
-    corr_metric: str = "pearson"
-    h1_mean: float = 0.5
-    h2_mean: float = 0.3
-    h3_frac: float = 0.1
-    h3_rho: float = -0.1
+    corr_metric: str = _key("corr.metric", _STR, "pearson", _one_of("pearson", "kendall"))
+    h1_mean: float = _key("hypothesis.h1_mean", _FLOAT, 0.5)
+    h2_mean: float = _key("hypothesis.h2_mean", _FLOAT, 0.3)
+    h3_frac: float = _key("hypothesis.h3_frac", _FLOAT, 0.1)
+    h3_rho: float = _key("hypothesis.h3_rho", _FLOAT, -0.1)
 
-    seed: int = 42
-    out: str = ""
-
-    _KEYS = {
-        "corpus.docs": ("docs", str),
-        "corpus.format": ("corpus_format", str),
-        "corpus.queries": ("queries", str),
-        "corpus.qrels": ("qrels", str),
-        "corpus.lexicon": ("lexicon", str),
-        "design": ("design", str),
-        "tokenize.lowercase": ("lowercase", bool),
-        "tokenize.split_non_alnum": ("split_non_alnum", bool),
-        "tokenize.stopwords": ("stopwords_path", str),
-        "tokenize.stem": ("stem", bool),
-        "retrieval.mu": ("mu", float),
-        "retrieval.k": ("k", int),
-        "preret.distinct_terms": ("distinct_terms", bool),
-        "postret.k_fb": ("k_fb", int),
-        "postret.wig_k": ("wig_k", int),
-        "postret.nqc_k": ("nqc_k", int),
-        "postret.uef_m": ("uef_m", int),
-        "postret.uef_sim": ("uef_sim", str),
-        "predictors.pre": ("pre_predictors", "namelist"),
-        "predictors.post": ("post_predictors", "namelist"),
-        "external.scores": ("external_scores", "pairs"),
-        "combiners": ("combiners", "namelist"),
-        "fusion.k_folds": ("k_folds", int),
-        "fusion.grid_size": ("grid_size", int),
-        "fusion.grid_ratio": ("grid_ratio", float),
-        "fusion.enet_alpha": ("enet_alpha", float),
-        "fusion.bolasso_b": ("bolasso_b", int),
-        "fusion.bolasso_threshold": ("bolasso_threshold", float),
-        "fusion.n_traps": ("n_traps", int),
-        "fusion.clamp_predictions": ("clamp_predictions", bool),
-        "split.protocol": ("protocol", str),
-        "split.repeats": ("repeats", int),
-        "split.train_file": ("train_file", str),
-        "split.test_file": ("test_file", str),
-        "split.tuning_fraction": ("tuning_fraction", float),
-        "corr.metric": ("corr_metric", str),
-        "hypothesis.h1_mean": ("h1_mean", float),
-        "hypothesis.h2_mean": ("h2_mean", float),
-        "hypothesis.h3_frac": ("h3_frac", float),
-        "hypothesis.h3_rho": ("h3_rho", float),
-        "seed": ("seed", int),
-        "out": ("out", str),
-    }
-
-    @staticmethod
-    def _convert(raw, kind):
-        raw = raw.strip()
-        if kind is bool:
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        if kind == "namelist":
-            if raw.lower() == "all":
-                return "all"
-            return tuple(p.strip() for p in raw.split(",") if p.strip())
-        if kind == "pairs":
-            pairs = []
-            for item in (p.strip() for p in raw.split(",") if p.strip()):
-                if "=" not in item:
-                    raise ValueError(f"expected NAME=path, got {item!r}")
-                name, path = item.split("=", 1)
-                pairs.append((name.strip(), path.strip()))
-            return tuple(pairs)
-        return raw
+    seed: int = _key("seed", _INT, 42)
+    out: str = _key("out", _PATH, "")
 
     @classmethod
     def from_file(cls, path, base_dir=None) -> "ExperimentConfig":
         """Parse a flat dotted-key config file; unknown keys are an error.
 
-        Relative paths resolve against the config file's directory.
+        Relative paths resolve against the config file's directory. Each
+        value is parsed and checked at its line.
         """
         path = Path(path)
         base = Path(base_dir) if base_dir is not None else path.parent
+        specs = {spec.metadata["key"]: spec for spec in fields(cls)}
         config = cls()
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -281,56 +295,37 @@ class ExperimentConfig:
                 if "=" not in line:
                     raise HarnessError(f"{path}:{lineno}: expected 'key = value'")
                 key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in cls._KEYS:
+                if key not in specs:
                     raise HarnessError(f"{path}:{lineno}: unknown config key {key!r}")
-                attr, kind = cls._KEYS[key]
+                spec = specs[key]
+                kind = spec.metadata["kind"]
                 try:
-                    value = cls._convert(raw, kind)
+                    value = kind.parse(raw)
                 except ValueError as exc:
                     raise HarnessError(f"{path}:{lineno}: config key {key}: {exc}") from exc
-                if value == "all" and attr == "pre_predictors":
-                    value = PRE_PREDICTORS
-                elif value == "all" and attr == "post_predictors":
-                    value = POST_PREDICTORS
-                elif value == "all" and attr == "combiners":
-                    value = COMBINERS
-                setattr(config, attr, value)
-        for attr in ("docs", "queries", "qrels", "lexicon", "design",
-                     "stopwords_path", "train_file", "test_file", "out"):
-            value = getattr(config, attr)
-            if value:
-                setattr(config, attr, str((base / value)))
+                if kind is _PATH and value:
+                    value = str(base / value)
+                problem = _problem(spec, value)
+                if problem:
+                    raise HarnessError(f"{path}:{lineno}: config key {key}: {key} {problem}")
+                setattr(config, spec.name, value)
         config.validate()
         return config
 
     def validate(self) -> None:
-        for attr in ("docs", "queries", "qrels", "lexicon", "stopwords_path",
-                     "train_file", "test_file", "design"):
-            value = getattr(self, attr)
-            if value and not Path(value).exists():
-                raise HarnessError(f"{attr.replace('_', '.')}: file not found: {value}")
+        """Every per-key check, then the rules that span several keys."""
+        for spec in fields(self):
+            problem = _problem(spec, getattr(self, spec.name))
+            if problem:
+                key = spec.metadata["key"]
+                raise HarnessError(f"config key {key}: {key} {problem}")
         names = list(self.pre_predictors) + list(self.post_predictors) + [
             n for n, _ in self.external_scores
         ]
         if len(names) != len(set(names)):
             raise HarnessError("predictor names must be unique")
-        unknown_pre = set(self.pre_predictors) - set(PRE_PREDICTORS)
-        if unknown_pre:
-            raise HarnessError(f"unknown pre-retrieval predictors: {sorted(unknown_pre)}")
-        unknown_post = set(self.post_predictors) - set(POST_PREDICTORS)
-        if unknown_post:
-            raise HarnessError(f"unknown post-retrieval predictors: {sorted(unknown_post)}")
-        unknown_comb = set(self.combiners) - set(COMBINERS)
-        if unknown_comb:
-            raise HarnessError(f"unknown combiners: {sorted(unknown_comb)}")
-        if self.protocol not in ("halves", "loo", "fixed"):
-            raise HarnessError(f"unknown split protocol {self.protocol!r}")
         if self.protocol == "fixed" and not (self.train_file and self.test_file):
             raise HarnessError("fixed protocol needs split.train_file and split.test_file")
-        if self.mu <= 0:
-            raise HarnessError(f"retrieval.mu must be > 0, got {self.mu}")
-        if self.corr_metric not in ("pearson", "kendall"):
-            raise HarnessError("corr.metric must be pearson or kendall")
 
     def tokenizer_config(self) -> TokenizerConfig:
         stopwords = frozenset()
@@ -345,17 +340,8 @@ class ExperimentConfig:
 
     def resolved_items(self) -> list[tuple[str, str]]:
         """(key, value) pairs for the config dump, in declaration order."""
-        out = []
-        for key, (attr, kind) in self._KEYS.items():
-            value = getattr(self, attr)
-            if kind == "namelist":
-                value = ",".join(value)
-            elif kind == "pairs":
-                value = ",".join(f"{n}={p}" for n, p in value)
-            elif kind is bool:
-                value = "true" if value else "false"
-            out.append((key, str(value)))
-        return out
+        return [(spec.metadata["key"], spec.metadata["kind"].dump(getattr(self, spec.name)))
+                for spec in fields(self)]
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +382,14 @@ def build_score_table(config: ExperimentConfig):
     Queries that are degenerate, lack relevant documents, or have an
     undefined predictor value are excluded (with reasons).
     """
+    if not config.lexicon and any(p in ("AvP", "AvNP") for p in config.pre_predictors):
+        raise HarnessError("AvP/AvNP require corpus.lexicon")
     tok = config.tokenizer_config()
     docs = ingest(config.docs, config.corpus_format)
     index = build_index(docs, tok)
     queries = load_queries(config.queries, tok)
     qrels = load_qrels(config.qrels)
     lexicon = load_lexicon(config.lexicon) if config.lexicon else None
-    if lexicon is None and any(p in ("AvP", "AvNP") for p in config.pre_predictors):
-        raise HarnessError("AvP/AvNP require corpus.lexicon")
 
     excluded: dict[str, str] = {}
     rows: dict[str, dict[str, float]] = {}

@@ -139,7 +139,7 @@ class ScoreTable:
                 raise FusionError(f"{path}: expected header 'query_id<TAB>...<TAB>AP' "
                                   "with distinct column names")
             names = header[1:-1]
-            qids, rows, targets = [], [], []
+            qids, rows, targets, seen = [], [], [], set()
             for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
                 if not line:
@@ -147,6 +147,9 @@ class ScoreTable:
                 parts = line.split("\t")
                 if len(parts) != len(header):
                     raise FusionError(f"{path}:{lineno}: wrong column count")
+                if parts[0] in seen:
+                    raise FusionError(f"{path}:{lineno}: duplicate query_id {parts[0]!r}")
+                seen.add(parts[0])
                 qids.append(parts[0])
                 try:
                     rows.append([float(v) for v in parts[1:-1]])
@@ -386,7 +389,9 @@ def lars_path(table: ScoreTable) -> list[LarsKnot]:
     Columns are standardized internally (centered, unit L2 norm) and the
     reported coefficients are mapped back to the original scale. Constant
     or exactly collinear columns never enter (a warning is logged, ties
-    break by column order).
+    break by column order). Once n - 1 columns are active the centred
+    design has no dimension left; the rest never enter and are logged at
+    INFO, since that is the shape of the data, not a defect.
     """
     names = table.column_names
     x = table.matrix()
@@ -425,7 +430,10 @@ def lars_path(table: ScoreTable) -> list[LarsKnot]:
         if active:
             c_max = max(c_max, max(abs(c[j]) for j in active))
         if c_max < 1e-12:
-            if active and inactive:
+            if active and inactive and len(active) >= n - 1:
+                logger.info("centred design exhausted by %d columns; never entered: %s",
+                            len(active), ", ".join(names[j] for j in inactive))
+            elif active and inactive:
                 x_active = xs[:, active]
                 collinear = []
                 for j in inactive:

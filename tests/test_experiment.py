@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,39 @@ class TestConfig:
         reparsed = ExperimentConfig.from_file(dump, base_dir=".")
         assert reparsed == config
 
+    @pytest.mark.parametrize("line", [
+        "corpus.format = xml", "retrieval.k = 0", "postret.k_fb = 0", "postret.wig_k = 0",
+        "postret.wig_k = -1", "postret.nqc_k = 0", "postret.uef_sim = cosine",
+        "predictors.pre = MaxIDF,Magic", "combiners = OLS,Magic", "fusion.k_folds = 1",
+        "fusion.grid_size = 0", "fusion.grid_ratio = 0", "fusion.enet_alpha = 1.5",
+        "fusion.bolasso_b = 1", "fusion.bolasso_threshold = 0", "split.protocol = random",
+        "split.repeats = 0", "corr.metric = spearman"])
+    def test_bad_value_fails_its_check_at_its_line(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# comment\n\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(HarnessError, match=rf"bad\.cfg:3: config key {key}: "):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"k_folds": 1}, "config key fusion.k_folds: fusion.k_folds must be >= 2, got 1"),
+        ({"combiners": ("OLS", "Magic")}, "config key combiners: combiners has unknown names: Magic"),
+        ({"protocol": "fixed"}, "fixed protocol needs split.train_file and split.test_file"),
+    ])
+    def test_validate_names_the_key(self, overrides, message):
+        with pytest.raises(HarnessError, match=re.escape(message)):
+            ExperimentConfig(**overrides).validate()
+
+    def test_readme_config_reference_is_the_default_config(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Config reference", 1)[1].split("```\n", 2)[1]
+        path = tmp_path / "reference.cfg"
+        path.write_text(block)
+        assert ExperimentConfig.from_file(path) == ExperimentConfig()
+        listed = [line.split("=", 1)[0].strip() for line in block.splitlines()
+                  if not line.lstrip().startswith("#")]
+        assert listed == [key for key, _ in ExperimentConfig().resolved_items()]
+
 
 class TestBuildScoreTable:
     def test_toy_table(self, toy_dir):
@@ -199,6 +234,11 @@ class TestBuildScoreTable:
         assert excluded == {}
         assert table.column_names == ["MaxIDF", "AvgSCQ", "NQC", "Clarity"]
         assert np.all((table.target >= 0) & (table.target <= 1))
+
+    def test_avp_without_lexicon_fails_before_ingest(self):
+        # corpus.docs is unset: reaching ingest would fail with another error
+        with pytest.raises(HarnessError, match="AvP/AvNP require corpus.lexicon"):
+            build_score_table(ExperimentConfig())
 
     def test_unjudged_query_excluded(self, toy_dir, tmp_path):
         queries = (toy_dir / "queries.tsv").read_text() + "q99\tnebula comet\n"

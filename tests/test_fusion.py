@@ -319,6 +319,26 @@ class TestLarsPath:
         assert [k.column for k in path] == ["a"]  # ties break by column order
         assert any("collinear" in r.message for r in caplog.records)
 
+    def test_exhausted_centred_design_is_info_not_warning(self, caplog):
+        # 3 rows centre to 2 dimensions, which the first two active columns span
+        rng = np.random.default_rng(16)
+        table = make_table(rng.standard_normal((3, 4)), rng.standard_normal(3))
+        with caplog.at_level(logging.INFO, logger="qppfuse.fusion"):
+            path = lars_path(table)
+        assert len(path) == 2
+        assert [r.levelno for r in caplog.records] == [logging.INFO]
+        assert "exhausted by 2 columns" in caplog.records[0].message
+
+    def test_collinear_below_full_rank_still_warns(self, caplog):
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal(20)
+        table = make_table(np.column_stack([x, x]), x + 0.1 * rng.standard_normal(20),
+                           names=["a", "b"])
+        with caplog.at_level(logging.INFO, logger="qppfuse.fusion"):
+            lars_path(table)
+        assert [(r.levelno, r.message) for r in caplog.records] == [
+            (logging.WARNING, "collinear columns never entered (ties break by column order): b")]
+
 
 class TestLarsTraps:
     def test_noiseless_signal_selected_before_traps(self):
@@ -548,6 +568,12 @@ class TestScoreTableIo:
         path = tmp_path / "design.tsv"
         path.write_text(f"{header}\nq1\t1.0\t2.0\t0.5\n")
         with pytest.raises(FusionError, match="distinct column names"):
+            ScoreTable.read_tsv(path)
+
+    def test_duplicate_query_id_rejected(self, tmp_path):
+        path = tmp_path / "design.tsv"
+        path.write_text("query_id\tNQC\tAP\nq1\t1.0\t0.5\nq1\t2.0\t0.4\nq2\t3.0\t0.1\n")
+        with pytest.raises(FusionError, match=r"design\.tsv:3: duplicate query_id 'q1'"):
             ScoreTable.read_tsv(path)
 
     def test_rejects_non_finite(self):
