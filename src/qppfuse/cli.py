@@ -11,6 +11,8 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import fusion
 from .corpus import build_index, dump_stats, ingest, load_lexicon, load_queries
 from .evaluation import (
@@ -141,16 +143,15 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
     params, _ = fusion.minmax_fit(table)
     normalized = fusion.minmax_apply(table, params)
     n = table.n_rows
-    rows = []
-    for name in table.column_names:
-        col = normalized.columns[name]
-        row = report_row(name, col, table.target)
-        sq_sum = 0.0
-        for i in range(n):
-            train_idx = [j for j in range(n) if j != i]
-            sq_sum += rmse_single(col, table.target, train_idx, [i]) ** 2
+    columns = [normalized.columns[name] for name in table.column_names]
+    rows = [report_row(name, col, table.target) for name, col in zip(table.column_names, columns)]
+    sq_sums = [0.0] * len(columns)
+    for i in range(n):
+        train_idx, test_idx = np.delete(np.arange(n), i), np.array([i])
+        for k, col in enumerate(columns):
+            sq_sums[k] += rmse_single(col, table.target, train_idx, test_idx) ** 2
+    for row, sq_sum in zip(rows, sq_sums):
         row.rmse = (sq_sum / n) ** 0.5
-        rows.append(row)
     path = Path(config.out) / "report.tsv"
     write_report_tsv(path, rows)
     print(f"wrote {path} ({len(rows)} predictors over {n} queries)")

@@ -197,8 +197,10 @@ def _at_least(lo: int):
 _POSITIVE = _rule(lambda v: v > 0, "> 0")
 
 
-def _existing(value: str):
-    return None if not value or Path(value).exists() else f"not found: {value}"
+def _existing(value):
+    paths = [value] if isinstance(value, str) else [p for _, p in value]  # a path or pairs
+    missing = [p for p in paths if p and not Path(p).exists()]
+    return f"not found: {', '.join(missing)}" if missing else None
 
 
 def _key(key: str, kind: _Kind, default, check=None):
@@ -247,7 +249,7 @@ class ExperimentConfig:
                                            PRE_PREDICTORS)
     post_predictors: tuple[str, ...] = _key("predictors.post", _namelist(POST_PREDICTORS),
                                             POST_PREDICTORS)
-    external_scores: tuple[tuple[str, str], ...] = _key("external.scores", _PAIRS, ())
+    external_scores: tuple[tuple[str, str], ...] = _key("external.scores", _PAIRS, (), _existing)
 
     combiners: tuple[str, ...] = _key("combiners", _namelist(COMBINERS), COMBINERS)
     k_folds: int = _key("fusion.k_folds", _INT, 5, _at_least(2))
@@ -305,6 +307,8 @@ class ExperimentConfig:
                     raise HarnessError(f"{path}:{lineno}: config key {key}: {exc}") from exc
                 if kind is _PATH and value:
                     value = str(base / value)
+                elif kind is _PAIRS:
+                    value = tuple((name, str(base / p)) for name, p in value)
                 problem = _problem(spec, value)
                 if problem:
                     raise HarnessError(f"{path}:{lineno}: config key {key}: {key} {problem}")
@@ -313,17 +317,17 @@ class ExperimentConfig:
         return config
 
     def validate(self) -> None:
-        """Every per-key check, then the rules that span several keys."""
-        for spec in fields(self):
-            problem = _problem(spec, getattr(self, spec.name))
-            if problem:
-                key = spec.metadata["key"]
-                raise HarnessError(f"config key {key}: {key} {problem}")
+        """Unique predictor names, every per-key check, then the fixed-protocol rule."""
         names = list(self.pre_predictors) + list(self.post_predictors) + [
             n for n, _ in self.external_scores
         ]
         if len(names) != len(set(names)):
             raise HarnessError("predictor names must be unique")
+        for spec in fields(self):
+            problem = _problem(spec, getattr(self, spec.name))
+            if problem:
+                key = spec.metadata["key"]
+                raise HarnessError(f"config key {key}: {key} {problem}")
         if self.protocol == "fixed" and not (self.train_file and self.test_file):
             raise HarnessError("fixed protocol needs split.train_file and split.test_file")
 

@@ -162,6 +162,27 @@ class TestConfig:
         with pytest.raises(HarnessError, match="not found"):
             ExperimentConfig.from_file(path)
 
+    def test_external_scores_resolve_against_config_dir(self, tmp_path, monkeypatch):
+        confdir = tmp_path / "conf"
+        (confdir / "scores").mkdir(parents=True)
+        scores = confdir / "scores" / "x.tsv"
+        scores.write_text("q1\t0.5\n")
+        (confdir / "exp.cfg").write_text(f"external.scores = X=scores/x.tsv, Y={scores}\n")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        config = ExperimentConfig.from_file(Path("..") / "conf" / "exp.cfg")
+        (_, x_path), (_, y_path) = config.external_scores
+        assert Path(x_path).resolve() == scores.resolve() and Path(y_path) == scores
+        assert import_external_scores(x_path, ["q1"]) == {"q1": 0.5}
+
+    def test_missing_external_scores_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("external.scores = X=nowhere.tsv\n")
+        with pytest.raises(HarnessError, match=r"bad\.cfg:1: config key external\.scores: "
+                                               r"external\.scores not found: .*nowhere\.tsv"):
+            ExperimentConfig.from_file(path)
+
     @pytest.mark.parametrize("mu", ["0", "-5"])
     def test_nonpositive_mu_rejected(self, tmp_path, mu):
         path = tmp_path / "bad.cfg"
