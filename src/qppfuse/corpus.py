@@ -199,43 +199,43 @@ class Index:
     """Immutable inverted index with collection statistics.
 
     Mapping fields are plain dicts for speed; they must be treated as
-    read-only. Postings lists are tuples of (doc_id, tf) in ascending
-    doc_id order.
+    read-only. ``postings[term]`` maps doc_id -> tf with keys in ascending
+    doc_id order; read a term frequency as ``postings[term].get(doc_id, 0)``.
     """
 
     n_docs: int
     total_tokens: int
     doc_len: dict[str, int] = field(repr=False)
-    postings: dict[str, tuple[tuple[str, int], ...]] = field(repr=False)
+    postings: dict[str, dict[str, int]] = field(repr=False)
     df: dict[str, int] = field(repr=False)
     cf: dict[str, int] = field(repr=False)
 
-    def tf(self, term: str, doc_id: str) -> int:
-        for did, tf in self.postings.get(term, ()):
-            if did == doc_id:
-                return tf
-        return 0
-
-    @property
-    def vocabulary(self) -> list[str]:
-        return list(self.postings.keys())
-
     def validate(self) -> None:
         """Check the structural invariants; raises CorpusError on violation."""
+        if self.n_docs != len(self.doc_len):
+            raise CorpusError(f"N = {self.n_docs} but {len(self.doc_len)} documents")
         if sum(self.doc_len.values()) != self.total_tokens:
             raise CorpusError("sum of doc lengths != total_tokens")
+        tf_sums = dict.fromkeys(self.doc_len, 0)
         for term, plist in self.postings.items():
             if not 1 <= self.df[term] <= self.n_docs:
                 raise CorpusError(f"df out of range for {term!r}")
             if self.df[term] != len(plist):
                 raise CorpusError(f"df != |postings| for {term!r}")
-            if self.cf[term] != sum(tf for _, tf in plist):
+            if self.cf[term] != sum(plist.values()):
                 raise CorpusError(f"cf != sum tf for {term!r}")
             if self.cf[term] < self.df[term]:
                 raise CorpusError(f"cf < df for {term!r}")
-            ids = [d for d, _ in plist]
-            if ids != sorted(ids):
+            if not plist.keys() <= tf_sums.keys():
+                unknown = sorted(plist.keys() - tf_sums.keys())
+                raise CorpusError(f"postings of {term!r} name unknown documents {unknown}")
+            if list(plist) != sorted(plist):
                 raise CorpusError(f"postings not ascending for {term!r}")
+            for doc_id, tf in plist.items():
+                tf_sums[doc_id] += tf
+        if tf_sums != self.doc_len:
+            bad = sorted(d for d, n in self.doc_len.items() if tf_sums[d] != n)
+            raise CorpusError(f"sum of tf != doc length for documents {bad}")
 
 
 def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZER) -> Index:
@@ -243,31 +243,27 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     if not docs:
         raise CorpusError("cannot index an empty corpus")
     doc_len: dict[str, int] = {}
-    term_docs: dict[str, dict[str, int]] = {}
+    postings: dict[str, dict[str, int]] = {}
     total = 0
-    for doc in docs:
+    # documents in doc_id order fill every postings dict in ascending order
+    for doc in sorted(docs, key=lambda d: d.doc_id):
+        if doc.doc_id in doc_len:
+            raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
         tokens = tokenize(doc.text, config)
         doc_len[doc.doc_id] = len(tokens)
         total += len(tokens)
         for term, tf in Counter(tokens).items():
-            term_docs.setdefault(term, {})[doc.doc_id] = tf
+            postings.setdefault(term, {})[doc.doc_id] = tf
     if total == 0:
         raise CorpusError("all documents tokenized to empty")
-    postings = {}
-    df = {}
-    cf = {}
-    for term in sorted(term_docs):
-        plist = tuple(sorted(term_docs[term].items()))
-        postings[term] = plist
-        df[term] = len(plist)
-        cf[term] = sum(tf for _, tf in plist)
+    postings = {term: postings[term] for term in sorted(postings)}
     return Index(
         n_docs=len(docs),
         total_tokens=total,
         doc_len=doc_len,
         postings=postings,
-        df=df,
-        cf=cf,
+        df={t: len(p) for t, p in postings.items()},
+        cf={t: sum(p.values()) for t, p in postings.items()},
     )
 
 
@@ -284,7 +280,7 @@ def dump_stats(index: Index, path) -> None:
         for doc_id in sorted(index.doc_len):
             fh.write(f"doc\t{doc_id}\t{index.doc_len[doc_id]}\n")
         for term in sorted(index.postings):
-            cells = "\t".join(f"{d}:{tf}" for d, tf in index.postings[term])
+            cells = "\t".join(f"{d}:{tf}" for d, tf in index.postings[term].items())
             fh.write(f"term\t{term}\t{cells}\n")
 
 
@@ -297,7 +293,7 @@ def load_stats(path) -> Index:
     header = f"# {SNAPSHOT_MAGIC} stats v{SNAPSHOT_VERSION}"
     n_docs = total = None
     doc_len: dict[str, int] = {}
-    postings: dict[str, tuple[tuple[str, int], ...]] = {}
+    postings: dict[str, dict[str, int]] = {}
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != header:
             raise CorpusError(f"{path}: not an index stats dump (expected header {header!r})")
@@ -318,13 +314,15 @@ def load_stats(path) -> Index:
                     _, doc_id, length = parts
                     doc_len[doc_id] = int(length)
                 elif kind == "term":
-                    entries = []
+                    plist = {}
                     for cell in parts[2:]:
                         doc_id, _, tf = cell.rpartition(":")
                         if not doc_id or int(tf) < 1:
                             raise ValueError(f"bad posting {cell!r}")
-                        entries.append((doc_id, int(tf)))
-                    postings[parts[1]] = tuple(entries)
+                        if doc_id in plist:
+                            raise ValueError(f"repeated doc {doc_id!r}")
+                        plist[doc_id] = int(tf)
+                    postings[parts[1]] = plist
                 else:
                     raise CorpusError(f"{path}:{lineno}: unknown record {kind!r}")
             except (IndexError, ValueError) as exc:
@@ -337,7 +335,7 @@ def load_stats(path) -> Index:
         doc_len=doc_len,
         postings=postings,
         df={t: len(p) for t, p in postings.items()},
-        cf={t: sum(tf for _, tf in p) for t, p in postings.items()},
+        cf={t: sum(p.values()) for t, p in postings.items()},
     )
     index.validate()
     return index

@@ -35,7 +35,7 @@ POST_PREDICTORS = ("Clarity", "WIG", "NQC", "UEF-NQC", "UEF-WIG", "UEF-Clarity")
 
 @dataclass(frozen=True)
 class RelevanceModel:
-    """Term distribution over the feedback documents' union vocabulary."""
+    """Term distribution over the terms of the feedback documents."""
 
     probs: dict[str, float]
     feedback_depth: int
@@ -44,23 +44,12 @@ class RelevanceModel:
         return sum(self.probs.values())
 
 
-def _doc_term_freqs(index: Index, doc_ids) -> dict[str, dict[str, int]]:
-    """tf vectors for the given docs, via one pass over the postings."""
-    wanted = set(doc_ids)
-    tfs: dict[str, dict[str, int]] = {d: {} for d in wanted}
-    for term, plist in index.postings.items():
-        for doc_id, tf in plist:
-            if doc_id in wanted:
-                tfs[doc_id][term] = tf
-    return tfs
-
-
 def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -> RelevanceModel:
     """Relevance model over the top-k_fb documents.
 
     Document weights are the softmax of the retrieval log-scores; term
-    probabilities are Dirichlet-smoothed document models over the union
-    vocabulary, renormalized to sum to one.
+    probabilities are Dirichlet-smoothed document models over every term
+    that occurs in a feedback document, renormalized to sum to one.
     """
     if k_fb < 1:
         raise ValueError("k_fb must be >= 1")
@@ -74,15 +63,17 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
     z = sum(exp_scores)
     weights = [e / z for e in exp_scores]
 
-    tfs = _doc_term_freqs(index, doc_ids)
-    vocab = sorted({t for d in doc_ids for t in tfs[d]})
-    prior = dirichlet_mass(index, vocab, mu)
-    docs = [(tfs[d], w, index.doc_len[d] + mu) for d, w in zip(doc_ids, weights)]
+    wanted = set(doc_ids)
+    terms = sorted(t for t, plist in index.postings.items() if not wanted.isdisjoint(plist))
+    prior = dirichlet_mass(index, terms, mu)
+    docs = [(d, w, index.doc_len[d] + mu) for d, w in zip(doc_ids, weights)]
     probs = {}
-    for term in vocab:
+    for term in terms:
+        plist = index.postings[term]
+        term_prior = prior[term]
         p = 0.0
-        for doc_tfs, w, denom in docs:
-            p += w * ((doc_tfs.get(term, 0) + prior[term]) / denom)
+        for doc_id, w, denom in docs:
+            p += w * ((plist.get(doc_id, 0) + term_prior) / denom)
         probs[term] = p
     mass = sum(probs.values())
     probs = {t: p / mass for t, p in probs.items()}
@@ -158,16 +149,18 @@ def rm_rerank_similarity(
         model = rm1(index, ranked, k_fb=k_fb, mu=mu)
     doc_ids = [d for d, _ in top]
     original = [s for _, s in top]
-    tfs = _doc_term_freqs(index, doc_ids)
     prior = dirichlet_mass(index, model.probs, mu)
-    rm_scores = []
-    for doc_id in doc_ids:
-        doc_tfs = tfs[doc_id]
-        denom = index.doc_len[doc_id] + mu
-        s = 0.0
-        for term, p in model.probs.items():
-            s += p * math.log((doc_tfs.get(term, 0) + prior[term]) / denom)
-        rm_scores.append(s)
+    denoms = [index.doc_len[d] + mu for d in doc_ids]
+    # term-major with one accumulator per document; each document's sum
+    # runs over the terms in model.probs order
+    rm_scores = [0.0] * len(doc_ids)
+    for term, p in model.probs.items():
+        plist = index.postings[term]
+        term_prior = prior[term]
+        rm_scores = [
+            s + p * math.log((plist.get(d, 0) + term_prior) / denom)
+            for s, d, denom in zip(rm_scores, doc_ids, denoms)
+        ]
     if metric == "pearson":
         return pearson_r(original, rm_scores)
     if metric == "kendall":

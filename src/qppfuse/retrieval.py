@@ -72,7 +72,7 @@ def score_dirichlet(index: Index, terms, doc_id: str, mu: float = 1000.0) -> flo
     dl = index.doc_len[doc_id]
     score = 0.0
     for term, qtf in Counter(scored).items():
-        tf = index.tf(term, doc_id)
+        tf = index.postings[term].get(doc_id, 0)
         p_c = index.cf[term] / index.total_tokens
         score += qtf * math.log((tf + mu * p_c) / (dl + mu))
     return score
@@ -102,16 +102,15 @@ def retrieve(index: Index, query: Query, k: int = 1000, mu: float = 1000.0) -> R
     qtfs = Counter(scored)
     candidates = set()
     for term in qtfs:
-        candidates.update(d for d, _ in index.postings[term])
+        candidates.update(index.postings[term])
     mu_pc = dirichlet_mass(index, qtfs, mu)
-    tf_maps = {t: dict(index.postings[t]) for t in qtfs}
+    term_stats = [(index.postings[t], qtf, mu_pc[t]) for t, qtf in qtfs.items()]
     results = []
     for doc_id in candidates:
         denom = index.doc_len[doc_id] + mu
         score = 0.0
-        for term, qtf in qtfs.items():
-            tf = tf_maps[term].get(doc_id, 0)
-            score += qtf * math.log((tf + mu_pc[term]) / denom)
+        for plist, qtf, prior in term_stats:
+            score += qtf * math.log((plist.get(doc_id, 0) + prior) / denom)
         results.append((doc_id, score))
     results.sort(key=lambda e: (-e[1], e[0]))
     return RankedList(query.query_id, tuple(results[:k]))

@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qppfuse.corpus import (
@@ -114,7 +116,7 @@ class TestBuildIndex:
 
     def test_postings_ascending(self):
         index = build_index(_docs("a b", "a"))
-        assert index.postings["a"] == (("d1", 1), ("d2", 1))
+        assert list(index.postings["a"].items()) == [("d1", 1), ("d2", 1)]
 
     def test_invariants_on_toy(self, toy_index):
         toy_index.validate()
@@ -148,10 +150,52 @@ class TestBuildIndex:
         actual = {
             (term, doc_id): tf
             for term, plist in index.postings.items()
-            for doc_id, tf in plist
+            for doc_id, tf in plist.items()
         }
         assert actual == expected
         index.validate()
+
+    def test_input_order_independent(self, tmp_path):
+        # ids d1..d40 sort as d1, d10, d11, ..., so input order != doc_id order
+        rng = random.Random(11)
+        vocab = [f"w{i}" for i in range(30)]
+        docs = [
+            Document(f"d{i}", " ".join(rng.choices(vocab, k=rng.randint(1, 40))))
+            for i in range(1, 41)
+        ]
+        shuffled = list(docs)
+        rng.shuffle(shuffled)
+        assert shuffled != docs
+        index, other = build_index(docs), build_index(shuffled)
+        assert other == index
+        for term, plist in other.postings.items():
+            assert list(plist) == sorted(plist), term
+        dump_stats(index, tmp_path / "a.txt")
+        dump_stats(other, tmp_path / "b.txt")
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_duplicate_doc_id(self):
+        with pytest.raises(CorpusError, match="duplicate doc_id 'd1'"):
+            build_index([Document("d1", "a b"), Document("d1", "c")])
+
+    def test_build_memory_per_posting(self):
+        # one postings structure only: a second copy of every posting (a
+        # tuple list beside the dicts, a forward doc -> term index) would
+        # roughly double the peak
+        rng = np.random.default_rng(5)
+        vocab = np.array([f"t{i}" for i in range(5_000)])
+        weights = 1.0 / (np.arange(vocab.size) + 2.7)
+        draws = rng.choice(vocab.size, size=(2_000, 150), p=weights / weights.sum())
+        docs = [Document(f"d{i}", " ".join(vocab[row])) for i, row in enumerate(draws)]
+        tracemalloc.start()
+        try:
+            index = build_index(docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_postings = sum(index.df.values())
+        assert n_postings > 200_000
+        assert peak / n_postings < 48
 
 
 class TestPersistence:
@@ -189,8 +233,9 @@ class TestPersistence:
         "term\tdog\td1:x",
         "term\tdog\td1:0",
         "N\tfifty",
+        "term\tdog\td1:1\td1:1",
     ], ids=["doc-short", "doc-length", "term-bare", "term-no-tf", "term-tf-text",
-            "term-tf-zero", "n-text"])
+            "term-tf-zero", "n-text", "term-repeated-doc"])
     def test_stats_dump_rejects_malformed_record(self, toy_index, tmp_path, record):
         path = tmp_path / "stats.txt"
         dump_stats(toy_index, path)
@@ -203,11 +248,26 @@ class TestPersistence:
         path = tmp_path / "stats.txt"
         dump_stats(toy_index, path)
         lines = path.read_text().splitlines()
-        assert lines[2].startswith("C\t")
-        lines[2] = f"C\t{toy_index.total_tokens + 1}"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusError, match="total_tokens"):
-            load_stats(path)
+        assert lines[1].startswith("N\t") and lines[2].startswith("C\t")
+        first_doc = next(i for i, line in enumerate(lines) if line.startswith("doc\t"))
+        _, doc_id, length = lines[first_doc].split("\t")
+        first_term = next(i for i, line in enumerate(lines) if line.startswith("term\t"))
+        broken = {
+            "total_tokens": {2: f"C\t{toy_index.total_tokens + 1}"},
+            # IDF would use the wrong N
+            "documents": {1: f"N\t{toy_index.n_docs + 1}"},
+            # retrieve would hit a bare KeyError on the unknown doc
+            "unknown documents": {first_term: lines[first_term] + "\tzz9:1"},
+            "sum of tf != doc length": {
+                first_doc: f"doc\t{doc_id}\t{int(length) + 1}",
+                2: f"C\t{toy_index.total_tokens + 1}",
+            },
+        }
+        for message, edits in broken.items():
+            edited = [edits.get(i, line) for i, line in enumerate(lines)]
+            path.write_text("\n".join(edited) + "\n")
+            with pytest.raises(CorpusError, match=message):
+                load_stats(path)
 
 
 class TestFileLoaders:

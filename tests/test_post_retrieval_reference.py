@@ -21,7 +21,7 @@ def _reference_doc_term_freqs(index, doc_ids):
     wanted = set(doc_ids)
     tfs = {d: {} for d in wanted}
     for term, plist in index.postings.items():
-        for doc_id, tf in plist:
+        for doc_id, tf in plist.items():
             if doc_id in wanted:
                 tfs[doc_id][term] = tf
     return tfs

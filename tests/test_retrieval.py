@@ -106,7 +106,7 @@ class TestRetrieve:
         ranked = retrieve(toy_index, query)
         term_docs = set()
         for term in query.terms:
-            term_docs.update(d for d, _ in toy_index.postings.get(term, ()))
+            term_docs.update(toy_index.postings.get(term, {}))
         assert set(ranked.doc_ids) <= term_docs
 
     def test_removing_unrelated_doc_with_stats_fixed(self, toy_index, toy_queries):
@@ -120,11 +120,11 @@ class TestRetrieve:
         victim = next(
             d for d in sorted(toy_index.doc_len)
             if d not in candidates
-            and all(toy_index.tf(t, d) == 0 for t in query.terms)
+            and all(toy_index.postings.get(t, {}).get(d, 0) == 0 for t in query.terms)
         )
         doc_len = {d: n for d, n in toy_index.doc_len.items() if d != victim}
         postings = {
-            t: tuple(p for p in plist if p[0] != victim)
+            t: {d: tf for d, tf in plist.items() if d != victim}
             for t, plist in toy_index.postings.items()
         }
         postings = {t: p for t, p in postings.items() if p}
