@@ -12,7 +12,9 @@ target). Penalty conventions, with the intercept never penalized:
 so enet(alpha=1) coincides with lasso(lam) and enet(alpha=0) with
 ridge(lam). LASSO and E-Net are solved by cyclic coordinate descent with
 soft thresholding on the Gram matrix; LARS follows the classic equiangular
-path. All fits are deterministic given (table, hyperparameters, seed).
+path. The descent kernel is straight-line Python generated once per column
+count and cached, bit-identical to the plain coordinate loop. All fits are
+deterministic given (table, hyperparameters, seed).
 """
 
 import ast
@@ -237,10 +239,14 @@ def ols_fit(table: ScoreTable) -> RegressionModel:
     return _as_model("OLS", table, beta, x_mean, y_mean)
 
 
+def _check_lam(lam) -> None:
+    if not 0.0 <= lam < math.inf:
+        raise FusionError(f"lam must be finite and >= 0, got {lam!r}")
+
+
 def ridge_fit(table: ScoreTable, lam: float) -> RegressionModel:
     """Ridge on as-given columns; lam=0 reproduces OLS."""
-    if lam < 0:
-        raise FusionError("lam must be >= 0")
+    _check_lam(lam)
     xc, yc, x_mean, y_mean = _centered(table)
     m = xc.shape[1]
     if m == 0:
@@ -253,54 +259,82 @@ def ridge_fit(table: ScoreTable, lam: float) -> RegressionModel:
     return _as_model("Ridge", table, beta, x_mean, y_mean, lam=lam)
 
 
+_CD_KERNELS = {}  # column count m -> compiled sweep kernel
+
+
+def _cd_kernel_source(m: int) -> str:
+    """Source of the sweep kernel for m coordinates, built from the integer m alone.
+
+    It is the cyclic soft-threshold loop written out per coordinate. Each
+    Gram entry (g{j}_{k} holds gram[k, j]), b_j, c_j, q_j = (G b)_j and
+    denominator d_j is a local float, and each q update is its own statement.
+    It makes the same IEEE operations in the same order as the plain loop
+    (``_reference_cd_sweeps`` in tests/test_cd_kernel.py).
+    """
+    ks = range(m)
+
+    def names(prefix):
+        return ", ".join(f"{prefix}{j}" for j in ks)
+
+    gram_cols = ", ".join("[" + ", ".join(f"g{j}_{k}" for k in ks) + "]" for j in ks)
+    lines = [
+        "def kernel(gram, corr, l1, l2, beta, max_sweeps, tol):",
+        # the per-sweep names are bound first: past 256 locals, each access to
+        # a variable costs an extra EXTENDED_ARG instruction
+        "    sweeps = -1",
+        "    max_delta = new = z = delta = 0.0",
+        "    nl1 = -l1",
+        f"    [{names('b')}] = beta.tolist()",
+        *(f"    q{k} = 0.0" for k in ks),
+        f"    [{names('c')}] = corr.tolist()",
+        f"    [{gram_cols}] = gram.T.tolist()",
+    ]
+    for j in ks:
+        lines.append(f"    if b{j} != 0.0:")
+        lines += [f"        q{k} += g{j}_{k} * b{j}" for k in ks]
+    lines += [f"    d{j} = g{j}_{j} + l2" for j in ks]
+    lines += ["    for sweep in range(max_sweeps):", "        max_delta = 0.0"]
+    for j in ks:
+        lines += [
+            f"        if d{j} <= 0.0:",
+            "            new = 0.0",
+            "        else:",
+            f"            z = c{j} - q{j} + g{j}_{j} * b{j}",
+            "            if z > l1:",
+            f"                new = (z - l1) / d{j}",
+            "            elif z < nl1:",
+            f"                new = (z + l1) / d{j}",
+            "            else:",
+            "                new = 0.0",
+            f"        delta = new - b{j}",
+            "        if delta != 0.0:",
+            *(f"            q{k} += g{j}_{k} * delta" for k in ks),
+            f"            b{j} = new",
+            "            if delta > max_delta:",
+            "                max_delta = delta",
+            "            elif -delta > max_delta:",
+            "                max_delta = -delta",
+        ]
+    lines += ["        if max_delta < tol:", "            sweeps = sweep + 1", "            break",
+              f"    beta[:] = [{names('b')}]", "    return sweeps"]
+    return "\n".join(lines) + "\n"
+
+
 def _cd_sweeps(gram, corr, l1, l2, beta, max_sweeps, tol) -> int:
     """Cyclic soft-threshold sweeps in place; -1 when the budget runs out.
 
-    The loop runs on Python floats rather than numpy scalars: every operation
-    is the same IEEE double arithmetic in the same order, so the result is
-    bit-identical, but element access does not box a numpy scalar.
+    Runs the straight-line kernel for corr.size coordinates, compiled on first
+    use and cached. It works on Python floats rather than numpy scalars, so
+    element access boxes nothing, and it does the plain loop's IEEE operations
+    in the same order, so the result is bit-identical to that loop.
     """
     m = corr.size
-    ks = range(m)
-    cols = gram.T.tolist()  # cols[j][k] == gram[k, j]
-    diag = [cols[j][j] for j in ks]
-    b = beta.tolist()
-    q = [0.0] * m
-    for j in ks:
-        if b[j] != 0.0:
-            col, b_j = cols[j], b[j]
-            for k in ks:
-                q[k] += col[k] * b_j
-    coords = list(zip(ks, diag, [g_jj + l2 for g_jj in diag], corr.tolist(), cols))
-    sweeps = -1
-    for sweep in range(max_sweeps):
-        max_delta = 0.0
-        for j, g_jj, denom, c_j, col in coords:
-            b_j = b[j]
-            if denom <= 0.0:
-                new = 0.0
-            else:
-                z = c_j - q[j] + g_jj * b_j
-                if z > l1:
-                    new = (z - l1) / denom
-                elif z < -l1:
-                    new = (z + l1) / denom
-                else:
-                    new = 0.0
-            delta = new - b_j
-            if delta != 0.0:
-                for k in ks:
-                    q[k] += col[k] * delta
-                b[j] = new
-                if delta > max_delta:
-                    max_delta = delta
-                elif -delta > max_delta:
-                    max_delta = -delta
-        if max_delta < tol:
-            sweeps = sweep + 1
-            break
-    beta[:] = b
-    return sweeps
+    kernel = _CD_KERNELS.get(m)
+    if kernel is None:
+        namespace = {}
+        exec(compile(_cd_kernel_source(m), f"<cd kernel m={m}>", "exec"), namespace)
+        kernel = _CD_KERNELS[m] = namespace["kernel"]
+    return kernel(gram, corr, l1, l2, beta, max_sweeps, tol)
 
 
 def _cd_solve(gram, corr, lam, alpha, beta0=None):
@@ -319,8 +353,7 @@ def _cd_solve(gram, corr, lam, alpha, beta0=None):
 
 def enet_fit(table: ScoreTable, lam: float, alpha: float) -> RegressionModel:
     """Elastic net via coordinate descent; alpha=1 is LASSO, alpha=0 is Ridge."""
-    if lam < 0:
-        raise FusionError("lam must be >= 0")
+    _check_lam(lam)
     if not 0.0 <= alpha <= 1.0:
         raise FusionError("alpha must be in [0, 1]")
     xc, yc, x_mean, y_mean = _centered(table)
@@ -590,6 +623,8 @@ def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
     grid = lambda_grid(table) if lam_grid is None else np.asarray(lam_grid, dtype=float)
     if grid.size == 0:
         raise FusionError("empty lambda grid")
+    for lam in grid.tolist():
+        _check_lam(lam)
     grid = np.sort(grid)[::-1]
     folds = _make_folds(table.n_rows, k_folds, seed)
     cd_alpha = 1.0 if method == "lasso" else alpha
@@ -625,7 +660,9 @@ def bolasso(table: ScoreTable, b: int = 100, threshold: float = 1.0,
     """Bootstrap LASSO support selection followed by an OLS refit.
 
     Each of the ``b`` bootstrap resamples gets its own CV-selected lam; a
-    column is kept when it is active in at least threshold*b supports.
+    column is kept when it is active in at least threshold*b supports. A
+    resample with a flat target (lambda_max == 0) counts as an empty support
+    and stays in the denominator b.
     """
     if b < 2:
         raise FusionError("need at least 2 bootstrap samples")

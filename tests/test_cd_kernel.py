@@ -84,6 +84,35 @@ def test_kernel_bit_identical_to_reference(m, alpha, warm):
             assert sweeps > 0
 
 
+@pytest.mark.parametrize("m", [0, 2, 3, 5, 24])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_kernel_bit_identical_at_more_widths(m, alpha, warm):
+    # the kernel is generated per column count, so each width is its own code;
+    # m = 0 is reachable through cv_select on a zero-column table with a user grid
+    gram, corr = _problem(m, m)
+    lam_max = float(np.max(np.abs(corr), initial=0.0))
+    beta0 = _mixed_sign_start(m, m) if warm else np.zeros(m)
+    for frac in (0.0, 0.01, 0.2, 0.9):
+        lam = frac * lam_max
+        sweeps = _assert_matches_reference(gram, corr, lam * alpha, lam * (1.0 - alpha), beta0)
+        assert sweeps == 1 if m == 0 else sweeps > 0
+
+
+def test_kernel_unsolvable_bootstrap_refit_matches_partial_state():
+    # the toy run's unsolvable LASSO shape: a 6-row bootstrap resample with
+    # duplicated rows, 4 columns, lam = 1e-4 * lambda_max, the full budget
+    rng = np.random.default_rng(1)
+    x, y = rng.uniform(0.0, 1.0, (6, 4)), rng.uniform(0.0, 1.0, 6)
+    rows = rng.integers(0, 6, 6)
+    assert len(set(rows.tolist())) < 6
+    xc = x[rows] - x[rows].mean(axis=0)
+    yc = y[rows] - y[rows].mean()
+    gram, corr = xc.T @ xc, xc.T @ yc
+    l1 = 1e-4 * float(np.max(np.abs(corr)))
+    assert _assert_matches_reference(gram, corr, l1, 0.0, np.zeros(4)) == -1
+
+
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_kernel_zero_column_without_ridge(warm):
     # an all-zero column with l2 = 0 has a zero diagonal: the kernel pins it at 0

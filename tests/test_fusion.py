@@ -1,8 +1,10 @@
 import logging
+import math
 
 import numpy as np
 import pytest
 
+from qppfuse import fusion
 from qppfuse.fusion import (
     FusionError,
     RegressionModel,
@@ -25,6 +27,7 @@ from qppfuse.fusion import (
     ridge_fit,
     write_model,
 )
+from qppfuse.seeding import derive_seed
 
 
 def make_table(x, y, names=None):
@@ -166,6 +169,12 @@ class TestRidge:
         with pytest.raises(FusionError):
             ridge_fit(make_table([[1.0], [2.0]], [0.0, 1.0]), -1.0)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        # without the check, nan and inf give NaN coefficients
+        with pytest.raises(FusionError, match="finite"):
+            ridge_fit(make_table([[1.0], [2.0], [4.0]], [0.0, 1.0, 0.5]), lam)
+
 
 class TestLasso:
     def test_lambda_max_kills_everything(self):
@@ -201,6 +210,12 @@ class TestLasso:
             model = lasso_fit(table, lam)
             assert lasso_kkt_residual(table, model, lam) <= 1e-5
 
+    def test_nan_lambda_rejected(self):
+        # nan < 0 is False: a sign check alone lets nan through to an all-zero model
+        rng = np.random.default_rng(4)
+        with pytest.raises(FusionError, match="finite"):
+            lasso_fit(random_table(rng), math.nan)
+
 
 class TestElasticNet:
     def test_alpha_one_equals_lasso(self):
@@ -234,6 +249,12 @@ class TestElasticNet:
     def test_bad_alpha_rejected(self):
         with pytest.raises(FusionError):
             enet_fit(make_table([[1.0], [2.0]], [0.0, 1.0]), 1.0, alpha=1.5)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_bad_lambda_rejected(self, lam):
+        rng = np.random.default_rng(8)
+        with pytest.raises(FusionError, match="finite"):
+            enet_fit(random_table(rng, n=5, m=3), lam, alpha=0.5)
 
 
 class TestLarsPath:
@@ -407,6 +428,26 @@ class TestCvSelect:
         with pytest.raises(FusionError, match="fold"):
             cv_select(table, "lasso", lam_grid=[0.1], k_folds=5, seed=0)
 
+    def test_nan_in_grid_rejected(self):
+        # unchecked, a nan grid point is selected and refits to an all-zero model
+        rng = np.random.default_rng(20)
+        table = random_table(rng, n=20, m=3)
+        with pytest.raises(FusionError, match="finite"):
+            cv_select(table, "lasso", lam_grid=[math.nan, 0.1], k_folds=2, seed=0)
+
+    @pytest.mark.parametrize("method", ["lasso", "ridge", "enet"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_grid_rejected_before_any_fold(self, monkeypatch, method, bad):
+        # checked up front: unchecked, lasso runs every fold with l1 = -1
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fold was fitted")
+        monkeypatch.setattr(fusion, "_cd_sweeps", no_fit)
+        monkeypatch.setattr(fusion, "ridge_fit", no_fit)
+        rng = np.random.default_rng(20)
+        table = random_table(rng, n=20, m=3)
+        with pytest.raises(FusionError, match="finite"):
+            cv_select(table, method, lam_grid=[0.1, bad], k_folds=2, seed=0)
+
     def test_lambda_grid_shape(self):
         rng = np.random.default_rng(24)
         table = random_table(rng)
@@ -446,6 +487,25 @@ class TestBolasso:
         rng = np.random.default_rng(28)
         table = random_table(rng, n=30, m=3)
         assert bolasso(table, b=6, k_folds=2, seed=11) == bolasso(table, b=6, k_folds=2, seed=11)
+
+    def test_flat_resamples_count_as_empty_supports(self):
+        # target zero on five of six rows: a resample missing the sixth row is
+        # flat. x0 equals the target, so every other resample selects it; a
+        # flat resample still counts in b, so the hard intersection keeps nothing
+        rng = np.random.default_rng(31)
+        y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        table = make_table(np.column_stack([y, rng.uniform(0.0, 1.0, (6, 2))]), y)
+        b, seed = 10, 4
+        flat = 0
+        for i in range(b):
+            draw = np.random.default_rng(derive_seed(seed, "bootstrap", i))
+            flat += lambda_max(table.subset(draw.integers(0, 6, size=6))) == 0.0
+        assert flat >= 1
+        model = bolasso(table, b=b, threshold=1.0, k_folds=2, seed=seed)
+        counts = model.hyperparameters["support_counts"]
+        assert all(c <= b - flat for c in counts.values())
+        assert counts["x0"] == b - flat
+        assert model.support == set()
 
     def test_needs_two_bootstraps(self):
         rng = np.random.default_rng(29)
