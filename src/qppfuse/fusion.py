@@ -621,6 +621,8 @@ def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
     if method not in ("lasso", "ridge", "enet"):
         raise FusionError(f"unknown CV method {method!r}")
     grid = lambda_grid(table) if lam_grid is None else np.asarray(lam_grid, dtype=float)
+    if grid.ndim != 1:
+        raise FusionError(f"lam_grid must be a 1-d sequence of lambdas, got shape {grid.shape}")
     if grid.size == 0:
         raise FusionError("empty lambda grid")
     for lam in grid.tolist():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qppfuse import fusion
 from qppfuse.evaluation import ReportRow, predictor_correlation_matrix
 from qppfuse.experiment import (
     ExperimentConfig,
@@ -14,12 +15,14 @@ from qppfuse.experiment import (
     fit_combiner,
     hypothesis_report,
     import_external_scores,
+    make_split_plan,
     run_experiment,
     split_fixed,
     split_leave_one_out,
+    split_predictions,
     split_random_halves,
 )
-from qppfuse.fusion import ScoreTable, cv_select, fit_penalized, lambda_grid
+from qppfuse.fusion import ScoreTable, cv_select, fit_penalized, lambda_grid, lasso_kkt_residual
 from qppfuse.seeding import derive_seed
 
 
@@ -410,6 +413,45 @@ class TestRunExperiment:
         model = fit_combiner("LASSO-CV", train, config, seed)
         assert model == fit_penalized(train, "lasso", lam_star)
         assert model != tuned
+
+
+class TestToyFusionCorrectness:
+    def test_chosen_lasso_and_enet_models_satisfy_kkt(self, toy_dir, monkeypatch):
+        # every LASSO-CV and E-Net model of the first toy splits must solve its
+        # own problem at the chosen lam; BOLASSO's inner CV calls are not kept
+        config = toy_config(toy_dir)
+        table, _, _, _ = build_score_table(config)
+        plan = make_split_plan(config, table.query_ids)
+        cv_select_orig, bolasso_orig = fusion.cv_select, fusion.bolasso
+        in_bolasso = [0]
+        chosen = []
+
+        def capturing_cv_select(tbl, method, *args, **kwargs):
+            lam, model = cv_select_orig(tbl, method, *args, **kwargs)
+            if not in_bolasso[0]:
+                chosen.append((tbl, method, kwargs["alpha"], lam, model))
+            return lam, model
+
+        def counting_bolasso(*args, **kwargs):
+            in_bolasso[0] += 1
+            try:
+                return bolasso_orig(*args, **kwargs)
+            finally:
+                in_bolasso[0] -= 1
+
+        monkeypatch.setattr(fusion, "cv_select", capturing_cv_select)
+        monkeypatch.setattr(fusion, "bolasso", counting_bolasso)
+        n_splits = 4
+        for s, (train_ids, test_ids) in enumerate(plan.pairs[:n_splits]):
+            seed = derive_seed(config.seed, config.protocol, s, "fit")
+            split_predictions(table, train_ids, test_ids, config, seed)
+        # one LASSO-CV and one E-Net per split; Ridge-CV has no KKT conditions
+        methods = sorted(method for _, method, _, _, _ in chosen)
+        assert methods == ["enet"] * n_splits + ["lasso"] * n_splits + ["ridge"] * n_splits
+        for tbl, method, alpha, lam, model in chosen:
+            if method != "ridge":
+                l1_share = 1.0 if method == "lasso" else alpha
+                assert lasso_kkt_residual(tbl, model, lam, l1_share) <= 1e-6
 
 
 def _fixture_matrix(values):

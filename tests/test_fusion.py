@@ -448,6 +448,17 @@ class TestCvSelect:
         with pytest.raises(FusionError, match="finite"):
             cv_select(table, method, lam_grid=[0.1, bad], k_folds=2, seed=0)
 
+    @pytest.mark.parametrize("grid", [0.1, [[0.1, 0.2]]], ids=["scalar", "2-d"])
+    def test_grid_not_1d_rejected_before_any_fold(self, monkeypatch, grid):
+        # unchecked, a scalar grid raised TypeError and a 2-d grid compared lists
+        def no_folds(*args, **kwargs):
+            raise AssertionError("folds were made")
+        monkeypatch.setattr(fusion, "_make_folds", no_folds)
+        rng = np.random.default_rng(20)
+        table = random_table(rng, n=20, m=3)
+        with pytest.raises(FusionError, match="1-d sequence"):
+            cv_select(table, "lasso", lam_grid=grid, k_folds=2, seed=0)
+
     def test_lambda_grid_shape(self):
         rng = np.random.default_rng(24)
         table = random_table(rng)
