@@ -10,11 +10,14 @@ target). Penalty conventions, with the intercept never penalized:
                                                + (1-alpha)/2 * ||b||_2^2)
 
 so enet(alpha=1) coincides with lasso(lam) and enet(alpha=0) with
-ridge(lam). LASSO and E-Net are solved by cyclic coordinate descent with
-soft thresholding on the Gram matrix; LARS follows the classic equiangular
-path. The descent kernel is straight-line Python generated once per column
-count and cached, bit-identical to the plain coordinate loop. All fits are
-deterministic given (table, hyperparameters, seed).
+ridge(lam). LASSO, and E-Net at alpha=1, are read off the exact LASSO path
+(LAR with the lasso modification, on the Gram matrix), which is piecewise
+linear in lam and has no iteration budget. E-Net at any other alpha is
+solved by cyclic coordinate descent with soft thresholding on the Gram
+matrix; its kernel is straight-line Python generated once per column count
+and cached, bit-identical to the plain coordinate loop. LARS follows the
+classic equiangular path. All fits are deterministic given (table,
+hyperparameters, seed).
 """
 
 import ast
@@ -57,6 +60,9 @@ logger = logging.getLogger(__name__)
 
 CD_TOL = 1e-7
 CD_MAX_SWEEPS = 10_000
+COLLINEAR_TOL = 1e-13
+PATH_MAX_STEPS_PER_COLUMN = 50
+PATH_TOL = 1e-12
 TRAP_PREFIX = "__trap_"
 MODEL_HEADER = "# qppfuse model v1"
 
@@ -66,7 +72,10 @@ class FusionError(Exception):
 
 
 class ConvergenceError(FusionError):
-    """Coordinate descent did not converge within the sweep budget."""
+    """E-Net coordinate descent (alpha < 1) did not converge within the sweep budget.
+
+    LASSO fits never raise it: they are read off the exact path.
+    """
 
 
 @dataclass
@@ -351,8 +360,154 @@ def _cd_solve(gram, corr, lam, alpha, beta0=None):
     return beta
 
 
+def _chol_row(chol, gram, active, j):
+    """Row that extends the Cholesky factor of gram[active, active] by column j.
+
+    Returns the off-diagonal entries and the squared pivot, the part of
+    gram[j][j] that the active columns do not explain.
+    """
+    row = []
+    for i, k in enumerate(active):
+        li = chol[i]
+        s = gram[k][j]
+        for t in range(i):
+            s -= li[t] * row[t]
+        row.append(s / li[i])
+    return row, gram[j][j] - sum(v * v for v in row)
+
+
+def _lasso_path(gram, corr):
+    """Knots of the exact LASSO path on a Gram matrix: (lams, betas).
+
+    LAR with the lasso modification (Efron, Hastie, Johnstone & Tibshirani
+    2004, section 3.1): the active coefficients move along
+    gram[A, A]^-1 * signs while lam falls, until an inactive column's
+    residual correlation reaches lam (it enters), an active coefficient
+    reaches zero (it leaves), or lam reaches 0. ``lams`` falls strictly from
+    lambda_max to 0 and row k of ``betas`` solves the problem at lams[k];
+    between knots the solution is linear in lam.
+
+    Where several columns are due at the same lam, one event is handled at
+    a time, least column index first: a tied column enters if the others
+    would let its correlation outgrow lam, and a zero coefficient that would
+    move against its sign leaves again (Murty's least-index principal
+    pivoting, which ends for a positive definite active Gram). A column
+    whose gap to lam closes at a rate below PATH_TOL, rounding noise, keeps
+    that gap and never enters; a step too small to change lam moves no
+    coefficient. An entering column whose Gram pivot against the active set
+    is at most COLLINEAR_TOL of its squared norm is collinear with the
+    active set; it is passed over until a coefficient next leaves. Runs on
+    Python floats: at a few dozen columns that beats small numpy calls.
+    """
+    m = corr.size
+    g = gram.tolist()
+    c = corr.tolist()
+    beta = [0.0] * m
+    r = list(c)  # residual correlations c - G beta
+    lam = max((abs(v) for v in r), default=0.0)
+    lams, betas = [lam], [list(beta)]
+    active, signs, chol, passed_over = [], [], [], set()
+    steps = 0
+    while lam > 0.0:
+        steps += 1
+        if steps > PATH_MAX_STEPS_PER_COLUMN * (m + 1):
+            # a guard against cycling in floating point, not an iteration budget
+            raise FusionError(f"LASSO path did not reach lam = 0 in {steps - 1} steps")
+        # d = gram[A, A]^-1 signs, by forward then back substitution
+        d = []
+        for i, li in enumerate(chol):
+            s = signs[i]
+            for t in range(i):
+                s -= li[t] * d[t]
+            d.append(s / li[i])
+        for i in range(len(chol) - 1, -1, -1):
+            s = d[i]
+            for t in range(i + 1, len(chol)):
+                s -= chol[t][i] * d[t]
+            d[i] = s / chol[i][i]
+        # the next event: (step, column) least, the end of the path losing ties
+        gamma, pick, sign, leaving = lam, None, 0.0, False
+        for j in range(m):
+            if j in active or j in passed_over:
+                continue
+            gj = g[j]
+            a = 0.0
+            for i, k in enumerate(active):
+                a += gj[k] * d[i]
+            # s*(r_j - gamma*a) meets lam - gamma where the gap closes at rate 1 - s*a
+            if 1.0 - a > PATH_TOL:
+                step = max(lam - r[j], 0.0) / (1.0 - a)
+                if step < gamma:
+                    gamma, pick, sign = step, j, 1.0
+            if 1.0 + a > PATH_TOL:
+                step = max(lam + r[j], 0.0) / (1.0 + a)
+                if step < gamma:
+                    gamma, pick, sign = step, j, -1.0
+        for i, k in enumerate(active):
+            rate = -signs[i] * d[i]  # how fast beta_k falls towards zero
+            if rate > 0.0:
+                step = max(signs[i] * beta[k], 0.0) / rate
+                if step < gamma or (step == gamma and pick is not None and k < pick):
+                    gamma, pick, leaving = step, k, True
+        moved = (0.0 if pick is None else lam - gamma) < lam
+        if moved:
+            for i, k in enumerate(active):
+                beta[k] += gamma * d[i]
+            lam = 0.0 if pick is None else lam - gamma
+        if leaving:
+            beta[pick] = 0.0
+            i = active.index(pick)
+            del active[i], signs[i]
+            chol = []
+            for i, k in enumerate(active):
+                row, pivot = _chol_row(chol, g, active[:i], k)
+                chol.append(row + [math.sqrt(pivot)])
+            passed_over.clear()
+        elif pick is not None:
+            row, pivot = _chol_row(chol, g, active, pick)
+            if pivot <= COLLINEAR_TOL * g[pick][pick]:
+                passed_over.add(pick)
+            else:
+                chol.append(row + [math.sqrt(pivot)])
+                active.append(pick)
+                signs.append(sign)
+        if moved or leaving:
+            for j in range(m):
+                gj = g[j]
+                s = c[j]
+                for k in active:
+                    s -= gj[k] * beta[k]
+                r[j] = s
+            if moved:
+                lams.append(lam)
+                betas.append(list(beta))
+            else:
+                betas[-1] = list(beta)
+    return np.array(lams), np.array(betas)
+
+
+def _lasso_at(lams, betas, grid) -> np.ndarray:
+    """Path coefficients at each lam of ``grid`` (rows), by linear interpolation.
+
+    A lam above lams[0] gets the all-zero first knot, one below the last
+    knot gets the last knot.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if lams.size == 1:
+        return np.repeat(betas, grid.size, axis=0)
+    up_lams, up_betas = lams[::-1], betas[::-1]  # ascending lam
+    hi = np.clip(np.searchsorted(up_lams, grid), 1, lams.size - 1)
+    lo = hi - 1
+    t = np.clip((grid - up_lams[lo]) / (up_lams[hi] - up_lams[lo]), 0.0, 1.0)
+    return up_betas[lo] + t[:, None] * (up_betas[hi] - up_betas[lo])
+
+
 def enet_fit(table: ScoreTable, lam: float, alpha: float) -> RegressionModel:
-    """Elastic net via coordinate descent; alpha=1 is LASSO, alpha=0 is Ridge."""
+    """Elastic net; alpha=1 is LASSO, alpha=0 is Ridge.
+
+    alpha=1 reads the exact LASSO path at lam; any other alpha runs
+    coordinate descent.
+    """
     _check_lam(lam)
     if not 0.0 <= alpha <= 1.0:
         raise FusionError("alpha must be in [0, 1]")
@@ -360,7 +515,11 @@ def enet_fit(table: ScoreTable, lam: float, alpha: float) -> RegressionModel:
     m = xc.shape[1]
     if m == 0:
         return _as_model("E-Net", table, np.zeros(0), x_mean, y_mean, lam=lam, alpha=alpha)
-    beta = _cd_solve(xc.T @ xc, xc.T @ yc, lam, alpha)
+    gram, corr = xc.T @ xc, xc.T @ yc
+    if alpha == 1.0:
+        beta = _lasso_at(*_lasso_path(gram, corr), [lam])[0]
+    else:
+        beta = _cd_solve(gram, corr, lam, alpha)
     return _as_model("E-Net", table, beta, x_mean, y_mean, lam=lam, alpha=alpha)
 
 
@@ -374,8 +533,8 @@ def lasso_fit(table: ScoreTable, lam: float) -> RegressionModel:
 def lasso_kkt_residual(table: ScoreTable, model: RegressionModel, lam: float, alpha: float = 1.0) -> float:
     """Largest violation of the stationarity conditions at the fitted point.
 
-    For active columns |x_j'r - lam*(1-alpha)*b_j| must equal lam*alpha; for
-    inactive columns it must not exceed it.
+    For active columns x_j'r - lam*(1-alpha)*b_j must equal lam*alpha*sign(b_j);
+    for inactive columns its magnitude must not exceed lam*alpha.
     """
     x = table.matrix()
     residual = table.target - predict(model, table)
@@ -385,7 +544,7 @@ def lasso_kkt_residual(table: ScoreTable, model: RegressionModel, lam: float, al
     for j, name in enumerate(table.column_names):
         g = float(x[:, j] @ residual) - l2 * model.coefficients[name]
         if model.coefficients[name] != 0.0:
-            worst = max(worst, abs(abs(g) - l1))
+            worst = max(worst, abs(g - math.copysign(l1, model.coefficients[name])))
         else:
             worst = max(worst, max(0.0, abs(g) - l1))
     return worst
@@ -615,8 +774,10 @@ def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
               seed: int = 0, alpha: float = 0.5):
     """Pick lam by mean validation MSE over seeded folds; ties favor larger lam.
 
-    Returns (best_lam, model refit on the full table). Coordinate-descent
-    methods walk the grid from the largest lam down with warm starts.
+    Returns (best_lam, model refit on the full table). LASSO, and E-Net at
+    alpha=1, read each fold's exact path at every grid lam; E-Net at any
+    other alpha walks the grid from the largest lam down by coordinate
+    descent with warm starts.
     """
     if method not in ("lasso", "ridge", "enet"):
         raise FusionError(f"unknown CV method {method!r}")
@@ -629,7 +790,7 @@ def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
         _check_lam(lam)
     grid = np.sort(grid)[::-1]
     folds = _make_folds(table.n_rows, k_folds, seed)
-    cd_alpha = 1.0 if method == "lasso" else alpha
+    fold_alpha = 1.0 if method == "lasso" else alpha
     mean_mse = np.zeros(grid.size)
     for val_idx, train_idx in folds:
         train, val = table.subset(train_idx), table.subset(val_idx)
@@ -637,14 +798,19 @@ def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
             for gi, lam in enumerate(grid):
                 y_hat = predict(ridge_fit(train, float(lam)), val)
                 mean_mse[gi] += float(np.mean((y_hat - val.target) ** 2))
+            continue
+        xc, yc, x_mean, y_mean = _centered(train)
+        gram, corr = xc.T @ xc, xc.T @ yc
+        x_val = val.matrix()
+        if fold_alpha == 1.0:
+            betas = _lasso_at(*_lasso_path(gram, corr), grid)
+            y_hat = (y_mean - betas @ x_mean) + x_val @ betas.T
+            mean_mse += np.mean((y_hat - val.target[:, None]) ** 2, axis=0)
         else:
-            xc, yc, x_mean, y_mean = _centered(train)
-            gram, corr = xc.T @ xc, xc.T @ yc
-            x_val = val.matrix()
             beta = np.zeros(xc.shape[1])
             for gi, lam in enumerate(grid):
                 try:
-                    beta = _cd_solve(gram, corr, float(lam), cd_alpha, beta0=beta)
+                    beta = _cd_solve(gram, corr, float(lam), fold_alpha, beta0=beta)
                 except ConvergenceError:
                     # a lam whose fold fit diverges is not selectable
                     mean_mse[gi] = math.inf
@@ -677,14 +843,8 @@ def bolasso(table: ScoreTable, b: int = 100, threshold: float = 1.0,
         sample = table.subset(rng.integers(0, n, size=n))
         if lambda_max(sample) <= 0.0:
             continue  # resampled target is flat; the support is empty
-        try:
-            _, model = cv_select(sample, "lasso", lam_grid=lam_grid, k_folds=k_folds,
-                                 seed=derive_seed(seed, "cv", i))
-        except ConvergenceError:
-            # duplicated rows can make a resample too degenerate to fit;
-            # it then contributes no support
-            logger.info("bootstrap %d skipped: coordinate descent diverged", i)
-            continue
+        _, model = cv_select(sample, "lasso", lam_grid=lam_grid, k_folds=k_folds,
+                             seed=derive_seed(seed, "cv", i))
         for name in model.support:
             counts[name] += 1
     needed = threshold * b - 1e-9
