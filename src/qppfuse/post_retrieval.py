@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .corpus import Index, Query
 from .evaluation import UndefinedMetricError, kendall_tau_b, pearson_r
-from .retrieval import DegenerateQueryError, RankedList, collection_likelihood, dirichlet_mass
+from .retrieval import DegenerateQueryError, RankedList, collection_likelihood, dirichlet_sums
 
 __all__ = [
     "POST_PREDICTORS",
@@ -65,18 +65,10 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
 
     wanted = set(doc_ids)
     terms = sorted(t for t, plist in index.postings.items() if not wanted.isdisjoint(plist))
-    prior = dirichlet_mass(index, terms, mu)
-    docs = [(d, w, index.doc_len[d] + mu) for d, w in zip(doc_ids, weights)]
-    probs = {}
-    for term in terms:
-        plist = index.postings[term]
-        term_prior = prior[term]
-        p = 0.0
-        for doc_id, w, denom in docs:
-            p += w * ((plist.get(doc_id, 0) + term_prior) / denom)
-        probs[term] = p
-    mass = sum(probs.values())
-    probs = {t: p / mass for t, p in probs.items()}
+    # per term, the weighted smoothed probabilities summed in feedback-doc order
+    sums = dirichlet_sums(index, terms, doc_ids, mu, weights, log=False, per="term")
+    mass = sum(sums.tolist())
+    probs = dict(zip(terms, (sums / mass).tolist()))
     return RelevanceModel(probs=probs, feedback_depth=len(top))
 
 
@@ -149,18 +141,9 @@ def rm_rerank_similarity(
         model = rm1(index, ranked, k_fb=k_fb, mu=mu)
     doc_ids = [d for d, _ in top]
     original = [s for _, s in top]
-    prior = dirichlet_mass(index, model.probs, mu)
-    denoms = [index.doc_len[d] + mu for d in doc_ids]
-    # term-major with one accumulator per document; each document's sum
-    # runs over the terms in model.probs order
-    rm_scores = [0.0] * len(doc_ids)
-    for term, p in model.probs.items():
-        plist = index.postings[term]
-        term_prior = prior[term]
-        rm_scores = [
-            s + p * math.log((plist.get(d, 0) + term_prior) / denom)
-            for s, d, denom in zip(rm_scores, doc_ids, denoms)
-        ]
+    # each document's sum runs over the terms in model.probs order
+    rm_scores = dirichlet_sums(index, model.probs, doc_ids, mu, list(model.probs.values()),
+                               log=True, per="doc").tolist()
     if metric == "pearson":
         return pearson_r(original, rm_scores)
     if metric == "kendall":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qppfuse import fusion
+from qppfuse.seeding import derive_seed
 from qppfuse.fusion import (
     ScoreTable,
     bolasso,
@@ -141,3 +142,58 @@ def test_step_guard_raises_instead_of_looping(monkeypatch):
     monkeypatch.setattr(fusion, "PATH_MAX_STEPS_PER_COLUMN", 0)
     with pytest.raises(fusion.FusionError, match="did not reach lam = 0"):
         lasso_fit(seeded_table(44, 30, 4), 0.0)
+
+
+def quarter_design_with_constant(seed):
+    # n rows of a constant c next to predictors and a target in quarters; the
+    # generator also draws n, m and c, so each seed is one fixed small design
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.integers(3, 8)), int(rng.integers(1, 6))
+    c = float(rng.choice([0.7, 0.1, 0.4, 0.9, 0.6]))
+    x = np.column_stack([np.full(n, c), np.round(rng.uniform(0.0, 1.0, (n, m)) * 4) / 4])
+    y = np.round(rng.uniform(0.0, 1.0, n) * 4) / 4
+    return make_table(x, y)
+
+
+def test_constant_target_whose_mean_rounds_is_flat():
+    # the mean of six 0.4s is one ulp above 0.4; centring must still give zeros
+    y = np.full(6, 0.4)
+    assert (y - y.mean()).any()
+    rng = np.random.default_rng(49)
+    table = make_table(rng.uniform(0.0, 1.0, (6, 4)), y)
+    assert lambda_max(table) == 0.0
+    with pytest.raises(fusion.FusionError):
+        lambda_grid(table)
+    for lam in (1e-3, 1e-35, 0.0):
+        assert lasso_fit(table, lam).support == set()
+    assert enet_fit(table, 1e-3, alpha=0.5).support == set()
+    assert all(b == 0.0 for b in fusion.ridge_fit(table, 1e-3).coefficients.values())
+
+
+def test_flat_bootstrap_of_a_rounding_mean_counts_as_empty_support():
+    # target 0.4 on five of six rows: a resample without the sixth row is six
+    # 0.4s, flat although its mean rounds off 0.4. x0 equals the target, so
+    # every other resample selects it; the flat ones stay in b as empty supports
+    rng = np.random.default_rng(50)
+    y = np.array([0.4, 0.4, 0.4, 0.4, 0.4, 1.0])
+    table = make_table(np.column_stack([y, rng.uniform(0.0, 1.0, (6, 2))]), y)
+    b, seed = 10, 4
+    flat = 0
+    for i in range(b):
+        draw = np.random.default_rng(derive_seed(seed, "bootstrap", i))
+        flat += lambda_max(table.subset(draw.integers(0, 6, size=6))) == 0.0
+    assert flat >= 1
+    model = bolasso(table, b=b, threshold=1.0, k_folds=2, seed=seed)
+    counts = model.hyperparameters["support_counts"]
+    assert counts["x0"] == b - flat
+    assert model.support == set()
+
+
+@pytest.mark.parametrize("seed", [27, 47, 74, 97, 117])
+def test_constant_column_never_enters(seed):
+    # each seed's constant column centres to a ~1e-17 residue that used to
+    # enter the LASSO path at lam = 0 (27, 47, 74, 97) or the LARS path (117)
+    table = quarter_design_with_constant(seed)
+    for lam in list(lambda_grid(table)) + [0.0]:
+        assert lasso_fit(table, lam).coefficients["x0"] == 0.0
+    assert "x0" not in [knot.column for knot in fusion.lars_path(table)]

@@ -7,10 +7,12 @@ reproduce them exactly (``==``), not just approximately.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from qppfuse import retrieval
 from qppfuse.corpus import Document, Query, build_index
 from qppfuse.evaluation import UndefinedMetricError, kendall_tau_b, pearson, pearson_r
 from qppfuse.post_retrieval import rm1, rm_rerank_similarity
@@ -105,22 +107,6 @@ def _assert_matches_reference(index, ranked, k_fb, m, mu):
             assert got == expected, (metric, got, expected)
 
 
-@pytest.fixture(scope="module")
-def random_corpus():
-    """Seeded Zipf-like corpus of 120 docs over 400 terms, plus 6 queries."""
-    rng = np.random.default_rng(20251018)
-    vocab = [f"w{i}" for i in range(400)]
-    weights = 1.0 / np.arange(1, 401) ** 1.1
-    weights /= weights.sum()
-    docs = []
-    for i in range(120):
-        length = int(rng.integers(20, 80))
-        docs.append(Document(f"r{i:03d}", " ".join(rng.choice(vocab, size=length, p=weights))))
-    queries = [Query(f"rq{j}", tuple(rng.choice(vocab[:20], size=int(rng.integers(1, 4)))))
-               for j in range(6)]
-    return build_index(docs), queries
-
-
 class TestAgainstReference:
     def test_toy_queries(self, toy_index, toy_queries):
         for query in toy_queries:
@@ -136,6 +122,51 @@ class TestAgainstReference:
             ranked = retrieve(index, query, k=1000, mu=mu)
             assert len(ranked) > max(k_fb, m)
             _assert_matches_reference(index, ranked, k_fb=k_fb, m=m, mu=mu)
+
+
+def _shared_cf_corpus():
+    """40 documents of words unique to them (cf 1), words shared by a pair (cf 2)
+    and a few common words: most feedback terms share a handful of cf values."""
+    rng = np.random.default_rng(3)
+    docs = []
+    for i in range(40):
+        words = [f"u{i}x{j}" for j in range(int(rng.integers(5, 15)))]
+        words += [f"p{i // 2}x{j}" for j in range(4)]
+        words += rng.choice(["c0", "c1", "c2", "c3"], size=int(rng.integers(3, 9))).tolist()
+        rng.shuffle(words)
+        docs.append(Document(f"s{i:02d}", " ".join(words)))
+    return build_index(docs)
+
+
+class TestSharedBlocksAgainstReference:
+    @pytest.mark.parametrize("cells", [None, 16, 64])
+    def test_many_terms_share_a_cf(self, monkeypatch, cells):
+        if cells is not None:
+            monkeypatch.setattr(retrieval, "BLOCK_CELLS", cells)
+        index = _shared_cf_corpus()
+        for terms in (("c0",), ("c1", "c2"), ("c3", "c0", "c3")):
+            ranked = retrieve(index, Query("s", terms), k=1000)
+            model = rm1(index, ranked, k_fb=30)
+            cfs = Counter(index.cf[t] for t in model.probs)
+            assert cfs[1] >= 100 and cfs[2] >= 40
+            _assert_matches_reference(index, ranked, k_fb=30, m=25, mu=1000.0)
+
+    @pytest.mark.parametrize("k_fb,m", [(50, 10), (10, 80), (200, 300)],
+                             ids=["k_fb>len", "m>len", "both>len"])
+    def test_depths_beyond_the_list(self, random_corpus, k_fb, m):
+        index, queries = random_corpus
+        for query in queries:
+            ranked = retrieve(index, query, k=12)
+            assert len(ranked) == 12
+            _assert_matches_reference(index, ranked, k_fb=k_fb, m=m, mu=1000.0)
+
+    @pytest.mark.parametrize("cells", [1, 7, 64])
+    def test_small_blocks(self, monkeypatch, random_corpus, cells):
+        monkeypatch.setattr(retrieval, "BLOCK_CELLS", cells)
+        index, queries = random_corpus
+        for query in queries[:3]:
+            ranked = retrieve(index, query, k=1000, mu=37.5)
+            _assert_matches_reference(index, ranked, k_fb=15, m=12, mu=37.5)
 
 
 class TestPearsonR:
