@@ -441,22 +441,9 @@ class TestCvSelect:
         # checked up front: unchecked, lasso runs every fold with l1 = -1
         def no_fit(*args, **kwargs):
             raise AssertionError("a fold was fitted")
-        monkeypatch.setattr(fusion, "_cd_sweeps", no_fit)
-        monkeypatch.setattr(fusion, "ridge_fit", no_fit)
-        rng = np.random.default_rng(20)
-        table = random_table(rng, n=20, m=3)
-        with pytest.raises(FusionError, match="finite"):
-            cv_select(table, method, lam_grid=[0.1, bad], k_folds=2, seed=0)
-
-    @pytest.mark.parametrize("method", ["lasso", "ridge", "enet"])
-    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
-    def test_bad_grid_rejected_before_any_path(self, monkeypatch, method, bad):
-        # the test above stubs only coordinate descent and ridge; LASSO folds run on the path
-        def no_fit(*args, **kwargs):
-            raise AssertionError("a fold was fitted")
-        monkeypatch.setattr(fusion, "_cd_sweeps", no_fit)
-        monkeypatch.setattr(fusion, "ridge_fit", no_fit)
         monkeypatch.setattr(fusion, "_lasso_path", no_fit)
+        monkeypatch.setattr(fusion, "_ridge_beta", no_fit)
+        monkeypatch.setattr(fusion, "ridge_fit", no_fit)
         rng = np.random.default_rng(20)
         table = random_table(rng, n=20, m=3)
         with pytest.raises(FusionError, match="finite"):

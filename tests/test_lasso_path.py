@@ -1,4 +1,4 @@
-"""The exact LASSO path: KKT at every grid lambda, closed-form knots, and no coordinate descent."""
+"""The exact LASSO path: KKT at every grid lambda, closed-form knots, and every E-Net solve on it."""
 
 import numpy as np
 import pytest
@@ -123,19 +123,30 @@ def test_knots_match_orthonormal_soft_threshold():
         np.testing.assert_allclose(beta, soft, atol=1e-12)
 
 
-@pytest.mark.parametrize("n, m, k_folds", [(6, 4, 2), (60, 16, 5)], ids=["toy-size", "16-columns"])
-def test_no_lasso_solve_reaches_coordinate_descent(monkeypatch, n, m, k_folds):
-    def no_cd(*args, **kwargs):
-        raise AssertionError("coordinate descent ran")
-    monkeypatch.setattr(fusion, "_cd_sweeps", no_cd)
-    rng = np.random.default_rng(49)
-    table = make_table(rng.uniform(0.0, 1.0, (n, m)), rng.uniform(0.0, 1.0, n))
-    lam = 0.1 * lambda_max(table)
-    lasso_fit(table, lam)
-    enet_fit(table, lam, alpha=1.0)
-    cv_select(table, "lasso", k_folds=k_folds, seed=0)
-    cv_select(table, "enet", k_folds=k_folds, seed=0, alpha=1.0)
-    bolasso(table, b=4, k_folds=k_folds, seed=0)
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_every_enet_fold_solve_and_refit_reads_the_path(monkeypatch, alpha):
+    calls = []
+    path = fusion._lasso_path
+
+    def counting_path(*args, **kwargs):
+        calls.append(kwargs.get("stop", 0.0))
+        return path(*args, **kwargs)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a ridge solve ran")
+
+    monkeypatch.setattr(fusion, "_lasso_path", counting_path)
+    monkeypatch.setattr(fusion, "_ridge_beta", no_solve)
+    monkeypatch.setattr(fusion, "ridge_fit", no_solve)
+    table = DESIGNS["m16"]()
+    grid = lambda_grid(table, num=10)
+    k_folds = 5
+    best_lam, model = cv_select(table, "enet", lam_grid=grid, k_folds=k_folds, seed=0, alpha=alpha)
+    # one path per fold covers the grid at alpha = 1; else one per (fold, lam)
+    per_fold = 1 if alpha == 1.0 else grid.size
+    assert len(calls) == k_folds * per_fold + 1
+    assert calls[-1] == best_lam * alpha
+    assert model.coefficients == enet_fit(table, best_lam, alpha).coefficients
 
 
 def test_step_guard_raises_instead_of_looping(monkeypatch):

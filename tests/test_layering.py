@@ -5,7 +5,9 @@ not run code), and no module may reach into another module's private names:
 cross-module seams go through public names. Every import, at any nesting and
 inside ``try`` blocks too, is of the standard library, numpy (the one runtime
 dependency) or the package itself, so the dependency list in pyproject.toml
-stays complete and no optional-accelerator fork creeps in.
+stays complete and no optional-accelerator fork creeps in. No module calls
+the builtins ``exec``, ``eval`` or ``compile``: the package runs only the
+code it ships, never source generated at run time.
 """
 
 import ast
@@ -18,6 +20,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qppfuse"
 MODULES = sorted(PACKAGE.glob("*.py"))
 UNSAFE = {"pickle", "marshal", "shelve"}
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", PACKAGE.name}
+CODE_RUNNERS = {"exec", "eval", "compile"}
 
 
 def _private(name: str) -> bool:
@@ -56,6 +59,9 @@ def violations(source: str) -> list[str]:
                     elif node.module is None or node.module == PACKAGE.name:
                         module_aliases.add(alias.asname or alias.name)
     for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in CODE_RUNNERS):
+            found.append(f"{node.lineno}: calls {node.func.id}")
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in module_aliases and _private(node.attr)):
             found.append(f"{node.lineno}: reads private {node.value.id}.{node.attr}")
@@ -80,12 +86,19 @@ def test_module_respects_layering(path):
     "try:\n    from numba import njit\nexcept ImportError:\n    pass",
     "def f():\n    import sklearn.linear_model",
     "from scipy import special",
+    "exec('x = 1')",
+    "eval('1 + 1')",
+    "code = compile('x = 1', '<generated>', 'exec')",
+    "ns = {}\nexec(compile(src, '<kernel>', 'exec'), ns)",
+    "def f(src):\n    return eval(src, {})",
 ])
 def test_checker_flags(source):
     assert violations(source)
 
 
 def test_checker_allows_public_and_own_private_names():
-    source = ("from . import fusion\nfrom .seeding import derive_seed\n"
-              "def _helper():\n    return fusion.ScoreTable, derive_seed\n_helper()\n")
+    source = ("import ast\nimport re\nfrom . import fusion\nfrom .seeding import derive_seed\n"
+              "TOKEN = re.compile(r'\\w+')\n"
+              "def _helper(text):\n    return fusion.ScoreTable, derive_seed, ast.literal_eval(text)\n"
+              "_helper('1')\n")
     assert violations(source) == []
