@@ -75,8 +75,13 @@ def pearson(a, b) -> CorrelationResult:
 def pearson_r(a, b) -> float | None:
     """Sample correlation of two equal-length sequences from plain sequential sums.
 
-    No n >= 3 requirement and no clamping; None when sqrt(Saa * Sbb) is zero.
+    No n >= 3 requirement and no clamping. None when either input is exactly
+    constant, the zero-spread rule of fusion's centring: the rounded mean of
+    six 0.4s is one ulp off 0.4, and the residue would read as a correlation.
+    Also None when sqrt(Saa * Sbb) is zero.
     """
+    if all(x == a[0] for x in a) or all(y == b[0] for y in b):
+        return None
     n = len(a)
     ma = sum(a) / n
     mb = sum(b) / n

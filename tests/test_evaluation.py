@@ -10,6 +10,7 @@ from qppfuse.evaluation import (
     kendall_tau_b,
     paired_t_one_sided,
     pearson,
+    pearson_r,
     predictor_correlation_matrix,
     rmse_direct,
     rmse_single,
@@ -84,6 +85,18 @@ class TestPearson:
     def test_zero_variance_undefined(self):
         with pytest.raises(UndefinedMetricError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("n", [6, 7, 12])
+    @pytest.mark.parametrize("value", [0.4, 0.1, 0.7])
+    def test_constant_whose_mean_rounds_is_undefined(self, value, n):
+        # the rounded mean can sit one ulp off the value; the residue is no correlation
+        flat = np.full(n, value)
+        other = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        assert pearson_r(flat.tolist(), other.tolist()) is None
+        assert pearson_r(other.tolist(), flat.tolist()) is None
+        for a, b in ((flat, other), (other, flat)):
+            with pytest.raises(UndefinedMetricError):
+                pearson(a, b)
 
     def test_needs_three_points(self):
         with pytest.raises(UndefinedMetricError):

@@ -187,6 +187,13 @@ class TestUef:
         scores = compute_post_scores(index, query, ranked, **TOY_PARAMS)
         assert [scores[f"UEF-{b}"] for b in ("NQC", "WIG", "Clarity")] == [None] * 3
 
+    def test_equal_original_scores_undefined(self):
+        # six equal scores whose mean rounds off 0.4, over documents the
+        # relevance model scores differently
+        index = build_index(_docs("a b", "a c c", "a d", "a b e", "a f f f", "a g"))
+        ranked = RankedList("q", tuple((f"d{i + 1}", 0.4) for i in range(6)))
+        assert rm_rerank_similarity(index, ranked, m=10, k_fb=6, metric="pearson") is None
+
     def test_recomposition_on_toy(self, toy_index, toy_queries, ranked_lists):
         for query in toy_queries:
             ranked = ranked_lists[query.query_id]
