@@ -1,45 +1,20 @@
-"""The coordinate-descent kernel against a numpy-scalar reference, and its failure path."""
+"""The E-Net kernel against its references, cold and warm.
+
+The kernel is ``fusion._enet_beta``: the LASSO path on gram + l2*I, stopped at
+the first knot at or below l1 and read there. Its bits must equal the full
+path's read at l1, and the plain coordinate-descent loop, started from zeros
+(cold) or from a mixed-sign point (warm) and run to a tight tolerance, must
+reach the same coefficients.
+"""
 
 import numpy as np
 import pytest
 
 from qppfuse import fusion
-from qppfuse.fusion import CD_TOL, ConvergenceError, ScoreTable, enet_fit
+from tests.test_enet_path import _reference_cd_sweeps
 
-
-def _reference_cd_sweeps(gram, corr, l1, l2, beta, max_sweeps, tol) -> int:
-    """Cyclic soft-threshold sweeps in place; -1 when the budget runs out."""
-    m = corr.size
-    q = np.zeros(m)
-    for j in range(m):
-        if beta[j] != 0.0:
-            for k in range(m):
-                q[k] += gram[k, j] * beta[j]
-    for sweep in range(max_sweeps):
-        max_delta = 0.0
-        for j in range(m):
-            g_jj = gram[j, j]
-            denom = g_jj + l2
-            if denom <= 0.0:
-                new = 0.0
-            else:
-                z = corr[j] - q[j] + g_jj * beta[j]
-                if z > l1:
-                    new = (z - l1) / denom
-                elif z < -l1:
-                    new = (z + l1) / denom
-                else:
-                    new = 0.0
-            delta = new - beta[j]
-            if delta != 0.0:
-                for k in range(m):
-                    q[k] += gram[k, j] * delta
-                beta[j] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        if max_delta < tol:
-            return sweep + 1
-    return -1
+CD_TOL = 1e-13
+CD_MAX_SWEEPS = 100_000
 
 
 def _problem(seed, m, zero_column=False):
@@ -61,13 +36,16 @@ def _mixed_sign_start(seed, m):
     return signs * rng.uniform(0.1, 2.0, m)
 
 
-def _assert_matches_reference(gram, corr, l1, l2, beta0, max_sweeps=fusion.CD_MAX_SWEEPS):
-    got, want = beta0.copy(), beta0.copy()
-    got_sweeps = fusion._cd_sweeps(gram, corr, l1, l2, got, max_sweeps, CD_TOL)
-    want_sweeps = _reference_cd_sweeps(gram, corr, l1, l2, want, max_sweeps, CD_TOL)
-    assert got_sweeps == want_sweeps
-    assert got.tobytes() == want.tobytes()
-    return got_sweeps
+def _assert_matches_reference(gram, corr, lam, alpha, beta0):
+    got = fusion._enet_beta(gram, corr, lam, alpha)
+    l1, l2 = lam * alpha, lam * (1.0 - alpha)
+    g = gram + l2 * np.eye(corr.size) if l2 else gram
+    assert got.tobytes() == fusion._lasso_at(*fusion._lasso_path(g, corr), [l1])[0].tobytes()
+    want = beta0.copy()
+    sweeps = _reference_cd_sweeps(gram, corr, l1, l2, want, CD_MAX_SWEEPS, CD_TOL)
+    assert sweeps > 0
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * max(1.0, np.max(np.abs(want), initial=0.0)))
+    return got
 
 
 @pytest.mark.parametrize("m", [1, 4, 16])
@@ -79,82 +57,27 @@ def test_kernel_bit_identical_to_reference(m, alpha, warm):
         lam_max = float(np.max(np.abs(corr)))
         beta0 = _mixed_sign_start(seed, m) if warm else np.zeros(m)
         for frac in (0.0, 0.01, 0.2, 0.9):
-            lam = frac * lam_max
-            sweeps = _assert_matches_reference(gram, corr, lam * alpha, lam * (1.0 - alpha), beta0)
-            assert sweeps > 0
+            _assert_matches_reference(gram, corr, frac * lam_max, alpha, beta0)
 
 
 @pytest.mark.parametrize("m", [0, 2, 3, 5, 24])
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_kernel_bit_identical_at_more_widths(m, alpha, warm):
-    # the kernel is generated per column count, so each width is its own code;
     # m = 0 is reachable through cv_select on a zero-column table with a user grid
     gram, corr = _problem(m, m)
     lam_max = float(np.max(np.abs(corr), initial=0.0))
     beta0 = _mixed_sign_start(m, m) if warm else np.zeros(m)
     for frac in (0.0, 0.01, 0.2, 0.9):
-        lam = frac * lam_max
-        sweeps = _assert_matches_reference(gram, corr, lam * alpha, lam * (1.0 - alpha), beta0)
-        assert sweeps == 1 if m == 0 else sweeps > 0
-
-
-def test_kernel_unsolvable_bootstrap_refit_matches_partial_state():
-    # the toy run's unsolvable LASSO shape: a 6-row bootstrap resample with
-    # duplicated rows, 4 columns, lam = 1e-4 * lambda_max, the full budget
-    rng = np.random.default_rng(1)
-    x, y = rng.uniform(0.0, 1.0, (6, 4)), rng.uniform(0.0, 1.0, 6)
-    rows = rng.integers(0, 6, 6)
-    assert len(set(rows.tolist())) < 6
-    xc = x[rows] - x[rows].mean(axis=0)
-    yc = y[rows] - y[rows].mean()
-    gram, corr = xc.T @ xc, xc.T @ yc
-    l1 = 1e-4 * float(np.max(np.abs(corr)))
-    assert _assert_matches_reference(gram, corr, l1, 0.0, np.zeros(4)) == -1
+        got = _assert_matches_reference(gram, corr, frac * lam_max, alpha, beta0)
+        assert got.shape == (m,)
 
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_kernel_zero_column_without_ridge(warm):
-    # an all-zero column with l2 = 0 has a zero diagonal: the kernel pins it at 0
+    # an all-zero column with l2 = 0 has a zero Gram diagonal: it stays at 0
     gram, corr = _problem(3, 4, zero_column=True)
     assert gram[0, 0] == 0.0
     beta0 = _mixed_sign_start(3, 4) if warm else np.zeros(4)
     lam = 0.1 * float(np.max(np.abs(corr)))
-    _assert_matches_reference(gram, corr, lam, 0.0, beta0)
-
-
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-def test_kernel_budget_exhausted_matches_partial_state(warm):
-    gram, corr = _problem(5, 16)
-    beta0 = _mixed_sign_start(5, 16) if warm else np.zeros(16)
-    assert _assert_matches_reference(gram, corr, 1e-3, 0.0, beta0, max_sweeps=3) == -1
-
-
-def _slow_table():
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((20, 6)) + 2.0 * rng.standard_normal((20, 1))
-    y = x @ rng.standard_normal(6) + 0.1 * rng.standard_normal(20)
-    return ScoreTable(query_ids=[f"q{i}" for i in range(20)],
-                      columns={f"x{j}": x[:, j] for j in range(6)}, target=y)
-
-
-def test_enet_fit_raises_when_sweep_budget_runs_out(monkeypatch):
-    table = _slow_table()
-    enet_fit(table, 1e-3, alpha=0.5)
-    monkeypatch.setattr(fusion, "CD_MAX_SWEEPS", 1)
-    with pytest.raises(ConvergenceError):
-        enet_fit(table, 1e-3, alpha=0.5)
-
-
-def test_cd_solve_leaves_warm_start_untouched(monkeypatch):
-    gram, corr = _problem(7, 6)
-    start = _mixed_sign_start(7, 6)
-    beta0 = start.copy()
-    beta = fusion._cd_solve(gram, corr, 1e-3, 0.5, beta0=beta0)
-    assert beta is not beta0
-    assert beta.tobytes() != start.tobytes()
-    assert beta0.tobytes() == start.tobytes()
-    monkeypatch.setattr(fusion, "CD_MAX_SWEEPS", 1)
-    with pytest.raises(ConvergenceError):
-        fusion._cd_solve(gram, corr, 1e-3, 0.5, beta0=beta0)
-    assert beta0.tobytes() == start.tobytes()
+    assert _assert_matches_reference(gram, corr, lam, 1.0, beta0)[0] == 0.0

@@ -439,6 +439,18 @@ class TestCvSelect:
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_bad_grid_rejected_before_any_fold(self, monkeypatch, method, bad):
         # checked up front: unchecked, lasso runs every fold with l1 = -1
+        def no_folds(*args, **kwargs):
+            raise AssertionError("folds were made")
+        monkeypatch.setattr(fusion, "_make_folds", no_folds)
+        rng = np.random.default_rng(20)
+        table = random_table(rng, n=20, m=3)
+        with pytest.raises(FusionError, match="finite"):
+            cv_select(table, method, lam_grid=[0.1, bad], k_folds=2, seed=0)
+
+    @pytest.mark.parametrize("method", ["lasso", "ridge", "enet"])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_grid_rejected_before_any_path(self, monkeypatch, method, bad):
+        # no solver runs on a bad grid, whichever method reads it
         def no_fit(*args, **kwargs):
             raise AssertionError("a fold was fitted")
         monkeypatch.setattr(fusion, "_lasso_path", no_fit)
