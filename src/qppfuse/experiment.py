@@ -195,6 +195,7 @@ def _at_least(lo: int):
 
 
 _POSITIVE = _rule(lambda v: v > 0, "> 0")
+_FRACTION = _rule(lambda v: 0 < v <= 1, "in (0, 1]")
 
 
 def _existing(value):
@@ -242,7 +243,7 @@ class ExperimentConfig:
     k_fb: int = _key("postret.k_fb", _INT, 100, _at_least(1))
     wig_k: int = _key("postret.wig_k", _INT, 5, _at_least(1))
     nqc_k: int = _key("postret.nqc_k", _INT, 100, _at_least(1))
-    uef_m: int = _key("postret.uef_m", _INT, 100)
+    uef_m: int = _key("postret.uef_m", _INT, 100, _at_least(1))
     uef_sim: str = _key("postret.uef_sim", _STR, "pearson", _one_of("pearson", "kendall"))
 
     pre_predictors: tuple[str, ...] = _key("predictors.pre", _namelist(PRE_PREDICTORS),
@@ -258,16 +259,15 @@ class ExperimentConfig:
     enet_alpha: float = _key("fusion.enet_alpha", _FLOAT, 0.5,
                              _rule(lambda v: 0 <= v <= 1, "in [0, 1]"))
     bolasso_b: int = _key("fusion.bolasso_b", _INT, 100, _at_least(2))
-    bolasso_threshold: float = _key("fusion.bolasso_threshold", _FLOAT, 1.0,
-                                    _rule(lambda v: 0 < v <= 1, "in (0, 1]"))
-    n_traps: int = _key("fusion.n_traps", _INT, 0)  # 0 means one trap per predictor column
+    bolasso_threshold: float = _key("fusion.bolasso_threshold", _FLOAT, 1.0, _FRACTION)
+    n_traps: int = _key("fusion.n_traps", _INT, 0, _at_least(0))  # 0 means one trap per predictor column
     clamp_predictions: bool = _key("fusion.clamp_predictions", _BOOL, False)
 
     protocol: str = _key("split.protocol", _STR, "halves", _one_of("halves", "loo", "fixed"))
     repeats: int = _key("split.repeats", _INT, 30, _at_least(1))
     train_file: str = _key("split.train_file", _PATH, "", _existing)
     test_file: str = _key("split.test_file", _PATH, "", _existing)
-    tuning_fraction: float = _key("split.tuning_fraction", _FLOAT, 0.1)
+    tuning_fraction: float = _key("split.tuning_fraction", _FLOAT, 0.1, _FRACTION)
 
     corr_metric: str = _key("corr.metric", _STR, "pearson", _one_of("pearson", "kendall"))
     h1_mean: float = _key("hypothesis.h1_mean", _FLOAT, 0.5)

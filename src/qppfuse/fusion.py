@@ -14,8 +14,9 @@ ridge(lam). LASSO and E-Net are both read off the exact LASSO path (LAR
 with the lasso modification, on the Gram matrix), which is piecewise linear
 in lam and has no iteration budget: for fixed l2 = lam*(1-alpha), E-Net is
 the lasso with penalty lam*alpha on the Gram matrix G + l2*I and the same
-X'y (Zou & Hastie 2005, Lemma 1). LARS follows the classic equiangular
-path. All fits are deterministic given (table, hyperparameters, seed).
+X'y (Zou & Hastie 2005, Lemma 1). LARS is the same engine without the
+drop rule (Efron et al. 2004, section 3.1). All fits are deterministic
+given (table, hyperparameters, seed).
 """
 
 import ast
@@ -58,6 +59,8 @@ logger = logging.getLogger(__name__)
 
 COLLINEAR_TOL = 1e-13
 PATH_MAX_STEPS_PER_COLUMN = 50
+# a gap to lam closing slower than this is rounding noise; LARS stops at it too,
+# or a noise column enters at lam ~ 1e-17 where the active columns fit exactly
 PATH_TOL = 1e-12
 TRAP_PREFIX = "__trap_"
 MODEL_HEADER = "# qppfuse model v1"
@@ -301,7 +304,16 @@ def _chol_row(chol, gram, active, j):
     return row, gram[j][j] - sum(v * v for v in row)
 
 
-def _lasso_path(gram, corr, stop=0.0):
+def _cholesky(gram, active):
+    """Lower Cholesky factor of gram[active, active], one row per active column."""
+    chol = []
+    for i, k in enumerate(active):
+        row, pivot = _chol_row(chol, gram, active[:i], k)
+        chol.append(row + [math.sqrt(pivot)])
+    return chol
+
+
+def _lasso_path(gram, corr, stop=0.0, drop=True):
     """Knots of the exact LASSO path on a Gram matrix: (lams, betas).
 
     LAR with the lasso modification (Efron, Hastie, Johnstone & Tibshirani
@@ -324,6 +336,9 @@ def _lasso_path(gram, corr, stop=0.0):
     is at most COLLINEAR_TOL of its squared norm is collinear with the
     active set; it is passed over until a coefficient next leaves. Runs on
     Python floats: at a few dozen columns that beats small numpy calls.
+
+    With ``drop=False`` no coefficient leaves: plain LAR, which matches the
+    lasso path up to the lasso's first drop (Efron et al. 2004, Theorem 1).
     """
     m = corr.size
     g = gram.tolist()
@@ -369,7 +384,7 @@ def _lasso_path(gram, corr, stop=0.0):
                 step = max(lam + r[j], 0.0) / (1.0 + a)
                 if step < gamma:
                     gamma, pick, sign = step, j, -1.0
-        for i, k in enumerate(active):
+        for i, k in enumerate(active if drop else ()):
             rate = -signs[i] * d[i]  # how fast beta_k falls towards zero
             if rate > 0.0:
                 step = max(signs[i] * beta[k], 0.0) / rate
@@ -384,10 +399,7 @@ def _lasso_path(gram, corr, stop=0.0):
             beta[pick] = 0.0
             i = active.index(pick)
             del active[i], signs[i]
-            chol = []
-            for i, k in enumerate(active):
-                row, pivot = _chol_row(chol, g, active[:i], k)
-                chol.append(row + [math.sqrt(pivot)])
+            chol = _cholesky(g, active)
             passed_over.clear()
         elif pick is not None:
             row, pivot = _chol_row(chol, g, active, pick)
@@ -508,18 +520,17 @@ class LarsKnot(NamedTuple):
 def lars_path(table: ScoreTable) -> list[LarsKnot]:
     """Equiangular path; one knot per entering column, final knot = OLS.
 
-    Columns are standardized internally (centered, unit L2 norm) and the
-    reported coefficients are mapped back to the original scale. Constant
-    or exactly collinear columns never enter (a warning is logged, ties
-    break by column order). Once n - 1 columns are active the centred
-    design has no dimension left; the rest never enter and are logged at
-    INFO, since that is the shape of the data, not a defect.
+    The LASSO path engine with its drop rule off, on columns standardized
+    internally (centered, unit L2 norm) and stopped once the residual
+    correlation falls to PATH_TOL; coefficients are mapped back to the
+    original scale. Constant or exactly collinear columns never enter (a
+    warning is logged, ties break by column order). Once n - 1 columns are
+    active the centred design has no dimension left; the rest never enter
+    and are logged at INFO, since that is the shape of the data, not a defect.
     """
     names = table.column_names
     n, m = table.n_rows, len(names)
-    if m == 0:
-        return []
-    xc, ys, x_mean, y_mean = _centered(table)
+    xc, yc, x_mean, y_mean = _centered(table)
     norms = np.sqrt((xc**2).sum(axis=0))
     usable = norms > 0
     if not np.all(usable):
@@ -527,80 +538,34 @@ def lars_path(table: ScoreTable) -> list[LarsKnot]:
         logger.warning("constant columns never enter the path: %s", ", ".join(bad))
     xs = np.zeros_like(xc)
     xs[:, usable] = xc[:, usable] / norms[usable]
-
-    active: list[int] = []
-    excluded = {j for j in range(m) if not usable[j]}
-    beta_s = np.zeros(m)
-    mu = np.zeros(n)
-    knots: list[LarsKnot] = []
-
-    def record(entering: int):
+    gram = xs.T @ xs
+    _, betas_s = _lasso_path(gram, xs.T @ yc, stop=PATH_TOL, drop=False)
+    active, knots = [], []
+    for beta_s in betas_s[1:]:
         beta = np.zeros(m)
         beta[usable] = beta_s[usable] / norms[usable]
         intercept = y_mean - float(x_mean @ beta)
-        knots.append(LarsKnot(names[entering], {nm: float(b) for nm, b in zip(names, beta)}, intercept))
-
-    while len(active) + len(excluded) < m:
-        c = xs.T @ (ys - mu)
-        inactive = [j for j in range(m) if j not in active and j not in excluded]
-        c_max = max(abs(c[j]) for j in inactive)
-        if active:
-            c_max = max(c_max, max(abs(c[j]) for j in active))
-        if c_max < 1e-12:
-            if active and inactive and len(active) >= n - 1:
-                logger.info("centred design exhausted by %d columns; never entered: %s",
-                            len(active), ", ".join(names[j] for j in inactive))
-            elif active and inactive:
-                x_active = xs[:, active]
-                collinear = []
-                for j in inactive:
-                    sol = np.linalg.lstsq(x_active, xs[:, j], rcond=None)[0]
-                    if float(np.sum((xs[:, j] - x_active @ sol) ** 2)) < 1e-10:
-                        collinear.append(names[j])
-                if collinear:
-                    logger.warning("collinear columns never entered (ties break "
-                                   "by column order): %s", ", ".join(collinear))
-                others = [names[j] for j in inactive if names[j] not in collinear]
-                if others:
-                    logger.info("columns uncorrelated with the residual never "
-                                "entered: %s", ", ".join(others))
-            break
-        entering = max(inactive, key=lambda j: (abs(c[j]), -j))
-        trial = active + [entering]
-        gram = xs[:, trial].T @ xs[:, trial]
-        signs = np.sign(c[trial])
-        signs[signs == 0] = 1.0
-        try:
-            ginv_s = np.linalg.solve(gram, signs)
-        except np.linalg.LinAlgError:
-            logger.warning("column %r is collinear with the active set; skipped", names[entering])
-            excluded.add(entering)
-            continue
-        denom = float(signs @ ginv_s)
-        if denom <= 0:
-            logger.warning("column %r is collinear with the active set; skipped", names[entering])
-            excluded.add(entering)
-            continue
-        active = trial
-        a_a = 1.0 / math.sqrt(denom)
-        w = a_a * ginv_s
-        u = xs[:, active] @ w
-        c_max = float(np.max(np.abs(c[active])))
-        gamma_full = c_max / a_a
-        gamma = gamma_full
-        corr_u = xs.T @ u
-        for j in range(m):
-            if j in active or j in excluded:
-                continue
-            for candidate in (
-                (c_max - c[j]) / (a_a - corr_u[j]) if a_a != corr_u[j] else math.inf,
-                (c_max + c[j]) / (a_a + corr_u[j]) if a_a != -corr_u[j] else math.inf,
-            ):
-                if 1e-15 < candidate < gamma:
-                    gamma = candidate
-        beta_s[active] += gamma * w
-        mu += gamma * u
-        record(entering)
+        coefficients = {nm: float(b) for nm, b in zip(names, beta)}
+        new = [j for j in np.flatnonzero(beta_s).tolist() if j not in active]
+        if not new:  # a passed-over collinear column ended the last segment here
+            knots[-1] = LarsKnot(knots[-1].column, coefficients, intercept)
+        active += new
+        knots += [LarsKnot(names[j], dict(coefficients), intercept) for j in new]
+    never = [j for j in range(m) if usable[j] and j not in active]
+    if active and never and len(active) >= n - 1:
+        logger.info("centred design exhausted by %d columns; never entered: %s",
+                    len(active), ", ".join(names[j] for j in never))
+    elif active and never:
+        g = gram.tolist()
+        chol = _cholesky(g, active)  # unit-norm columns: a pivot is a squared residual
+        collinear = [names[j] for j in never if _chol_row(chol, g, active, j)[1] <= COLLINEAR_TOL]
+        if collinear:
+            logger.warning("collinear columns never entered (ties break "
+                           "by column order): %s", ", ".join(collinear))
+        others = [names[j] for j in never if names[j] not in collinear]
+        if others:
+            logger.info("columns uncorrelated with the residual never "
+                        "entered: %s", ", ".join(others))
     return knots
 
 

@@ -134,6 +134,8 @@ def rm_rerank_similarity(
     Returns None when either score vector has zero variance (or fewer than
     two documents are available), in which case UEF is undefined.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     top = ranked.entries[:m]
     if len(top) < 2:
         return None

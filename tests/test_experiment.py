@@ -222,7 +222,9 @@ class TestConfig:
         "predictors.pre = MaxIDF,Magic", "combiners = OLS,Magic", "fusion.k_folds = 1",
         "fusion.grid_size = 0", "fusion.grid_ratio = 0", "fusion.enet_alpha = 1.5",
         "fusion.bolasso_b = 1", "fusion.bolasso_threshold = 0", "split.protocol = random",
-        "split.repeats = 0", "corr.metric = spearman"])
+        "split.repeats = 0", "corr.metric = spearman", "postret.uef_m = 0",
+        "postret.uef_m = -3", "fusion.n_traps = -4", "split.tuning_fraction = -1",
+        "split.tuning_fraction = 0", "split.tuning_fraction = 1.5"])
     def test_bad_value_fails_its_check_at_its_line(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\n\n{line}\n")

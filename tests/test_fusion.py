@@ -361,6 +361,30 @@ class TestLarsPath:
             (logging.WARNING, "collinear columns never entered (ties break by column order): b")]
 
 
+    @staticmethod
+    def duplicate_design(seed):
+        # x1 is an exact copy of x0, as AvgIDF and MaxIDF are on one-term queries
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((20, 4))
+        x[:, 1] = x[:, 0]
+        return rng, x
+
+    def test_duplicate_column_never_enters(self):
+        for seed in range(400):
+            rng, x = self.duplicate_design(seed)
+            y = x @ rng.standard_normal(4) + 0.3 * rng.standard_normal(20)
+            assert "x1" not in [k.column for k in lars_path(make_table(x, y))], seed
+
+    def test_duplicate_column_noiseless_final_knot_equals_ols(self):
+        for seed in range(400):
+            _, x = self.duplicate_design(seed)
+            table = make_table(x, 0.7 * x[:, 0] - 0.4 * x[:, 2])
+            last = lars_path(table)[-1]
+            fitted = predict(RegressionModel("LARS", last.intercept, last.coefficients), table)
+            np.testing.assert_allclose(fitted, predict(ols_fit(table), table), rtol=0,
+                                       atol=1e-9, err_msg=f"seed {seed}")
+
+
 class TestLarsTraps:
     def test_noiseless_signal_selected_before_traps(self):
         rng = np.random.default_rng(16)

@@ -208,3 +208,28 @@ def test_constant_column_never_enters(seed):
     for lam in list(lambda_grid(table)) + [0.0]:
         assert lasso_fit(table, lam).coefficients["x0"] == 0.0
     assert "x0" not in [knot.column for knot in fusion.lars_path(table)]
+
+
+def test_lar_is_the_lasso_path_up_to_its_first_drop():
+    # Efron et al. 2004, Theorem 1: with the drop rule off the engine is LAR,
+    # whose knots are the lasso's until a lasso coefficient first reaches zero
+    rng = np.random.default_rng(51)
+    drops = 0
+    for _ in range(200):
+        n, m = int(rng.integers(5, 41)), int(rng.integers(2, 13))
+        x = rng.standard_normal((n, m)) + rng.standard_normal((n, 1))
+        x -= x.mean(axis=0)
+        g, c = x.T @ x, x.T @ (x @ rng.standard_normal(m) + rng.standard_normal(n))
+        lams, betas = fusion._lasso_path(g, c)
+        lar_lams, lar_betas = fusion._lasso_path(g, c, drop=False)
+        supports = [set(np.flatnonzero(b).tolist()) for b in betas]
+        shrinks = [k for k in range(1, len(supports)) if not supports[k] >= supports[k - 1]]
+        first = shrinks[0] if shrinks else len(lams)
+        drops += bool(shrinks)
+        assert lar_lams[:first].tobytes() == lams[:first].tobytes()
+        assert lar_betas[:first].tobytes() == betas[:first].tobytes()
+        if not shrinks:
+            assert lar_lams.size == lams.size
+        lar_supports = [set(np.flatnonzero(b).tolist()) for b in lar_betas]
+        assert all(b >= a for a, b in zip(lar_supports, lar_supports[1:]))
+    assert drops > 0

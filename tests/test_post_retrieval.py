@@ -220,6 +220,12 @@ class TestUef:
         with pytest.raises(ValueError):
             rm_rerank_similarity(toy_index, ranked_lists["q01"], metric="cosine")
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_nonpositive_depth_rejected(self, toy_index, ranked_lists, m):
+        # a negative m would slice from the end of the list instead
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            rm_rerank_similarity(toy_index, ranked_lists["q01"], m=m)
+
 
 class TestComputePostScores:
     def test_canonical_names(self, toy_index, toy_queries, ranked_lists):
