@@ -210,6 +210,14 @@ class Index:
     df: dict[str, int] = field(repr=False)
     cf: dict[str, int] = field(repr=False)
 
+    @classmethod
+    def from_postings(cls, n_docs: int, total_tokens: int, doc_len: dict[str, int],
+                      postings: dict[str, dict[str, int]]) -> "Index":
+        """An Index whose df and cf are derived from ``postings``."""
+        return cls(n_docs=n_docs, total_tokens=total_tokens, doc_len=doc_len, postings=postings,
+                   df={t: len(p) for t, p in postings.items()},
+                   cf={t: sum(p.values()) for t, p in postings.items()})
+
     def validate(self) -> None:
         """Check the structural invariants; raises CorpusError on violation."""
         if self.n_docs != len(self.doc_len):
@@ -257,14 +265,7 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     if total == 0:
         raise CorpusError("all documents tokenized to empty")
     postings = {term: postings[term] for term in sorted(postings)}
-    return Index(
-        n_docs=len(docs),
-        total_tokens=total,
-        doc_len=doc_len,
-        postings=postings,
-        df={t: len(p) for t, p in postings.items()},
-        cf={t: sum(p.values()) for t, p in postings.items()},
-    )
+    return Index.from_postings(len(docs), total, doc_len, postings)
 
 
 def dump_stats(index: Index, path) -> None:
@@ -329,14 +330,7 @@ def load_stats(path) -> Index:
                 raise CorpusError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
     if n_docs is None or total is None:
         raise CorpusError(f"{path}: missing N or C header")
-    index = Index(
-        n_docs=n_docs,
-        total_tokens=total,
-        doc_len=doc_len,
-        postings=postings,
-        df={t: len(p) for t, p in postings.items()},
-        cf={t: sum(p.values()) for t, p in postings.items()},
-    )
+    index = Index.from_postings(n_docs, total, doc_len, postings)
     index.validate()
     return index
 

@@ -196,6 +196,7 @@ def _at_least(lo: int):
 
 _POSITIVE = _rule(lambda v: v > 0, "> 0")
 _FRACTION = _rule(lambda v: 0 < v <= 1, "in (0, 1]")
+_CORRELATION = _rule(lambda v: -1 <= v <= 1, "in [-1, 1]")
 
 
 def _existing(value):
@@ -255,7 +256,8 @@ class ExperimentConfig:
     combiners: tuple[str, ...] = _key("combiners", _namelist(COMBINERS), COMBINERS)
     k_folds: int = _key("fusion.k_folds", _INT, 5, _at_least(2))
     grid_size: int = _key("fusion.grid_size", _INT, 50, _at_least(1))
-    grid_ratio: float = _key("fusion.grid_ratio", _FLOAT, 1e-4, _POSITIVE)
+    grid_ratio: float = _key("fusion.grid_ratio", _FLOAT, 1e-4,
+                              _rule(lambda v: 0 < v < 1, "in (0, 1)"))
     enet_alpha: float = _key("fusion.enet_alpha", _FLOAT, 0.5,
                              _rule(lambda v: 0 <= v <= 1, "in [0, 1]"))
     bolasso_b: int = _key("fusion.bolasso_b", _INT, 100, _at_least(2))
@@ -270,10 +272,10 @@ class ExperimentConfig:
     tuning_fraction: float = _key("split.tuning_fraction", _FLOAT, 0.1, _FRACTION)
 
     corr_metric: str = _key("corr.metric", _STR, "pearson", _one_of("pearson", "kendall"))
-    h1_mean: float = _key("hypothesis.h1_mean", _FLOAT, 0.5)
-    h2_mean: float = _key("hypothesis.h2_mean", _FLOAT, 0.3)
-    h3_frac: float = _key("hypothesis.h3_frac", _FLOAT, 0.1)
-    h3_rho: float = _key("hypothesis.h3_rho", _FLOAT, -0.1)
+    h1_mean: float = _key("hypothesis.h1_mean", _FLOAT, 0.5, _CORRELATION)
+    h2_mean: float = _key("hypothesis.h2_mean", _FLOAT, 0.3, _CORRELATION)
+    h3_frac: float = _key("hypothesis.h3_frac", _FLOAT, 0.1, _FRACTION)
+    h3_rho: float = _key("hypothesis.h3_rho", _FLOAT, -0.1, _CORRELATION)
 
     seed: int = _key("seed", _INT, 42)
     out: str = _key("out", _PATH, "")
@@ -500,8 +502,8 @@ def fit_combiner(name: str, train: ScoreTable, config: ExperimentConfig, seed: i
     if name == "LARS-CV":
         return fusion.lars_cv(train, k_folds=config.k_folds, seed=derive_seed(seed, "cv"))
     if name == "LARS-Traps":
-        n_traps = config.n_traps if config.n_traps > 0 else len(train.columns)
-        return fusion.lars_traps(train, n_traps=n_traps, seed=derive_seed(seed, "traps"))
+        return fusion.lars_traps(train, n_traps=config.n_traps or None,
+                                 seed=derive_seed(seed, "traps"))
     if name == "BOLASSO":
         return fusion.bolasso(train, b=config.bolasso_b, threshold=config.bolasso_threshold,
                               k_folds=config.k_folds, lam_grid=grid,

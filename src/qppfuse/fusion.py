@@ -208,31 +208,28 @@ def minmax_fit(table: ScoreTable) -> tuple[dict[str, tuple[float, float]], list[
     return params, constant
 
 
-def minmax_apply(table: ScoreTable, params: dict[str, tuple[float, float]], clamp: bool = True) -> ScoreTable:
-    """Map columns through stored train min/max; constant columns become 0."""
+def minmax_apply(table: ScoreTable, params: dict[str, tuple[float, float]]) -> ScoreTable:
+    """Map columns through stored train min/max, clipped to [0, 1]; constant columns become 0."""
     columns = {}
     for name, v in table.columns.items():
         lo, hi = params[name]
         if hi == lo:
             columns[name] = np.zeros_like(v)
         else:
-            scaled = (v - lo) / (hi - lo)
-            columns[name] = np.clip(scaled, 0.0, 1.0) if clamp else scaled
+            columns[name] = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
     return ScoreTable(query_ids=list(table.query_ids), columns=columns, target=table.target.copy())
 
 
 # ---------------------------------------------------------------------------
 # dense least-squares fits
 
-def _centered(table: ScoreTable):
+def _centered(x: np.ndarray, y: np.ndarray):
     """Centred design and target, and their means.
 
     A column or target with zero spread centres to exact zeros: its rounded
     mean can differ from the value by one ulp (six rows of 0.4), and the
     ~1e-17 residue would otherwise read as signal to every fit.
     """
-    x = table.matrix()
-    y = table.target
     n = len(y)
     # sum / n gives the bits of mean() with half its call overhead, which
     # counts on the small tables that cross-validation centres by thousands
@@ -260,7 +257,7 @@ def ols_fit(table: ScoreTable) -> RegressionModel:
     n, m = table.n_rows, len(table.columns)
     if n <= m:
         raise FusionError(f"need more rows than columns for OLS (n={n}, m={m})")
-    xc, yc, x_mean, y_mean = _centered(table)
+    xc, yc, x_mean, y_mean = _centered(table.matrix(), table.target)
     if m and np.linalg.matrix_rank(xc) < m:
         logger.warning("rank-deficient design; using the minimum-norm solution")
     beta = np.linalg.lstsq(xc, yc, rcond=None)[0] if m else np.zeros(0)
@@ -275,7 +272,7 @@ def _check_lam(lam) -> None:
 def ridge_fit(table: ScoreTable, lam: float) -> RegressionModel:
     """Ridge on as-given columns; lam=0 reproduces OLS."""
     _check_lam(lam)
-    xc, yc, x_mean, y_mean = _centered(table)
+    xc, yc, x_mean, y_mean = _centered(table.matrix(), table.target)
     beta = _ridge_beta(xc, yc, xc.T @ xc, xc.T @ yc, lam)
     return _as_model("Ridge", table, beta, x_mean, y_mean, lam=lam)
 
@@ -460,7 +457,7 @@ def enet_fit(table: ScoreTable, lam: float, alpha: float) -> RegressionModel:
     _check_lam(lam)
     if not 0.0 <= alpha <= 1.0:
         raise FusionError("alpha must be in [0, 1]")
-    xc, yc, x_mean, y_mean = _centered(table)
+    xc, yc, x_mean, y_mean = _centered(table.matrix(), table.target)
     beta = _enet_beta(xc.T @ xc, xc.T @ yc, lam, alpha)
     return _as_model("E-Net", table, beta, x_mean, y_mean, lam=lam, alpha=alpha)
 
@@ -494,7 +491,7 @@ def lasso_kkt_residual(table: ScoreTable, model: RegressionModel, lam: float, al
 
 def lambda_max(table: ScoreTable) -> float:
     """Smallest lam for which the LASSO solution is all-zero."""
-    xc, yc, _, _ = _centered(table)
+    xc, yc, _, _ = _centered(table.matrix(), table.target)
     if xc.shape[1] == 0:
         return 0.0
     return float(np.max(np.abs(xc.T @ yc)))
@@ -502,6 +499,8 @@ def lambda_max(table: ScoreTable) -> float:
 
 def lambda_grid(table: ScoreTable, num: int = 50, ratio: float = 1e-4) -> np.ndarray:
     """Log-spaced grid from ratio*lambda_max up to lambda_max, descending."""
+    if not 0.0 < ratio < 1.0:
+        raise FusionError(f"ratio must be in (0, 1), got {ratio!r}")
     lam_hi = lambda_max(table)
     if lam_hi <= 0.0:
         raise FusionError("lambda_max is zero; the target is constant or orthogonal")
@@ -530,7 +529,7 @@ def lars_path(table: ScoreTable) -> list[LarsKnot]:
     """
     names = table.column_names
     n, m = table.n_rows, len(names)
-    xc, yc, x_mean, y_mean = _centered(table)
+    xc, yc, x_mean, y_mean = _centered(table.matrix(), table.target)
     norms = np.sqrt((xc**2).sum(axis=0))
     usable = norms > 0
     if not np.all(usable):
@@ -604,31 +603,30 @@ def lars_traps(table: ScoreTable, n_traps: int | None = None, seed: int = 0) -> 
 
 
 def lars_cv(table: ScoreTable, k_folds: int = 5, seed: int = 0) -> RegressionModel:
-    """Path-prefix length chosen by k-fold CV (ties favor the shorter prefix)."""
-    m = len(table.columns)
-    folds = _make_folds(table.n_rows, k_folds, seed)
+    """Path-prefix length chosen by k-fold CV (ties favor the shorter prefix).
+
+    Each fold's m+1 candidate prefixes are the rows of one coefficient
+    matrix: row 0 is all zeros (the train mean), row k the k-th knot, and a
+    row past the end of the path repeats its last knot.
+    """
+    names = table.column_names
+    m = len(names)
+    x, y = table.matrix(), table.target
     mse = np.zeros(m + 1)
-    for val_idx, train_idx in folds:
-        train, val = table.subset(train_idx), table.subset(val_idx)
-        path = lars_path(train)
-        for length in range(m + 1):
-            if length == 0 or not path:
-                y_hat = np.full(val.n_rows, train.target.mean())
-            else:
-                knot = path[min(length, len(path)) - 1]
-                model = RegressionModel("LARS", knot.intercept, knot.coefficients)
-                y_hat = predict(model, val)
-            mse[length] += float(np.mean((y_hat - val.target) ** 2))
+    for val_idx, train_idx in _make_folds(table.n_rows, k_folds, seed):
+        betas = np.zeros((m + 1, m))
+        for k, knot in enumerate(lars_path(table.subset(train_idx)), start=1):
+            betas[k:] = [knot.coefficients[n] for n in names]
+        _, _, x_mean, y_mean = _centered(x[train_idx], y[train_idx])
+        mse += _fold_mse(betas, x_mean, y_mean, x[val_idx], y[val_idx])
     best = int(np.argmin(mse))  # argmin takes the first = shortest prefix on ties
     path = lars_path(table)
     steps = min(best, len(path))
+    hyper = {"n_steps": steps, "k_folds": k_folds, "seed": seed}
     if steps == 0:
-        return RegressionModel("LARS-CV", float(table.target.mean()),
-                               {n: 0.0 for n in table.column_names},
-                               hyperparameters={"n_steps": 0, "k_folds": k_folds, "seed": seed})
+        return RegressionModel("LARS-CV", float(y.mean()), dict.fromkeys(names, 0.0), hyper)
     knot = path[steps - 1]
-    return RegressionModel("LARS-CV", knot.intercept, dict(knot.coefficients),
-                           hyperparameters={"n_steps": steps, "k_folds": k_folds, "seed": seed})
+    return RegressionModel("LARS-CV", knot.intercept, dict(knot.coefficients), hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +647,12 @@ def _make_folds(n: int, k_folds: int, seed: int):
     return out
 
 
+def _fold_mse(betas, x_mean, y_mean, x_val, y_val) -> np.ndarray:
+    """Validation MSE of each row of ``betas``, fitted on a train set with these means."""
+    y_hat = (y_mean - betas @ x_mean) + x_val @ betas.T
+    return np.mean((y_hat - y_val[:, None]) ** 2, axis=0)
+
+
 def fit_penalized(table: ScoreTable, method: str, lam: float, alpha: float = 0.5) -> RegressionModel:
     """Fit a CV method ("lasso", "ridge" or "enet") at one lam; alpha is E-Net's mix."""
     if method == "lasso":
@@ -664,11 +668,12 @@ def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
               seed: int = 0, alpha: float = 0.5):
     """Pick lam by mean validation MSE over seeded folds; ties favor larger lam.
 
-    Returns (best_lam, model refit on the full table). Each fold is centred
-    once. LASSO, and E-Net at alpha=1, read one exact path per fold at every
-    grid lam; E-Net at any other alpha reads one path per grid lam (its
-    ridge part changes the Gram matrix with lam). Their predictions for the
-    whole grid are scored in one step.
+    Returns (best_lam, model refit on the full table). Each fold slices the
+    table's one matrix and is centred once. Ridge solves once per grid lam;
+    LASSO, and E-Net at alpha=1, read one exact path per fold at every grid
+    lam; E-Net at any other alpha reads one path per grid lam (its ridge
+    part changes the Gram matrix with lam). Every method's coefficients for
+    the whole grid are scored in one step.
     """
     if method not in ("lasso", "ridge", "enet"):
         raise FusionError(f"unknown CV method {method!r}")
@@ -682,23 +687,18 @@ def cv_select(table: ScoreTable, method: str, lam_grid=None, k_folds: int = 5,
     grid = np.sort(grid)[::-1]
     folds = _make_folds(table.n_rows, k_folds, seed)
     fold_alpha = 1.0 if method == "lasso" else alpha
+    x, y = table.matrix(), table.target
     mean_mse = np.zeros(grid.size)
     for val_idx, train_idx in folds:
-        train, val = table.subset(train_idx), table.subset(val_idx)
-        xc, yc, x_mean, y_mean = _centered(train)
+        xc, yc, x_mean, y_mean = _centered(x[train_idx], y[train_idx])
         gram, corr = xc.T @ xc, xc.T @ yc
         if method == "ridge":
-            for gi, lam in enumerate(grid.tolist()):
-                beta = _ridge_beta(xc, yc, gram, corr, lam)
-                y_hat = predict(_as_model("Ridge", train, beta, x_mean, y_mean), val)
-                mean_mse[gi] += float(np.mean((y_hat - val.target) ** 2))
-            continue
-        if fold_alpha == 1.0:
+            betas = np.array([_ridge_beta(xc, yc, gram, corr, lam) for lam in grid.tolist()])
+        elif fold_alpha == 1.0:
             betas = _lasso_at(*_lasso_path(gram, corr), grid)
         else:
             betas = np.array([_enet_beta(gram, corr, lam, fold_alpha) for lam in grid.tolist()])
-        y_hat = (y_mean - betas @ x_mean) + val.matrix() @ betas.T
-        mean_mse += np.mean((y_hat - val.target[:, None]) ** 2, axis=0)
+        mean_mse += _fold_mse(betas, x_mean, y_mean, x[val_idx], y[val_idx])
     best_idx = int(np.argmin(mean_mse))  # first index = largest lam on ties
     best_lam = float(grid[best_idx])
     return best_lam, fit_penalized(table, method, best_lam, alpha)

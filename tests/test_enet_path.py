@@ -171,7 +171,7 @@ def test_matches_coordinate_descent_oracle(design, alpha):
 def test_alpha_one_reads_the_full_lasso_path(design):
     # the path stopped at lam is a prefix of the full one, so the bits agree
     table = DESIGNS[design]()
-    xc, yc, _, _ = fusion._centered(table)
+    xc, yc, _, _ = fusion._centered(table.matrix(), table.target)
     gram, corr = xc.T @ xc, xc.T @ yc
     full = fusion._lasso_path(gram, corr)
     for lam in _grid(table):

@@ -224,7 +224,10 @@ class TestConfig:
         "fusion.bolasso_b = 1", "fusion.bolasso_threshold = 0", "split.protocol = random",
         "split.repeats = 0", "corr.metric = spearman", "postret.uef_m = 0",
         "postret.uef_m = -3", "fusion.n_traps = -4", "split.tuning_fraction = -1",
-        "split.tuning_fraction = 0", "split.tuning_fraction = 1.5"])
+        "split.tuning_fraction = 0", "split.tuning_fraction = 1.5",
+        "fusion.grid_ratio = 1", "fusion.grid_ratio = 5", "hypothesis.h1_mean = 1.5",
+        "hypothesis.h2_mean = -2", "hypothesis.h3_rho = -3", "hypothesis.h3_frac = -1",
+        "hypothesis.h3_frac = 0", "hypothesis.h3_frac = 1.5"])
     def test_bad_value_fails_its_check_at_its_line(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(f"# comment\n\n{line}\n")

@@ -504,6 +504,13 @@ class TestCvSelect:
         assert grid[0] == pytest.approx(lambda_max(table))
         assert grid[-1] == pytest.approx(1e-4 * lambda_max(table))
 
+    @pytest.mark.parametrize("ratio", [0.0, -0.5, 1.0, 5.0, math.nan])
+    def test_lambda_grid_ratio_outside_unit_interval_rejected(self, ratio):
+        # unchecked, ratio 5 gave an ascending grid at or above lambda_max
+        rng = np.random.default_rng(24)
+        with pytest.raises(FusionError, match=r"ratio must be in \(0, 1\)"):
+            lambda_grid(random_table(rng), num=10, ratio=ratio)
+
 
 class TestBolasso:
     def test_identical_supports_kept(self):
@@ -570,6 +577,72 @@ class TestLarsCv:
         model = lars_cv(table, k_folds=3, seed=0)
         assert {"x0", "x1"} <= model.support
         assert model.hyperparameters["n_steps"] >= 2
+
+
+def reference_cv_lam(table, method, grid, k_folds, seed, alpha=0.5):
+    """lam chosen by fold tables, one refit and predict per candidate, first minimum."""
+    grid = sorted(grid, reverse=True)
+    mse = [0.0] * len(grid)
+    for val_idx, train_idx in fusion._make_folds(table.n_rows, k_folds, seed):
+        train, val = table.subset(train_idx), table.subset(val_idx)
+        for i, lam in enumerate(grid):
+            y_hat = predict(fusion.fit_penalized(train, method, lam, alpha), val)
+            mse[i] += float(np.mean((y_hat - val.target) ** 2))
+    return grid[mse.index(min(mse))]
+
+
+def reference_lars_steps(table, k_folds, seed):
+    """Prefix length chosen the same way; length 0 predicts the train mean."""
+    m = len(table.columns)
+    mse = [0.0] * (m + 1)
+    for val_idx, train_idx in fusion._make_folds(table.n_rows, k_folds, seed):
+        train, val = table.subset(train_idx), table.subset(val_idx)
+        path = lars_path(train)
+        for length in range(m + 1):
+            if length == 0 or not path:
+                y_hat = np.full(val.n_rows, train.target.mean())
+            else:
+                knot = path[min(length, len(path)) - 1]
+                y_hat = predict(RegressionModel("LARS", knot.intercept, knot.coefficients), val)
+            mse[length] += float(np.mean((y_hat - val.target) ** 2))
+    return min(mse.index(min(mse)), len(lars_path(table)))
+
+
+class TestCvMatchesPerCandidateReference:
+    """cv_select and lars_cv score every candidate of a fold in one matrix
+    expression; they must choose what a per-candidate loop chooses."""
+
+    @staticmethod
+    def design(seed):
+        rng = np.random.default_rng(derive_seed(seed, "cv-reference"))
+        n, m, k_folds = int(rng.integers(20, 61)), int(rng.integers(2, 9)), int(rng.integers(2, 6))
+        x = rng.standard_normal((n, m))
+        beta, noise = rng.standard_normal(m), rng.standard_normal(n)
+        if seed == 1:
+            x[:, 1] = x[:, 0]
+        if seed == 2:
+            x[:, -1] = 0.4
+        if seed % 4 == 3:
+            # nonzero only where the first fold validates: flat in its train
+            # rows, so its path stops a knot short of the other folds' paths
+            _, train_idx = fusion._make_folds(n, k_folds, seed)[0]
+            x[train_idx, -1] = 0.0
+            noise *= 0.1
+        return make_table(x, x @ beta + noise), k_folds
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_cv_select_lambda_matches(self, seed):
+        table, k_folds = self.design(seed)
+        grid = lambda_grid(table, num=20)
+        for method in ("ridge", "lasso", "enet"):
+            best_lam, _ = cv_select(table, method, lam_grid=grid, k_folds=k_folds, seed=seed)
+            assert best_lam == reference_cv_lam(table, method, grid, k_folds, seed), method
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lars_cv_steps_match(self, seed):
+        table, k_folds = self.design(seed)
+        model = lars_cv(table, k_folds=k_folds, seed=seed)
+        assert model.hyperparameters["n_steps"] == reference_lars_steps(table, k_folds, seed)
 
 
 class TestPredict:
