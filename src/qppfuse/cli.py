@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fusion
-from .corpus import build_index, dump_stats, ingest, load_lexicon, load_queries
+from .corpus import TokenizerConfig, build_index, dump_stats, ingest, load_lexicon, load_queries
 from .evaluation import (
     predictor_correlation_matrix,
     report_row,
@@ -44,13 +44,13 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _build(config: ExperimentConfig):
+def _build(config: ExperimentConfig, tok: TokenizerConfig):
     docs = ingest(config.docs, config.corpus_format)
-    return build_index(docs, config.tokenizer_config())
+    return build_index(docs, tok)
 
 
 def cmd_index(config: ExperimentConfig) -> None:
-    index = _build(config)
+    index = _build(config, config.tokenizer_config())
     out = Path(config.out)
     dump_stats(index, out / "index_stats.txt")
     print(f"indexed {index.n_docs} documents, {len(index.postings)} terms, "
@@ -58,8 +58,9 @@ def cmd_index(config: ExperimentConfig) -> None:
 
 
 def _retrieve_all(config: ExperimentConfig):
-    index = _build(config)
-    queries = load_queries(config.queries, config.tokenizer_config())
+    tok = config.tokenizer_config()
+    index = _build(config, tok)
+    queries = load_queries(config.queries, tok)
     ranked = [retrieve(index, q, k=config.k, mu=config.mu) for q in queries]
     return index, queries, ranked
 
@@ -73,8 +74,9 @@ def cmd_retrieve(config: ExperimentConfig) -> None:
 
 
 def cmd_predict_pre(config: ExperimentConfig) -> None:
-    index = _build(config)
-    queries = load_queries(config.queries, config.tokenizer_config())
+    tok = config.tokenizer_config()
+    index = _build(config, tok)
+    queries = load_queries(config.queries, tok)
     lexicon = load_lexicon(config.lexicon) if config.lexicon else None
     scores = {
         q.query_id: compute_pre_scores(index, q, lexicon, distinct=config.distinct_terms)

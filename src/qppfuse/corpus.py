@@ -6,8 +6,9 @@ document frequencies df and collection frequencies cf.
 """
 
 import json
+import logging
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,8 @@ __all__ = [
     "load_qrels",
     "load_lexicon",
 ]
+
+logger = logging.getLogger(__name__)
 
 SNAPSHOT_MAGIC = "qppfuse-index"
 SNAPSHOT_VERSION = 1
@@ -63,10 +66,10 @@ class Qrels:
             if g < 0:
                 raise CorpusError(f"negative grade {g} for ({qid}, {did})")
         self._grades = dict(grades)
-        self._by_query: dict[str, set[str]] = {}
+        self._by_query: dict[str, set[str]] = defaultdict(set)
         for (qid, did), g in self._grades.items():
             if g > 0:
-                self._by_query.setdefault(qid, set()).add(did)
+                self._by_query[qid].add(did)
 
     def grade(self, query_id: str, doc_id: str) -> int:
         return self._grades.get((query_id, doc_id), 0)
@@ -84,15 +87,26 @@ class Qrels:
 
 @dataclass(frozen=True)
 class TokenizerConfig:
+    """Stopword entries are lowercased here when ``lowercase`` is set."""
+
     lowercase: bool = True
     split_non_alnum: bool = True
     stopwords: frozenset[str] = frozenset()
     stem: bool = False
 
+    def __post_init__(self):
+        if self.lowercase:
+            object.__setattr__(self, "stopwords", frozenset(w.lower() for w in self.stopwords))
+        unmatchable = sum(not (w.isascii() and w.isalnum()) if self.split_non_alnum
+                          else w.split() != [w] for w in self.stopwords)
+        if unmatchable:
+            logger.warning("%d stopword entries are not single tokens and can never match",
+                           unmatchable)
+
 
 DEFAULT_TOKENIZER = TokenizerConfig()
 
-_NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
+_ALNUM_BYTES = bytes(b if chr(b).isascii() and chr(b).isalnum() else ord(" ") for b in range(256))
 
 
 def _s_stem(token: str) -> str:
@@ -112,9 +126,9 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
     if config.lowercase:
         text = text.lower()
     if config.split_non_alnum:
-        tokens = [t for t in _NON_ALNUM.split(text) if t]
-    else:
-        tokens = text.split()
+        # a non-ASCII code point encodes as "?", which the table makes a space
+        text = text.encode("ascii", "replace").translate(_ALNUM_BYTES).decode("ascii")
+    tokens = text.split()
     if config.stopwords:
         tokens = [t for t in tokens if t not in config.stopwords]
     if config.stem:
@@ -133,9 +147,14 @@ def _ingest_jsonl(path: Path) -> list[Document]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if "id" not in record or "text" not in record:
+            if not isinstance(record, dict) or "id" not in record or "text" not in record:
                 raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-            docs.append(Document(str(record["id"]), str(record["text"])))
+            doc_id, text = record["id"], record["text"]
+            if not isinstance(doc_id, (str, int)) or isinstance(doc_id, bool):
+                raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
+            if not isinstance(text, str):
+                raise CorpusError(f"{path}:{lineno}: 'text' must be a string")
+            docs.append(Document(str(doc_id), text))
     return docs
 
 
@@ -251,17 +270,18 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     if not docs:
         raise CorpusError("cannot index an empty corpus")
     doc_len: dict[str, int] = {}
-    postings: dict[str, dict[str, int]] = {}
+    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
     total = 0
     # documents in doc_id order fill every postings dict in ascending order
     for doc in sorted(docs, key=lambda d: d.doc_id):
-        if doc.doc_id in doc_len:
-            raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
+        doc_id = doc.doc_id
+        if doc_id in doc_len:
+            raise CorpusError(f"duplicate doc_id {doc_id!r}")
         tokens = tokenize(doc.text, config)
-        doc_len[doc.doc_id] = len(tokens)
+        doc_len[doc_id] = len(tokens)
         total += len(tokens)
         for term, tf in Counter(tokens).items():
-            postings.setdefault(term, {})[doc.doc_id] = tf
+            postings[term][doc_id] = tf
     if total == 0:
         raise CorpusError("all documents tokenized to empty")
     postings = {term: postings[term] for term in sorted(postings)}

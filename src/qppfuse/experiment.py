@@ -700,7 +700,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             except Exception as exc:
                 raise HarnessError(f"split {s} failed: {exc}") from exc
             for name, values in predictions.items():
-                pooled.setdefault(name, np.zeros(table.n_rows))
+                if name not in pooled:
+                    pooled[name] = np.zeros(table.n_rows)
                 for qid, value in zip(test_ids, values):
                     pooled[name][pos[qid]] = value
         per_split = [rows_from_predictions(pooled, table.target, config.combiners)]

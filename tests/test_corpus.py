@@ -1,4 +1,6 @@
+import logging
 import random
+import re
 import tracemalloc
 from collections import Counter
 
@@ -20,6 +22,28 @@ from qppfuse.corpus import (
     load_stats,
     tokenize,
 )
+from qppfuse.corpus import _s_stem
+from tests import brute_force_reference
+
+# ASCII controls (\x1c-\x1f are str.split() whitespace), Latin-1 letters,
+# İ (lowercases to two code points), the Kelvin sign (lowercases to ASCII k),
+# long s, a ligature, a combining dot, the ideographic space, a non-BMP emoji
+# and a lone surrogate
+_TOKENIZER_POOL = ([chr(c) for c in range(0x20)] + ["\x7f"] + list(" \t\n.,-'!")
+                   + list("abcXYZ019") + [chr(c) for c in range(0xC0, 0x100)]
+                   + ["\u0130", "\u0131", "\u212a", "\u017f", "\ufb01", "\u0307", "\u3000",
+                      "\U0001f600", "\ud800"])
+
+
+def _regex_tokens(text, config):
+    # the rule tokenize implements, written the way the test oracle writes it
+    if config.lowercase:
+        text = text.lower()
+    tokens = [t for t in re.split(r"[^0-9a-zA-Z]+", text) if t]
+    tokens = [t for t in tokens if t not in config.stopwords]
+    if config.stem:
+        tokens = [_s_stem(t) for t in tokens]
+    return tokens
 
 
 class TestTokenize:
@@ -39,6 +63,44 @@ class TestTokenize:
     def test_stopwords(self):
         config = TokenizerConfig(stopwords=frozenset({"the"}))
         assert tokenize("the dog the cat", config) == ["dog", "cat"]
+
+    def test_stopwords_lowercased_with_tokens(self):
+        config = TokenizerConfig(stopwords=frozenset({"The", "AND"}))
+        assert config.stopwords == frozenset({"the", "and"})
+        assert tokenize("The dog and THE cat", config) == ["dog", "cat"]
+
+    def test_stopwords_keep_case_without_lowercase(self):
+        config = TokenizerConfig(lowercase=False, stopwords=frozenset({"The"}))
+        assert config.stopwords == frozenset({"The"})
+        assert tokenize("The dog the cat", config) == ["dog", "the", "cat"]
+
+    def test_unmatchable_stopwords_warn_once(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="qppfuse.corpus"):
+            config = TokenizerConfig(stopwords=frozenset({"don't", "caf\u00e9", "", "the"}))
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["3 stopword entries are not single tokens and can never match"]
+        assert config.stopwords == frozenset({"don't", "caf\u00e9", "", "the"})
+        assert tokenize("don't stop the cafe", config) == ["don", "t", "stop", "cafe"]
+
+    def test_single_token_stopwords_do_not_warn(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="qppfuse.corpus"):
+            TokenizerConfig(stopwords=frozenset({"The", "a1"}))
+            TokenizerConfig(split_non_alnum=False, stopwords=frozenset({"don't"}))
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("config", [
+        TokenizerConfig(),
+        TokenizerConfig(lowercase=False),
+        TokenizerConfig(stem=True, stopwords=frozenset({"a", "Ab", "b1"})),
+        TokenizerConfig(lowercase=False, stem=True, stopwords=frozenset({"a", "Ab", "b1"})),
+    ], ids=["default", "no-lowercase", "stem-stopwords", "no-lowercase-stem-stopwords"])
+    def test_matches_regex_rule(self, config):
+        rng = random.Random(19)
+        for _ in range(3_000):
+            text = "".join(rng.choices(_TOKENIZER_POOL, k=rng.randint(0, 40)))
+            assert tokenize(text, config) == _regex_tokens(text, config), repr(text)
+            if config == TokenizerConfig():
+                assert tokenize(text) == brute_force_reference.tokenize(text), repr(text)
 
     def test_stemmer(self):
         config = TokenizerConfig(stem=True)
@@ -89,6 +151,25 @@ class TestIngest:
         docs = ingest(path, "tsv")
         assert docs == [Document("d1", "some text"), Document("d2", "more text")]
 
+    @pytest.mark.parametrize("line", [
+        '"valid text"',
+        "5",
+        '{"id": null, "text": "a b"}',
+        '{"id": "d3", "text": null}',
+        '{"id": true, "text": "a b"}',
+        '{"id": "d3", "text": 7}',
+    ], ids=["string", "number", "null-id", "null-text", "bool-id", "number-text"])
+    def test_bad_record_reports_line(self, tmp_path, line):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id":"d1","text":"a"}\n' + line + "\n")
+        with pytest.raises(CorpusError, match=":2: "):
+            ingest(path, "jsonl")
+
+    def test_integer_id_becomes_string(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": 7, "text": "a b"}\n')
+        assert ingest(path, "jsonl") == [Document("7", "a b")]
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x"
         path.write_text("")
@@ -98,6 +179,18 @@ class TestIngest:
 
 def _docs(*texts):
     return [Document(f"d{i+1}", t) for i, t in enumerate(texts)]
+
+
+def _reference_build(docs):
+    # the setdefault fill and sorted rebuild that build_index replaced
+    doc_len, postings, total = {}, {}, 0
+    for doc in sorted(docs, key=lambda d: d.doc_id):
+        tokens = tokenize(doc.text)
+        doc_len[doc.doc_id] = len(tokens)
+        total += len(tokens)
+        for term, tf in Counter(tokens).items():
+            postings.setdefault(term, {})[doc.doc_id] = tf
+    return doc_len, {term: postings[term] for term in sorted(postings)}, total
 
 
 class TestBuildIndex:
@@ -173,6 +266,26 @@ class TestBuildIndex:
         dump_stats(index, tmp_path / "a.txt")
         dump_stats(other, tmp_path / "b.txt")
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_matches_reference_build(self, toy_docs):
+        rng = random.Random(23)
+        vocab = [f"w{i}" for i in range(150)] + ["\u00e9t\u00e9", "C-3PO", "don't", "\u212aelvin"]
+        synthetic = [Document(f"s{rng.randrange(10**6):06d}-{i}",
+                              " ".join(rng.choices(vocab, k=rng.randint(0, 60))))
+                     for i in range(300)]
+        for docs in (toy_docs, synthetic):
+            index = build_index(docs)
+            doc_len, postings, total = _reference_build(docs)
+            assert type(index.postings) is dict
+            assert list(index.postings) == list(postings)
+            for term, plist in postings.items():
+                assert type(index.postings[term]) is dict
+                assert list(index.postings[term].items()) == list(plist.items()), term
+            assert list(index.df.items()) == [(t, len(p)) for t, p in postings.items()]
+            assert list(index.cf.items()) == [(t, sum(p.values())) for t, p in postings.items()]
+            assert list(index.doc_len.items()) == list(doc_len.items())
+            assert index.total_tokens == total and index.n_docs == len(docs)
+            index.validate()
 
     def test_duplicate_doc_id(self):
         with pytest.raises(CorpusError, match="duplicate doc_id 'd1'"):

@@ -7,7 +7,9 @@ inside ``try`` blocks too, is of the standard library, numpy (the one runtime
 dependency) or the package itself, so the dependency list in pyproject.toml
 stays complete and no optional-accelerator fork creeps in. No module calls
 the builtins ``exec``, ``eval`` or ``compile``: the package runs only the
-code it ships, never source generated at run time.
+code it ships, never source generated at run time. No ``setdefault`` call
+takes a fresh default (a container display or a call): that default is built
+on every call, even when the key is already there.
 """
 
 import ast
@@ -21,6 +23,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 UNSAFE = {"pickle", "marshal", "shelve"}
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", PACKAGE.name}
 CODE_RUNNERS = {"exec", "eval", "compile"}
+FRESH_DEFAULTS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp, ast.Call)
 
 
 def _private(name: str) -> bool:
@@ -62,6 +65,10 @@ def violations(source: str) -> list[str]:
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in CODE_RUNNERS):
             found.append(f"{node.lineno}: calls {node.func.id}")
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setdefault" and len(node.args) == 2
+                and isinstance(node.args[1], FRESH_DEFAULTS)):
+            found.append(f"{node.lineno}: setdefault builds a fresh default on every call")
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in module_aliases and _private(node.attr)):
             found.append(f"{node.lineno}: reads private {node.value.id}.{node.attr}")
@@ -91,6 +98,11 @@ def test_module_respects_layering(path):
     "code = compile('x = 1', '<generated>', 'exec')",
     "ns = {}\nexec(compile(src, '<kernel>', 'exec'), ns)",
     "def f(src):\n    return eval(src, {})",
+    "d = {}\nd.setdefault('k', {})['x'] = 1",
+    "d = {}\nd.setdefault('k', []).append(1)",
+    "d = {}\nd.setdefault('k', {1}).add(2)",
+    "d = {}\nd.setdefault('k', set()).add(1)",
+    "import numpy as np\nd = {}\nd.setdefault('k', np.zeros(3))",
 ])
 def test_checker_flags(source):
     assert violations(source)
@@ -100,5 +112,5 @@ def test_checker_allows_public_and_own_private_names():
     source = ("import ast\nimport re\nfrom . import fusion\nfrom .seeding import derive_seed\n"
               "TOKEN = re.compile(r'\\w+')\n"
               "def _helper(text):\n    return fusion.ScoreTable, derive_seed, ast.literal_eval(text)\n"
-              "_helper('1')\n")
+              "_helper('1')\nd = {}\nd.setdefault('k', 0)\n")
     assert violations(source) == []
