@@ -136,8 +136,17 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
     return tokens
 
 
+def _add_doc(docs, seen, path, lineno, doc_id, text) -> None:
+    if not doc_id:
+        raise CorpusError(f"{path}:{lineno}: empty doc_id")
+    if doc_id in seen:
+        raise CorpusError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
+    seen.add(doc_id)
+    docs.append(Document(doc_id, text))
+
+
 def _ingest_jsonl(path: Path) -> list[Document]:
-    docs = []
+    docs, seen = [], set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -154,7 +163,7 @@ def _ingest_jsonl(path: Path) -> list[Document]:
                 raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
             if not isinstance(text, str):
                 raise CorpusError(f"{path}:{lineno}: 'text' must be a string")
-            docs.append(Document(str(doc_id), text))
+            _add_doc(docs, seen, path, lineno, str(doc_id), text)
     return docs
 
 
@@ -165,7 +174,7 @@ _TREC_TEXT = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 
 def _ingest_trec(path: Path) -> list[Document]:
     raw = path.read_text(encoding="utf-8")
-    docs = []
+    docs, seen = [], set()
     for m in _TREC_DOC.finditer(raw):
         block = m.group(1)
         lineno = raw.count("\n", 0, m.start()) + 1
@@ -175,12 +184,12 @@ def _ingest_trec(path: Path) -> list[Document]:
         text = _TREC_TEXT.search(block)
         if text is None:
             raise CorpusError(f"{path}:{lineno}: <DOC> without <TEXT>")
-        docs.append(Document(docno.group(1), text.group(1).strip()))
+        _add_doc(docs, seen, path, lineno, docno.group(1), text.group(1).strip())
     return docs
 
 
 def _ingest_tsv(path: Path) -> list[Document]:
-    docs = []
+    docs, seen = [], set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -189,28 +198,21 @@ def _ingest_tsv(path: Path) -> list[Document]:
             parts = line.split("\t", 1)
             if len(parts) != 2:
                 raise CorpusError(f"{path}:{lineno}: expected 'doc_id<TAB>text'")
-            docs.append(Document(parts[0], parts[1]))
+            _add_doc(docs, seen, path, lineno, parts[0], parts[1])
     return docs
 
 
 def ingest(path, format: str) -> list[Document]:
     """Read documents from ``path`` in one of: jsonl, trec, tsv.
 
-    Order is preserved; a duplicate doc_id is an error.
+    Order is preserved; an empty or duplicate doc_id is an error that names
+    its line.
     """
     path = Path(path)
     readers = {"jsonl": _ingest_jsonl, "trec": _ingest_trec, "tsv": _ingest_tsv}
     if format not in readers:
         raise CorpusError(f"unknown corpus format: {format!r}")
-    docs = readers[format](path)
-    seen = set()
-    for doc in docs:
-        if not doc.doc_id:
-            raise CorpusError(f"{path}: empty doc_id")
-        if doc.doc_id in seen:
-            raise CorpusError(f"{path}: duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-    return docs
+    return readers[format](path)
 
 
 @dataclass(frozen=True)

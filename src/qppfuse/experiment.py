@@ -463,10 +463,12 @@ def fit_combiner(name: str, train: ScoreTable, config: ExperimentConfig, seed: i
     Under the fixed protocol the CV combiners pick lam on a seeded tuning
     subset of train and are then refit on all of train at that lam.
     """
-    try:
-        grid = fusion.lambda_grid(train, num=config.grid_size, ratio=config.grid_ratio)
-    except fusion.FusionError:
-        grid = None
+    def lam_grid():
+        # only the lam-grid combiners ask; a flat train split has no grid
+        try:
+            return fusion.lambda_grid(train, num=config.grid_size, ratio=config.grid_ratio)
+        except fusion.FusionError:
+            return None
 
     def tuning_table() -> ScoreTable:
         # The fixed protocol tunes on a seeded fraction of the train split.
@@ -480,6 +482,7 @@ def fit_combiner(name: str, train: ScoreTable, config: ExperimentConfig, seed: i
         return train.subset(idx)
 
     def cv(method: str):
+        grid = lam_grid()
         if grid is None:
             return fusion.RegressionModel(name, float(train.target.mean()),
                                           {n: 0.0 for n in train.column_names})
@@ -506,7 +509,7 @@ def fit_combiner(name: str, train: ScoreTable, config: ExperimentConfig, seed: i
                                  seed=derive_seed(seed, "traps"))
     if name == "BOLASSO":
         return fusion.bolasso(train, b=config.bolasso_b, threshold=config.bolasso_threshold,
-                              k_folds=config.k_folds, lam_grid=grid,
+                              k_folds=config.k_folds, lam_grid=lam_grid(),
                               seed=derive_seed(seed, "bolasso"))
     raise HarnessError(f"unknown combiner {name!r}")
 

@@ -129,6 +129,30 @@ class TestIngest:
         with pytest.raises(CorpusError, match="duplicate"):
             ingest(path, "jsonl")
 
+    _TREC_DOC = "<DOC>\n<DOCNO>{}</DOCNO>\n<TEXT>{}</TEXT>\n</DOC>\n"
+
+    @pytest.mark.parametrize("fmt, text, line", [
+        ("jsonl", '{"id":"d1","text":"a"}\n\n{"id":"d1","text":"b"}\n', 3),
+        ("tsv", "d1\ta\nd2\tb\nd1\tc\n", 3),
+        ("trec", _TREC_DOC.format("d1", "a") + _TREC_DOC.format("d1", "b"), 5),
+    ], ids=["jsonl", "tsv", "trec"])
+    def test_duplicate_id_reports_line(self, tmp_path, fmt, text, line):
+        path = tmp_path / f"docs.{fmt}"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=rf"docs\.{fmt}:{line}: duplicate doc_id 'd1'$"):
+            ingest(path, fmt)
+
+    @pytest.mark.parametrize("fmt, text, line", [
+        ("jsonl", '{"id":"d1","text":"a"}\n{"id":"","text":"b"}\n', 2),
+        ("tsv", "d1\ta\n\tb\n", 2),
+        ("trec", _TREC_DOC.format("d1", "a") + _TREC_DOC.format(" ", "b"), 5),
+    ], ids=["jsonl", "tsv", "trec"])
+    def test_empty_id_reports_line(self, tmp_path, fmt, text, line):
+        path = tmp_path / f"docs.{fmt}"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match=rf"docs\.{fmt}:{line}: empty doc_id$"):
+            ingest(path, fmt)
+
     def test_malformed_reports_line(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id":"d1","text":"a"}\nnot json\n')

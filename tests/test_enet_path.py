@@ -263,3 +263,143 @@ def test_cv_select_matches_a_fit_per_fold_and_lambda(design, alpha):
     best_lam, model = cv_select(table, "enet", lam_grid=grid, k_folds=2, seed=5, alpha=alpha)
     assert best_lam == grid[int(np.argmin(mse))]
     assert model.coefficients == enet_fit(table, best_lam, alpha).coefficients
+
+
+# ---------------------------------------------------------------------------
+# the warm active-set step that E-Net cross-validation takes along its grid
+
+def _gaussian_family(rng):
+    n, m = int(rng.integers(8, 100)), int(rng.integers(2, 17))
+    x = rng.standard_normal((n, m)) + rng.uniform(0.0, 1.5) * rng.standard_normal((n, 1))
+    w = rng.standard_normal(m) * (rng.random(m) < 0.5)
+    return x, x @ w + rng.uniform(0.1, 2.0) * rng.standard_normal(n)
+
+
+def _toy_resample_family(rng):
+    x, y = rng.uniform(0.0, 1.0, (6, 4)), rng.uniform(0.0, 1.0, 6)
+    rows = rng.integers(0, 6, size=6)
+    return x[rows], y[rows]
+
+
+def _near_collinear_family(rng):
+    n, m = int(rng.integers(10, 60)), int(rng.integers(2, 10))
+    x = rng.standard_normal((n, m))
+    x = np.column_stack([x, x[:, 0] + 10.0 ** rng.uniform(-9.0, -3.0) * rng.standard_normal(n)])
+    return x, x[:, 0] + 0.5 * rng.standard_normal(n)
+
+
+FAMILIES = {
+    "gaussian": _gaussian_family,
+    "toy-resample": _toy_resample_family,
+    "near-collinear": _near_collinear_family,
+}
+
+
+def _gram_kkt_residual(gram, corr, beta, l1, l2):
+    grad = corr - gram @ beta - l2 * beta
+    active = np.abs(grad - l1 * np.sign(beta))
+    inactive = np.maximum(np.abs(grad) - l1, 0.0)
+    return float(np.where(beta != 0.0, active, inactive).max())
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_warm_grid_matches_the_cold_path(family, monkeypatch):
+    steps = []
+    warm_step = fusion._enet_warm_step
+
+    def counting_warm_step(*args):
+        beta = warm_step(*args)
+        steps.append(beta is not None)
+        return beta
+
+    monkeypatch.setattr(fusion, "_enet_warm_step", counting_warm_step)
+    for seed in range(30):
+        x, y = FAMILIES[family](np.random.default_rng(seed))
+        xc, yc = x - x.mean(axis=0), y - y.mean()
+        gram, corr = xc.T @ xc, xc.T @ yc
+        lam_hi = float(np.abs(corr).max())
+        grid = np.geomspace(lam_hi, 1e-4 * lam_hi, 20)
+        for alpha in (0.1, 0.5, 0.9):
+            betas = fusion._enet_grid_betas(gram, corr, grid, alpha)
+            for lam, beta in zip(grid.tolist(), betas):
+                cold = fusion._enet_beta(gram, corr, lam, alpha)
+                tol = 1e-9 * max(1.0, float(np.abs(cold).max()))
+                np.testing.assert_allclose(beta, cold, rtol=0.0, atol=tol)
+                kkt = _gram_kkt_residual(gram, corr, beta, lam * alpha, lam * (1.0 - alpha))
+                assert kkt <= 1e-12 * max(1.0, lam_hi), (seed, alpha, lam)
+    # both branches ran: most steps are accepted, some fall back to the path
+    assert steps.count(True) > steps.count(False) > 0
+
+
+def test_warm_step_rejects_a_changed_active_set():
+    # orthonormal columns: the solution is soft thresholding, so the active
+    # set at l1 is the columns with |c_j| > l1, shrunk by 1 + l2
+    gram, corr = np.eye(3), np.array([3.0, -2.0, 1.0])
+    g, c = gram.tolist(), corr.tolist()
+    assert fusion._enet_warm_step(g, c, [0], [1.0], 2.5, 0.5) == pytest.approx([0.5 / 1.5, 0.0, 0.0])
+    assert fusion._enet_warm_step(g, c, [0], [1.0], 1.5, 0.5) is None  # column 1 enters
+    assert fusion._enet_warm_step(g, c, [0, 1], [1.0, 1.0], 1.5, 0.5) is None  # wrong sign
+    assert fusion._enet_warm_step(g, c, [0, 1], [1.0, -1.0], 2.5, 0.5) is None  # column 1 leaves
+    assert fusion._enet_warm_step(g, c, [0, 1], [1.0, -1.0], 2.0, 0.0) is None  # b_1 = 0 exactly
+    assert fusion._enet_warm_step(g, c, [], [], 3.0, 1.0) == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_singular_active_gram_falls_back_to_the_path(alpha):
+    # a duplicated column: both copies are active while l2 > 0, and at lam = 0
+    # their Gram block is singular, so the warm step must leave lam = 0 to the path
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((12, 3))
+        x = np.column_stack([x, x[:, 1]])
+        gram, corr = _centred_problem(make_table(x, x[:, 1] + 0.3 * rng.standard_normal(12)))
+        lam_hi = float(np.abs(corr).max())
+        grid = np.append(np.geomspace(lam_hi, 1e-4 * lam_hi, 10), 0.0)
+        betas = fusion._enet_grid_betas(gram, corr, grid, alpha)
+        assert betas[-1].tobytes() == fusion._enet_beta(gram, corr, 0.0, alpha).tobytes(), seed
+
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit pins of the path readers against the NumPy calls they replaced
+
+def _clip_lasso_at(lams, betas, grid):
+    grid = np.asarray(grid, dtype=float)
+    if lams.size == 1:
+        return np.repeat(betas, grid.size, axis=0)
+    up_lams, up_betas = lams[::-1], betas[::-1]
+    hi = np.clip(np.searchsorted(up_lams, grid), 1, lams.size - 1)
+    lo = hi - 1
+    t = np.clip((grid - up_lams[lo]) / (up_lams[hi] - up_lams[lo]), 0.0, 1.0)
+    return up_betas[lo] + t[:, None] * (up_betas[hi] - up_betas[lo])
+
+
+def test_lasso_at_keeps_np_clip_bits():
+    for seed in range(6):
+        for family in FAMILIES.values():
+            x, y = family(np.random.default_rng(100 + seed))
+            xc, yc = x - x.mean(axis=0), y - y.mean()
+            gram, corr = xc.T @ xc, xc.T @ yc
+            lams, betas = fusion._lasso_path(gram, corr)
+            lam_hi = float(np.abs(corr).max())
+            # above lambda_max, on and between knots, down the grid, below the last knot
+            grid = np.concatenate([[2.0 * lam_hi + 1.0], lams, 0.5 * (lams[1:] + lams[:-1]),
+                                   np.geomspace(lam_hi, 1e-4 * lam_hi, 20), [0.0]])
+            paths = [(lams, betas)]
+            if lams.size > 3:  # a stopped path, read below its last knot too
+                paths.append(fusion._lasso_path(gram, corr, stop=lams[2]))
+            for path in paths:
+                for lam in grid.tolist():  # one lam at a time, as the refits read it
+                    assert fusion._lasso_at(*path, [lam]).tobytes() == _clip_lasso_at(*path, [lam]).tobytes()
+                assert fusion._lasso_at(*path, grid).tobytes() == _clip_lasso_at(*path, grid).tobytes()
+
+
+def test_fold_mse_keeps_np_mean_bits():
+    rng = np.random.default_rng(70)
+    for n_val, m, k in [(1, 1, 1), (3, 4, 20), (20, 16, 50), (41, 5, 7)]:
+        betas = rng.standard_normal((k, m))
+        x_mean, y_mean = rng.uniform(0.0, 1.0, m), float(rng.uniform(0.0, 1.0))
+        x_val, y_val = rng.uniform(0.0, 1.0, (n_val, m)), rng.uniform(0.0, 1.0, n_val)
+        y_hat = (y_mean - betas @ x_mean) + x_val @ betas.T
+        old = np.mean((y_hat - y_val[:, None]) ** 2, axis=0)
+        assert fusion._fold_mse(betas, x_mean, y_mean, x_val, y_val).tobytes() == old.tobytes()

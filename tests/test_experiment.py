@@ -419,6 +419,28 @@ class TestRunExperiment:
         assert model == fit_penalized(train, "lasso", lam_star)
         assert model != tuned
 
+    @pytest.mark.parametrize("name, grids", [
+        ("OLS", 0), ("LARS-CV", 0), ("LARS-Traps", 0),
+        ("LASSO-CV", 1), ("Ridge-CV", 1), ("E-Net", 1), ("BOLASSO", 1),
+    ])
+    def test_only_lam_grid_combiners_build_the_grid(self, monkeypatch, name, grids):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((20, 3))
+        train = ScoreTable(query_ids=[f"q{i}" for i in range(20)],
+                           columns={f"p{j}": x[:, j] for j in range(3)},
+                           target=x @ [0.5, -0.3, 0.0] + 0.5 * rng.standard_normal(20))
+        config = ExperimentConfig(k_folds=2, grid_size=8, bolasso_b=2)
+        calls = []
+        grid = fusion.lambda_grid
+
+        def counting_grid(table, *args, **kwargs):
+            calls.append(table is train)
+            return grid(table, *args, **kwargs)
+
+        monkeypatch.setattr(fusion, "lambda_grid", counting_grid)
+        fit_combiner(name, train, config, seed=3)
+        assert calls == [True] * grids
+
 
 class TestToyFusionCorrectness:
     def test_chosen_lasso_and_enet_models_satisfy_kkt(self, toy_dir, monkeypatch):

@@ -562,6 +562,35 @@ class TestBolasso:
         assert counts["x0"] == b - flat
         assert model.support == set()
 
+    def test_flat_resamples_count_as_empty_supports_with_a_grid(self, monkeypatch):
+        # with a grid given, a flat resample is still not cross-validated
+        # (the grid is the full table's, not the resample's): its support is
+        # empty and it stays in b
+        rng = np.random.default_rng(31)
+        y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        table = make_table(np.column_stack([y, rng.uniform(0.0, 1.0, (6, 2))]), y)
+        b, seed = 10, 4
+        flat = 0
+        for i in range(b):
+            draw = np.random.default_rng(derive_seed(seed, "bootstrap", i))
+            flat += lambda_max(table.subset(draw.integers(0, 6, size=6))) == 0.0
+        assert flat >= 1
+        supports = []
+        select = fusion.cv_select
+
+        def recording_cv_select(*args, **kwargs):
+            result = select(*args, **kwargs)
+            supports.append(result[1].support)
+            return result
+
+        monkeypatch.setattr(fusion, "cv_select", recording_cv_select)
+        model = bolasso(table, b=b, threshold=1.0, k_folds=2, lam_grid=lambda_grid(table, num=10),
+                        seed=seed)
+        assert len(supports) == b - flat
+        counts = model.hyperparameters["support_counts"]
+        assert counts["x0"] == b - flat
+        assert model.support == set()
+
     def test_needs_two_bootstraps(self):
         rng = np.random.default_rng(29)
         with pytest.raises(FusionError):

@@ -125,26 +125,39 @@ def test_knots_match_orthonormal_soft_threshold():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
 def test_every_enet_fold_solve_and_refit_reads_the_path(monkeypatch, alpha):
-    calls = []
-    path = fusion._lasso_path
+    calls, steps = [], []
+    path, warm_step = fusion._lasso_path, fusion._enet_warm_step
 
     def counting_path(*args, **kwargs):
         calls.append(kwargs.get("stop", 0.0))
         return path(*args, **kwargs)
 
+    def counting_warm_step(*args):
+        beta = warm_step(*args)
+        steps.append(beta is not None)
+        return beta
+
     def no_solve(*args, **kwargs):
         raise AssertionError("a ridge solve ran")
 
     monkeypatch.setattr(fusion, "_lasso_path", counting_path)
+    monkeypatch.setattr(fusion, "_enet_warm_step", counting_warm_step)
     monkeypatch.setattr(fusion, "_ridge_beta", no_solve)
     monkeypatch.setattr(fusion, "ridge_fit", no_solve)
     table = DESIGNS["m16"]()
     grid = lambda_grid(table, num=10)
     k_folds = 5
     best_lam, model = cv_select(table, "enet", lam_grid=grid, k_folds=k_folds, seed=0, alpha=alpha)
-    # one path per fold covers the grid at alpha = 1; else one per (fold, lam)
-    per_fold = 1 if alpha == 1.0 else grid.size
-    assert len(calls) == k_folds * per_fold + 1
+    if alpha == 1.0:
+        # one path per fold covers the grid
+        assert steps == []
+        assert len(calls) == k_folds + 1
+    else:
+        # a warm step at every lam after a fold's first; the first lam and
+        # every rejected step read the path, and so does the refit
+        assert len(steps) == k_folds * (grid.size - 1)
+        assert len(calls) == steps.count(False) + k_folds + 1
+        assert steps.count(True) > 0
     assert calls[-1] == best_lam * alpha
     assert model.coefficients == enet_fit(table, best_lam, alpha).coefficients
 
