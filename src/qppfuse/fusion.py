@@ -65,7 +65,6 @@ PATH_MAX_STEPS_PER_COLUMN = 50
 # a gap to lam closing slower than this is rounding noise; LARS stops at it too,
 # or a noise column enters at lam ~ 1e-17 where the active columns fit exactly
 PATH_TOL = 1e-12
-TRAP_PREFIX = "__trap_"
 MODEL_HEADER = "# qppfuse model v1"
 
 
@@ -199,13 +198,8 @@ class RegressionModel:
 
 def minmax_fit(table: ScoreTable) -> tuple[dict[str, tuple[float, float]], list[str]]:
     """Per-column train min/max; constant columns are reported separately."""
-    params = {}
-    constant = []
-    for name, v in table.columns.items():
-        lo, hi = float(v.min()), float(v.max())
-        params[name] = (lo, hi)
-        if lo == hi:
-            constant.append(name)
+    params = {name: (float(v.min()), float(v.max())) for name, v in table.columns.items()}
+    constant = [name for name, (lo, hi) in params.items() if lo == hi]
     if constant:
         logger.warning("constant columns mapped to 0: %s", ", ".join(constant))
     return params, constant
@@ -556,9 +550,7 @@ def lasso_kkt_residual(table: ScoreTable, model: RegressionModel, lam: float, al
 def lambda_max(table: ScoreTable) -> float:
     """Smallest lam for which the LASSO solution is all-zero."""
     xc, yc, _, _ = _centered(table.matrix(), table.target)
-    if xc.shape[1] == 0:
-        return 0.0
-    return float(np.max(np.abs(xc.T @ yc)))
+    return float(np.abs(xc.T @ yc).max(initial=0.0))
 
 
 def lambda_grid(table: ScoreTable, num: int = 50, ratio: float = 1e-4) -> np.ndarray:
@@ -580,48 +572,58 @@ class LarsKnot(NamedTuple):
     intercept: float
 
 
-def lars_path(table: ScoreTable) -> list[LarsKnot]:
-    """Equiangular path; one knot per entering column, final knot = OLS.
+def _lars(x: np.ndarray, y: np.ndarray):
+    """LARS on a design matrix: (entered, betas, x_mean, y_mean, gram); logs nothing.
 
-    The LASSO path engine with its drop rule off, on columns standardized
-    internally (centered, unit L2 norm) and stopped once the residual
-    correlation falls to PATH_TOL; coefficients are mapped back to the
-    original scale. Constant or exactly collinear columns never enter (a
-    warning is logged, ties break by column order). Once n - 1 columns are
-    active the centred design has no dimension left; the rest never enter
-    and are logged at INFO, since that is the shape of the data, not a defect.
+    The LASSO path engine with its drop rule off, on columns centred and
+    scaled to unit L2 norm, stopped once the residual correlation falls to
+    PATH_TOL. ``entered`` holds each knot's entering column index; row k of
+    the (m+1) x m ``betas`` is the k-th knot on the original scale, row 0 is
+    zeros and rows past the end repeat the last knot. ``gram`` is standardized.
+    """
+    xc, yc, x_mean, y_mean = _centered(x, y)
+    norms = np.sqrt((xc**2).sum(axis=0))
+    scale = np.where(norms > 0, norms, 1.0)  # a constant column stays zero
+    xs = xc / scale
+    gram = xs.T @ xs
+    _, betas_s = _lasso_path(gram, xs.T @ yc, stop=PATH_TOL, drop=False)
+    path = betas_s / scale
+    entered, rows = [], [0]
+    for k, beta_s in enumerate(betas_s[1:], start=1):
+        new = [j for j in np.flatnonzero(beta_s).tolist() if j not in entered]
+        if not new:  # a passed-over collinear column ended the last segment here
+            rows[-1] = k
+        entered += new
+        rows += [k] * len(new)
+    rows += [rows[-1]] * (x.shape[1] + 1 - len(rows))
+    return entered, path[rows], x_mean, y_mean, gram
+
+
+def lars_path(table: ScoreTable) -> list[LarsKnot]:
+    """Equiangular path (_lars); one knot per entering column, final knot = OLS.
+
+    Constant or exactly collinear columns never enter (a warning is logged,
+    ties break by column order). Once n - 1 columns are active the centred
+    design has no dimension left; the rest never enter and are logged at
+    INFO, since that is the shape of the data, not a defect.
     """
     names = table.column_names
     n, m = table.n_rows, len(names)
-    xc, yc, x_mean, y_mean = _centered(table.matrix(), table.target)
-    norms = np.sqrt((xc**2).sum(axis=0))
-    usable = norms > 0
+    entered, betas, x_mean, y_mean, gram = _lars(table.matrix(), table.target)
+    usable = np.diag(gram) > 0
     if not np.all(usable):
         bad = [names[j] for j in range(m) if not usable[j]]
         logger.warning("constant columns never enter the path: %s", ", ".join(bad))
-    xs = np.zeros_like(xc)
-    xs[:, usable] = xc[:, usable] / norms[usable]
-    gram = xs.T @ xs
-    _, betas_s = _lasso_path(gram, xs.T @ yc, stop=PATH_TOL, drop=False)
-    active, knots = [], []
-    for beta_s in betas_s[1:]:
-        beta = np.zeros(m)
-        beta[usable] = beta_s[usable] / norms[usable]
-        intercept = y_mean - float(x_mean @ beta)
-        coefficients = {nm: float(b) for nm, b in zip(names, beta)}
-        new = [j for j in np.flatnonzero(beta_s).tolist() if j not in active]
-        if not new:  # a passed-over collinear column ended the last segment here
-            knots[-1] = LarsKnot(knots[-1].column, coefficients, intercept)
-        active += new
-        knots += [LarsKnot(names[j], dict(coefficients), intercept) for j in new]
-    never = [j for j in range(m) if usable[j] and j not in active]
-    if active and never and len(active) >= n - 1:
+    knots = [LarsKnot(names[j], dict(zip(names, beta.tolist())), y_mean - float(x_mean @ beta))
+             for j, beta in zip(entered, betas[1:])]
+    never = [j for j in range(m) if usable[j] and j not in entered]
+    if entered and never and len(entered) >= n - 1:
         logger.info("centred design exhausted by %d columns; never entered: %s",
-                    len(active), ", ".join(names[j] for j in never))
-    elif active and never:
+                    len(entered), ", ".join(names[j] for j in never))
+    elif entered and never:
         g = gram.tolist()
-        chol = _cholesky(g, active)  # unit-norm columns: a pivot is a squared residual
-        collinear = [names[j] for j in never if _chol_row(chol, g, active, j)[1] <= COLLINEAR_TOL]
+        chol = _cholesky(g, entered)  # unit-norm columns: a pivot is a squared residual
+        collinear = [names[j] for j in never if _chol_row(chol, g, entered, j)[1] <= COLLINEAR_TOL]
         if collinear:
             logger.warning("collinear columns never entered (ties break "
                            "by column order): %s", ", ".join(collinear))
@@ -633,8 +635,8 @@ def lars_path(table: ScoreTable) -> list[LarsKnot]:
 
 
 def _ols_on(table: ScoreTable, names, method: str, **hyper) -> RegressionModel:
-    sub = table.with_columns(names)
-    model = ols_fit(sub) if names else RegressionModel("OLS", float(table.target.mean()), {})
+    model = (ols_fit(table.with_columns(names)) if names
+             else RegressionModel("OLS", float(table.target.mean()), {}))
     full = {n: model.coefficients.get(n, 0.0) for n in table.column_names}
     return RegressionModel(method=method, intercept=model.intercept, coefficients=full, hyperparameters=hyper)
 
@@ -642,24 +644,18 @@ def _ols_on(table: ScoreTable, names, method: str, **hyper) -> RegressionModel:
 def lars_traps(table: ScoreTable, n_traps: int | None = None, seed: int = 0) -> RegressionModel:
     """LARS with random probe columns; OLS on the columns that entered before any probe.
 
-    A probe entering first yields a flagged intercept-only model.
+    The probes follow the table's columns and are told apart by position,
+    not name. A probe entering first yields a flagged intercept-only model.
     """
-    m = len(table.columns)
-    if n_traps is None:
-        n_traps = m
+    names = table.column_names
+    m = len(names)
+    n_traps = m if n_traps is None else n_traps
     if n_traps < 1:
         raise FusionError("n_traps must be >= 1")
-    rng = np.random.default_rng(seed)
-    traps = rng.standard_normal((table.n_rows, n_traps))
-    columns = dict(table.columns)
-    for i in range(n_traps):
-        columns[f"{TRAP_PREFIX}{i}"] = traps[:, i]
-    augmented = ScoreTable(query_ids=list(table.query_ids), columns=columns, target=table.target)
-    selected: list[str] = []
-    for knot in lars_path(augmented):
-        if knot.column.startswith(TRAP_PREFIX):
-            break
-        selected.append(knot.column)
+    traps = np.random.default_rng(seed).standard_normal((table.n_rows, n_traps))
+    entered = _lars(np.hstack([table.matrix(), traps]), table.target)[0]
+    first_probe = next((i for i, j in enumerate(entered) if j >= m), len(entered))
+    selected = [names[j] for j in entered[:first_probe]]
     hyper = {"n_traps": n_traps, "seed": seed, "trap_entered_first": not selected}
     if not selected:
         logger.info("a probe column entered first; returning an intercept-only model")
@@ -669,27 +665,20 @@ def lars_traps(table: ScoreTable, n_traps: int | None = None, seed: int = 0) -> 
 def lars_cv(table: ScoreTable, k_folds: int = 5, seed: int = 0) -> RegressionModel:
     """Path-prefix length chosen by k-fold CV (ties favor the shorter prefix).
 
-    Each fold's m+1 candidate prefixes are the rows of one coefficient
-    matrix: row 0 is all zeros (the train mean), row k the k-th knot, and a
-    row past the end of the path repeats its last knot.
+    Each fold's m+1 candidate prefixes are the rows of _lars's coefficient
+    matrix on a slice of the table's one matrix. Only the refit logs.
     """
     names = table.column_names
-    m = len(names)
     x, y = table.matrix(), table.target
-    mse = np.zeros(m + 1)
+    mse = np.zeros(len(names) + 1)
     for val_idx, train_idx in _make_folds(table.n_rows, k_folds, seed):
-        betas = np.zeros((m + 1, m))
-        for k, knot in enumerate(lars_path(table.subset(train_idx)), start=1):
-            betas[k:] = [knot.coefficients[n] for n in names]
-        _, _, x_mean, y_mean = _centered(x[train_idx], y[train_idx])
+        _, betas, x_mean, y_mean, _ = _lars(x[train_idx], y[train_idx])
         mse += _fold_mse(betas, x_mean, y_mean, x[val_idx], y[val_idx])
     best = int(np.argmin(mse))  # argmin takes the first = shortest prefix on ties
     path = lars_path(table)
     steps = min(best, len(path))
     hyper = {"n_steps": steps, "k_folds": k_folds, "seed": seed}
-    if steps == 0:
-        return RegressionModel("LARS-CV", float(y.mean()), dict.fromkeys(names, 0.0), hyper)
-    knot = path[steps - 1]
+    knot = path[steps - 1] if steps else LarsKnot("", dict.fromkeys(names, 0.0), float(y.mean()))
     return RegressionModel("LARS-CV", knot.intercept, dict(knot.coefficients), hyper)
 
 
@@ -704,11 +693,8 @@ def _make_folds(n: int, k_folds: int, seed: int):
         raise FusionError(f"folds of {n} rows into {k_folds} would have fewer than 2 rows")
     perm = np.random.default_rng(seed).permutation(n)
     folds = np.array_split(perm, k_folds)
-    out = []
-    for i, val_idx in enumerate(folds):
-        train_idx = np.concatenate([f for j, f in enumerate(folds) if j != i])
-        out.append((np.sort(val_idx), np.sort(train_idx)))
-    return out
+    return [(np.sort(val_idx), np.sort(np.concatenate(folds[:i] + folds[i + 1:])))
+            for i, val_idx in enumerate(folds)]
 
 
 def _fold_mse(betas, x_mean, y_mean, x_val, y_val) -> np.ndarray:
@@ -839,10 +825,16 @@ def write_model(model: RegressionModel, path) -> None:
                 fh.write(f"norm\t{name}\t{lo!r}\t{hi!r}\n")
 
 
+def _finite(text: str) -> float:
+    """float(text); NaN and infinities, which no fit produces, raise ValueError."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def read_model(path) -> RegressionModel:
     """Load a :func:`write_model` dump; a bad header or record raises FusionError."""
-    method = None
-    intercept = 0.0
+    method, intercept = None, 0.0
     coefficients: dict[str, float] = {}
     hyper: dict = {}
     norm: dict[str, tuple[float, float]] = {}
@@ -855,14 +847,15 @@ def read_model(path) -> RegressionModel:
                 continue
             kind, *fields = line.split("\t")
             try:
+                if fields and fields[0] in {"coef": coefficients, "norm": norm}.get(kind, ()):
+                    raise ValueError(f"repeated name {fields[0]!r}")
                 if kind == "method":
                     (method,) = fields
                 elif kind == "intercept":
-                    (value,) = fields
-                    intercept = float(value)
+                    (intercept,) = map(_finite, fields)
                 elif kind == "coef":
                     name, value = fields
-                    coefficients[name] = float(value)
+                    coefficients[name] = _finite(value)
                 elif kind == "hyper":
                     key, value = fields
                     try:
@@ -871,12 +864,17 @@ def read_model(path) -> RegressionModel:
                         hyper[key] = value
                 elif kind == "norm":
                     name, lo, hi = fields
-                    norm[name] = (float(lo), float(hi))
+                    lo, hi = _finite(lo), _finite(hi)
+                    if lo > hi:
+                        raise ValueError(f"lo {lo!r} > hi {hi!r}")
+                    norm[name] = (lo, hi)
                 else:
                     raise FusionError(f"{path}:{lineno}: unknown record {kind!r}")
             except ValueError as exc:
                 raise FusionError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
     if method is None:
         raise FusionError(f"{path}: missing method line")
+    if norm and (uncovered := [name for name in coefficients if name not in norm]):
+        raise FusionError(f"{path}: no norm record for coefficients: {', '.join(uncovered)}")
     return RegressionModel(method=method, intercept=intercept, coefficients=coefficients,
                            hyperparameters=hyper, normalization=norm or None)

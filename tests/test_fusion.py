@@ -385,6 +385,19 @@ class TestLarsPath:
                                        atol=1e-9, err_msg=f"seed {seed}")
 
 
+    def test_knot_rows_follow_the_engine_rows(self, monkeypatch):
+        """A row with no new column moves the last knot; columns new in one row share it."""
+        rows = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [1.5, 0, 0, 0], [2, 1, 3, 0]], dtype=float)
+        monkeypatch.setattr(fusion, "_lasso_path", lambda *args, **kwargs: (np.zeros(4), rows))
+        rng = np.random.default_rng(5)
+        x, y = rng.standard_normal((10, 4)), rng.standard_normal(10)
+        entered, betas, *_ = fusion._lars(x, y)
+        xc = x - x.mean(axis=0)
+        assert entered == [0, 1, 2]
+        np.testing.assert_allclose(betas, rows[[0, 2, 3, 3, 3]] / np.sqrt((xc**2).sum(axis=0)),
+                                   rtol=1e-12)
+
+
 class TestLarsTraps:
     def test_noiseless_signal_selected_before_traps(self):
         rng = np.random.default_rng(16)
@@ -420,6 +433,17 @@ class TestLarsTraps:
             for s in range(10)
         ]
         assert any(flagged)  # with 6 traps, at least one run loses the race
+
+    @pytest.mark.parametrize("name", ["__trap_0", "__trap_x"])
+    def test_probe_like_column_name_is_an_ordinary_column(self, name):
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((50, 3))
+        y = 2.0 * x[:, 0] + 1.0
+        plain = lars_traps(make_table(x, y), n_traps=3, seed=99)
+        model = lars_traps(make_table(x, y, names=[name, "x1", "x2"]), n_traps=3, seed=99)
+        assert model.coefficients[name] == pytest.approx(2.0, abs=1e-6)
+        assert (model.intercept, list(model.coefficients.values()), model.hyperparameters) == (
+            plain.intercept, list(plain.coefficients.values()), plain.hyperparameters)
 
 
 class TestCvSelect:
@@ -671,7 +695,39 @@ class TestCvMatchesPerCandidateReference:
     def test_lars_cv_steps_match(self, seed):
         table, k_folds = self.design(seed)
         model = lars_cv(table, k_folds=k_folds, seed=seed)
-        assert model.hyperparameters["n_steps"] == reference_lars_steps(table, k_folds, seed)
+        steps = model.hyperparameters["n_steps"]
+        assert steps == reference_lars_steps(table, k_folds, seed)
+        if steps:
+            knot = lars_path(table)[steps - 1]
+            expected = (knot.intercept, knot.coefficients)
+        else:
+            expected = (float(table.target.mean()), dict.fromkeys(table.column_names, 0.0))
+        assert (model.intercept, model.coefficients) == expected
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_lars_traps_matches_probe_table_reference(self, seed):
+        """The probe-augmented table's lars_path, cut at the first probe, then OLS."""
+        table, _ = self.design(seed)
+        m = len(table.columns)
+        traps = np.random.default_rng(seed).standard_normal((table.n_rows, m))
+        columns = dict(table.columns)
+        columns.update({f"probe{i}": traps[:, i] for i in range(m)})
+        augmented = ScoreTable(list(table.query_ids), columns, table.target)
+        selected = []
+        for knot in lars_path(augmented):
+            if knot.column.startswith("probe"):
+                break
+            selected.append(knot.column)
+        hyper = {"n_traps": m, "seed": seed, "trap_entered_first": not selected}
+        expected = fusion._ols_on(table, selected, "LARS-Traps", **hyper)
+        assert lars_traps(table, seed=seed) == expected
+
+    def test_lars_cv_fold_paths_log_nothing(self, caplog):
+        rng = np.random.default_rng(31)
+        table = random_table(rng, n=6, m=4)
+        with caplog.at_level(logging.DEBUG, logger="qppfuse.fusion"):
+            lars_cv(table, k_folds=2, seed=0)
+        assert caplog.records == []
 
 
 class TestPredict:
@@ -746,8 +802,22 @@ class TestModelIo:
         ("# qppfuse model v1\nmethod\tOLS\nhyper\tlam\n", r":3: malformed 'hyper'"),
         ("# qppfuse model v1\nmethod\tOLS\nbeta\ta\t1.0\n", r":3: unknown record 'beta'"),
         ("# qppfuse model v1\nintercept\t1.0\n", "missing method"),
+        ("# qppfuse model v1\nmethod\tOLS\ncoef\ta\t1.0\ncoef\tb\t2.0\nnorm\ta\t0.0\t1.0\n",
+         "no norm record for coefficients: b$"),
+        ("# qppfuse model v1\nmethod\tOLS\nintercept\tnan\n", r":3: malformed 'intercept'.*non-finite"),
+        ("# qppfuse model v1\nmethod\tOLS\ncoef\ta\tinf\n", r":3: malformed 'coef'.*non-finite"),
+        ("# qppfuse model v1\nmethod\tOLS\ncoef\ta\t1.0\nnorm\ta\t-inf\t1.0\n",
+         r":4: malformed 'norm'.*non-finite"),
+        ("# qppfuse model v1\nmethod\tOLS\ncoef\ta\t1.0\ncoef\ta\t5.0\n",
+         r":4: malformed 'coef' record: repeated name 'a'"),
+        ("# qppfuse model v1\nmethod\tOLS\ncoef\ta\t1.0\nnorm\ta\t0.0\t1.0\nnorm\ta\t0.0\t2.0\n",
+         r":5: malformed 'norm' record: repeated name 'a'"),
+        ("# qppfuse model v1\nmethod\tOLS\ncoef\ta\t1.0\nnorm\ta\t1.0\t0.0\n",
+         r":4: malformed 'norm' record: lo 1.0 > hi 0.0"),
     ], ids=["no-header", "wrong-version", "coef-fields", "intercept-value", "method-fields",
-            "norm-fields", "hyper-fields", "unknown-kind", "no-method"])
+            "norm-fields", "hyper-fields", "unknown-kind", "no-method", "norm-partial",
+            "intercept-nan", "coef-inf", "norm-inf", "coef-repeated", "norm-repeated",
+            "norm-lo-above-hi"])
     def test_rejects_bad_file(self, tmp_path, text, message):
         path = tmp_path / "model.txt"
         path.write_text(text)
