@@ -124,18 +124,15 @@ def cmd_fuse(config: ExperimentConfig) -> None:
     params, _ = fusion.minmax_fit(table)
     normalized = fusion.minmax_apply(table, params)
     out = Path(config.out)
-    predictions = {"query_id": table.query_ids}
+    predictions = {}
     for name in config.combiners:
         model = fit_combiner(name, normalized, config, config.seed)
         model.normalization = params
         fusion.write_model(model, out / f"model_{name}.txt")
-        y_hat = fusion.predict(model, table, clamp=config.clamp_predictions)
-        predictions[name] = y_hat
-    with open(out / "predictions.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("query_id\t" + "\t".join(config.combiners) + "\n")
-        for i, qid in enumerate(table.query_ids):
-            cells = "\t".join(f"{predictions[name][i]:.6f}" for name in config.combiners)
-            fh.write(f"{qid}\t{cells}\n")
+        predictions[name] = fusion.predict(model, table, clamp=config.clamp_predictions)
+    write_scores_wide(out / "predictions.tsv", {
+        qid: {name: y_hat[i] for name, y_hat in predictions.items()}
+        for i, qid in enumerate(table.query_ids)})
     print(f"fitted {len(config.combiners)} combiners on {table.n_rows} queries -> {out}")
 
 

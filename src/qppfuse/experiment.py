@@ -356,6 +356,7 @@ class ExperimentConfig:
 def import_external_scores(path, expected_qids) -> dict[str, float]:
     """Load ``query_id<TAB>score`` rows; coverage of the query set must be total."""
     scores: dict[str, float] = {}
+    expected = set(expected_qids)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -371,7 +372,8 @@ def import_external_scores(path, expected_qids) -> dict[str, float]:
                 scores[qid] = float(raw)
             except ValueError as exc:
                 raise HarnessError(f"{path}:{lineno}: non-numeric score {raw!r}") from exc
-    expected = set(expected_qids)
+            if qid in expected and not math.isfinite(scores[qid]):
+                raise HarnessError(f"{path}:{lineno}: non-finite score {raw!r}")
     missing = sorted(expected - set(scores))
     if missing:
         raise HarnessError(f"{path}: no score for query ids: {', '.join(missing)}")
@@ -390,6 +392,8 @@ def build_score_table(config: ExperimentConfig):
     """
     if not config.lexicon and any(p in ("AvP", "AvNP") for p in config.pre_predictors):
         raise HarnessError("AvP/AvNP require corpus.lexicon")
+    if not (config.pre_predictors or config.post_predictors or config.external_scores):
+        raise HarnessError("no predictor: set predictors.pre, predictors.post or external.scores")
     tok = config.tokenizer_config()
     docs = ingest(config.docs, config.corpus_format)
     index = build_index(docs, tok)

@@ -1,7 +1,7 @@
 """Min-max normalization and the penalized-regression combiner suite.
 
-Fits are expressed over a ScoreTable (named predictor columns plus the AP
-target). Penalty conventions, with the intercept never penalized:
+Fits are expressed over a ScoreTable (one matrix of named predictor columns
+plus the AP target). Penalty conventions, with the intercept never penalized:
 
   OLS     minimize ||y - Xb||^2
   Ridge   minimize ||y - Xb||^2 + lam * ||b||^2
@@ -26,6 +26,7 @@ import ast
 import logging
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -80,30 +81,41 @@ class ConvergenceError(FusionError):
     """
 
 
-@dataclass
 class ScoreTable:
-    """Aligned predictor columns and the AP target for a set of queries."""
+    """Aligned predictor columns and the AP target for a set of queries.
 
-    query_ids: list[str]
-    columns: dict[str, np.ndarray]
-    target: np.ndarray
+    Stores one read-only C-ordered n x m matrix; ``columns`` maps each name to a
+    view of its column. Tables derived from a checked one are not checked again.
+    """
 
-    def __post_init__(self):
-        n = len(self.query_ids)
-        self.target = np.asarray(self.target, dtype=float)
-        if self.target.shape != (n,):
+    def __init__(self, query_ids, columns, target):
+        n = len(query_ids)
+        target = np.asarray(target, dtype=float)
+        if target.shape != (n,):
             raise FusionError("target length does not match query_ids")
-        if not np.all(np.isfinite(self.target)):
+        if not np.all(np.isfinite(target)):
             raise FusionError("non-finite target values")
-        cols = {}
-        for name, values in self.columns.items():
+        x = np.empty((n, len(columns)))
+        for j, (name, values) in enumerate(columns.items()):
             v = np.asarray(values, dtype=float)
             if v.shape != (n,):
                 raise FusionError(f"column {name!r} length does not match query_ids")
             if not np.all(np.isfinite(v)):
                 raise FusionError(f"non-finite values in column {name!r}")
-            cols[name] = v
-        self.columns = cols
+            x[:, j] = v
+        self._store(query_ids, list(columns), x, target)
+
+    def _store(self, query_ids, names, x, target) -> "ScoreTable":
+        self.query_ids, self.target = query_ids, target
+        # C order fixes the fits' bits: x.sum(axis=0) adds an F-ordered matrix's rows pairwise
+        self._x = np.ascontiguousarray(x)
+        self._x.flags.writeable = False
+        self.columns = MappingProxyType({name: self._x[:, j] for j, name in enumerate(names)})
+        return self
+
+    @classmethod
+    def _derived(cls, query_ids, names, x, target) -> "ScoreTable":
+        return cls.__new__(cls)._store(query_ids, names, x, target)
 
     @property
     def n_rows(self) -> int:
@@ -113,37 +125,27 @@ class ScoreTable:
     def column_names(self) -> list[str]:
         return list(self.columns.keys())
 
-    def matrix(self, names=None) -> np.ndarray:
-        names = self.column_names if names is None else list(names)
-        if not names:
-            return np.empty((self.n_rows, 0))
-        # the same C-ordered array as np.column_stack, at a third of its cost on
-        # the small tables that cross-validation builds by thousands
-        return np.array([self.columns[n] for n in names]).T.copy()
+    def matrix(self) -> np.ndarray:
+        """The stored n x m matrix, columns in column_names order; read-only."""
+        return self._x
 
     def subset(self, indices) -> "ScoreTable":
         idx = np.asarray(indices, dtype=int)
-        return ScoreTable(
-            query_ids=[self.query_ids[i] for i in idx],
-            columns={n: v[idx] for n, v in self.columns.items()},
-            target=self.target[idx],
-        )
+        return self._derived([self.query_ids[i] for i in idx], self.column_names,
+                             self._x[idx], self.target[idx])
 
     def with_columns(self, names) -> "ScoreTable":
-        return ScoreTable(
-            query_ids=list(self.query_ids),
-            columns={n: self.columns[n] for n in names},
-            target=self.target,
-        )
+        pos = {name: j for j, name in enumerate(self.columns)}
+        names = list(dict.fromkeys(names))
+        return self._derived(list(self.query_ids), names,
+                             self._x[:, [pos[name] for name in names]], self.target)
 
     def write_tsv(self, path) -> None:
         """Wide design-matrix TSV: query_id, predictor columns, AP."""
-        names = self.column_names
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("query_id\t" + "\t".join(names) + "\tAP\n")
-            for i, qid in enumerate(self.query_ids):
-                cells = [f"{float(self.columns[n][i])!r}" for n in names]
-                fh.write(f"{qid}\t" + "\t".join(cells) + f"\t{float(self.target[i])!r}\n")
+            fh.write("query_id\t" + "\t".join(self.columns) + "\tAP\n")
+            for qid, row, y in zip(self.query_ids, self._x.tolist(), self.target.tolist()):
+                fh.write(f"{qid}\t" + "\t".join(map(repr, row)) + f"\t{y!r}\n")
 
     @classmethod
     def read_tsv(cls, path) -> "ScoreTable":
@@ -153,8 +155,7 @@ class ScoreTable:
                     or len(set(header)) != len(header)):
                 raise FusionError(f"{path}: expected header 'query_id<TAB>...<TAB>AP' "
                                   "with distinct column names")
-            names = header[1:-1]
-            qids, rows, targets, seen = [], [], [], set()
+            qids, rows, seen = [], [], set()
             for lineno, line in enumerate(fh, start=2):
                 line = line.rstrip("\n")
                 if not line:
@@ -167,15 +168,17 @@ class ScoreTable:
                 seen.add(parts[0])
                 qids.append(parts[0])
                 try:
-                    rows.append([float(v) for v in parts[1:-1]])
-                    targets.append(float(parts[-1]))
+                    values = [float(v) for v in parts[1:]]
                 except ValueError as exc:
                     raise FusionError(f"{path}:{lineno}: non-numeric value") from exc
+                if not all(map(math.isfinite, values)):
+                    name = next(n for n, v in zip(header[1:], values) if not math.isfinite(v))
+                    raise FusionError(f"{path}:{lineno}: non-finite value in column {name!r}")
+                rows.append(values)
         if not rows:
             raise FusionError(f"{path}: no data rows")
         data = np.asarray(rows, dtype=float)
-        columns = {n: data[:, j] for j, n in enumerate(names)}
-        return cls(query_ids=qids, columns=columns, target=np.asarray(targets))
+        return cls._derived(qids, header[1:-1], data[:, :-1], data[:, -1].copy())
 
 
 @dataclass
@@ -207,14 +210,12 @@ def minmax_fit(table: ScoreTable) -> tuple[dict[str, tuple[float, float]], list[
 
 def minmax_apply(table: ScoreTable, params: dict[str, tuple[float, float]]) -> ScoreTable:
     """Map columns through stored train min/max, clipped to [0, 1]; constant columns become 0."""
-    columns = {}
-    for name, v in table.columns.items():
-        lo, hi = params[name]
-        if hi == lo:
-            columns[name] = np.zeros_like(v)
-        else:
-            columns[name] = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
-    return ScoreTable(query_ids=list(table.query_ids), columns=columns, target=table.target.copy())
+    lo, hi = np.array([params[name] for name in table.columns], dtype=float).reshape(-1, 2).T
+    x = np.clip((table.matrix() - lo) / np.where(hi == lo, 1.0, hi - lo), 0.0, 1.0)
+    x[:, hi == lo] = 0.0
+    if np.isnan(x).any():  # inf / inf: the column spans more than the float range
+        raise FusionError("min-max scaling overflowed")
+    return ScoreTable._derived(list(table.query_ids), table.column_names, x, table.target.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +534,11 @@ def lasso_kkt_residual(table: ScoreTable, model: RegressionModel, lam: float, al
     For active columns x_j'r - lam*(1-alpha)*b_j must equal lam*alpha*sign(b_j);
     for inactive columns its magnitude must not exceed lam*alpha.
     """
-    x = table.matrix()
     residual = table.target - predict(model, table)
-    l1 = lam * alpha
-    l2 = lam * (1.0 - alpha)
+    l1, l2 = lam * alpha, lam * (1.0 - alpha)
     worst = 0.0
-    for j, name in enumerate(table.column_names):
-        g = float(x[:, j] @ residual) - l2 * model.coefficients[name]
+    for name, column in table.columns.items():
+        g = float(column @ residual) - l2 * model.coefficients[name]
         if model.coefficients[name] != 0.0:
             worst = max(worst, abs(g - math.copysign(l1, model.coefficients[name])))
         else:

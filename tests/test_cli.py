@@ -97,6 +97,9 @@ class TestSubcommands:
             f"design = {design}\n"
             "combiners = OLS,Ridge-CV\n"
             "fusion.k_folds = 3\n"
+            # a design names its own columns; the commands below need no predictor list
+            "predictors.pre =\n"
+            "predictors.post =\n"
         )
         out2 = tmp_path / "fused"
         assert run_cli("fuse", "--config", str(cfg2), "--out", str(out2)) == 0

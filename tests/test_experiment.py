@@ -133,6 +133,18 @@ class TestImportExternalScores:
         with pytest.raises(HarnessError, match="non-numeric"):
             import_external_scores(path, ["q1"])
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_rejected_at_its_line(self, tmp_path, raw):
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"q1\t0.5\nq2\t{raw}\n")
+        with pytest.raises(HarnessError, match=rf"scores\.tsv:2: non-finite score '{raw}'"):
+            import_external_scores(path, ["q1", "q2"])
+
+    def test_non_finite_for_unknown_id_tolerated(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("q1\t0.5\nq9\tnan\n")
+        assert import_external_scores(path, ["q1"]) == {"q1": 0.5}
+
     def test_extra_ids_tolerated(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_text("q1\t0.5\nq9\t0.1\n")
@@ -268,6 +280,13 @@ class TestBuildScoreTable:
         # corpus.docs is unset: reaching ingest would fail with another error
         with pytest.raises(HarnessError, match="AvP/AvNP require corpus.lexicon"):
             build_score_table(ExperimentConfig())
+
+    def test_no_predictor_fails_before_ingest(self):
+        # corpus.docs is unset: reaching ingest would fail with another error
+        config = ExperimentConfig(pre_predictors=(), post_predictors=())
+        with pytest.raises(HarnessError,
+                           match="predictors.pre, predictors.post or external.scores"):
+            build_score_table(config)
 
     def test_unjudged_query_excluded(self, toy_dir, tmp_path):
         queries = (toy_dir / "queries.tsv").read_text() + "q99\tnebula comet\n"

@@ -90,6 +90,28 @@ class TestMinMax:
         assert constant == ["x0"]
         assert list(minmax_apply(train, params).columns["x0"]) == [0.0, 0.0]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_column_loop(self, seed):
+        """Bit for bit the per-column reference, constant column and out-of-range rows included."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((12, 5)) * rng.uniform(0.1, 50.0, 5)
+        x[:, 2] = x[0, 2]
+        table = make_table(x, rng.uniform(0.0, 1.0, 12))
+        params, _ = minmax_fit(table.subset(np.arange(6)))
+        scaled = minmax_apply(table, params)
+        for name, v in table.columns.items():
+            lo, hi = params[name]
+            expected = np.zeros_like(v) if hi == lo else np.clip((v - lo) / (hi - lo), 0.0, 1.0)
+            assert scaled.columns[name].tobytes() == expected.tobytes()
+        assert scaled.matrix().tobytes() == np.column_stack(list(scaled.columns.values())).tobytes()
+
+    def test_overflowing_span_rejected(self):
+        train = make_table([[-1e308], [1e308]], [0, 1])
+        params, _ = minmax_fit(train)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FusionError, match="overflowed"):
+            minmax_apply(train, params)
+
 
 class TestOls:
     def test_exact_line(self):
@@ -856,6 +878,15 @@ class TestScoreTableIo:
         with pytest.raises(FusionError, match=r"design\.tsv:3: duplicate query_id 'q1'"):
             ScoreTable.read_tsv(path)
 
+    @pytest.mark.parametrize("row,column", [
+        ("q2\tnan\t0.4", "NQC"), ("q2\t1.0\tinf", "AP"), ("q2\t1e400\t0.4", "NQC")])
+    def test_non_finite_rejected_at_its_line(self, tmp_path, row, column):
+        path = tmp_path / "design.tsv"
+        path.write_text(f"query_id\tNQC\tAP\nq1\t1.0\t0.5\n{row}\nq3\t3.0\t0.1\n")
+        with pytest.raises(FusionError,
+                           match=rf"design\.tsv:3: non-finite value in column '{column}'"):
+            ScoreTable.read_tsv(path)
+
     def test_rejects_non_finite(self):
         with pytest.raises(FusionError, match="finite"):
             make_table([[np.nan]], [0.0])
@@ -864,3 +895,53 @@ class TestScoreTableIo:
         with pytest.raises(FusionError):
             ScoreTable(query_ids=["a"], columns={"x": np.array([1.0, 2.0])},
                        target=np.array([0.0]))
+
+
+class TestStoredMatrix:
+    """A table stores one read-only C-ordered matrix; derived tables slice it."""
+
+    @staticmethod
+    def assert_stacked(table):
+        x = table.matrix()
+        assert x.flags.c_contiguous
+        assert x.tobytes() == np.column_stack(list(table.columns.values())).tobytes()
+        assert list(table.columns) == table.column_names
+
+    def table(self):
+        return random_table(np.random.default_rng(41), n=9, m=4)
+
+    def test_constructor(self):
+        self.assert_stacked(self.table())
+
+    def test_subset_with_repeated_rows(self):
+        table = self.table()
+        sample = table.subset([3, 3, 0, 8, 3])
+        self.assert_stacked(sample)
+        assert sample.query_ids == ["q3", "q3", "q0", "q8", "q3"]
+        assert sample.matrix().tobytes() == table.matrix()[[3, 3, 0, 8, 3]].tobytes()
+
+    def test_with_columns_reordered(self):
+        table = self.table()
+        picked = table.with_columns(["x2", "x0", "x3"])
+        self.assert_stacked(picked)
+        assert picked.column_names == ["x2", "x0", "x3"]
+        for name in picked.column_names:
+            assert picked.columns[name].tobytes() == table.columns[name].tobytes()
+
+    def test_minmax_apply(self):
+        table = self.table()
+        self.assert_stacked(minmax_apply(table, minmax_fit(table)[0]))
+
+    def test_read_tsv(self, tmp_path):
+        path = tmp_path / "design.tsv"
+        self.table().write_tsv(path)
+        self.assert_stacked(ScoreTable.read_tsv(path))
+
+    def test_writes_raise(self):
+        table = self.table()
+        with pytest.raises(ValueError):
+            table.matrix()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table.columns["x1"][0] = 1.0
+        with pytest.raises(TypeError):
+            table.columns["x9"] = np.zeros(table.n_rows)
