@@ -54,5 +54,7 @@ print(f"\nLARS-Traps selected: {sorted(traps.support)}")
 grid = np.geomspace(lambda_max(table), 0.1 * lambda_max(table), 30)
 boot = bolasso(table, b=50, threshold=0.9, k_folds=5, lam_grid=grid, seed=3)
 counts = boot.hyperparameters["support_counts"]
-print(f"BOLASSO supports out of 50 bootstraps: {counts}")
+# BOLASSO stops drawing bootstraps once no further one can change its kept set.
+print(f"BOLASSO supports out of {boot.hyperparameters['resamples']} bootstraps run (b = 50): "
+      f"{counts}")
 print(f"BOLASSO kept (>=90%): {sorted(boot.support)}")

@@ -764,7 +764,9 @@ def bolasso(table: ScoreTable, b: int = 100, threshold: float = 1.0,
     Each of the ``b`` bootstrap resamples gets its own CV-selected lam; a
     column is kept when it is active in at least threshold*b supports. A
     resample with a flat target (lambda_max == 0) counts as an empty support
-    and stays in the denominator b.
+    and stays in the denominator b. The loop stops once every column is kept
+    or out of reach, so ``support_counts`` are out of the ``resamples`` that
+    ran; each resample has its own seed streams, so the model is the full-b one.
     """
     if b < 2:
         raise FusionError("need at least 2 bootstrap samples")
@@ -772,7 +774,12 @@ def bolasso(table: ScoreTable, b: int = 100, threshold: float = 1.0,
         raise FusionError("threshold must be in (0, 1]")
     n = table.n_rows
     counts = {name: 0 for name in table.column_names}
+    needed = threshold * b - 1e-9
+    resamples = 0
     for i in range(b):
+        if all(c >= needed or c + b - i < needed for c in counts.values()):
+            break  # no remaining resample can change the kept set
+        resamples = i + 1
         rng = np.random.default_rng(derive_seed(seed, "bootstrap", i))
         sample = table.subset(rng.integers(0, n, size=n))
         if lambda_max(sample) <= 0.0:
@@ -781,10 +788,9 @@ def bolasso(table: ScoreTable, b: int = 100, threshold: float = 1.0,
                              seed=derive_seed(seed, "cv", i))
         for name in model.support:
             counts[name] += 1
-    needed = threshold * b - 1e-9
     kept = [name for name in table.column_names if counts[name] >= needed]
     hyper = {"b": b, "threshold": threshold, "seed": seed,
-             "support_counts": dict(counts)}
+             "support_counts": dict(counts), "resamples": resamples}
     return _ols_on(table, kept, "BOLASSO", **hyper)
 
 

@@ -2,8 +2,10 @@
 
 Everything here is computed from the raw files with plain dictionaries,
 lists, and explicit loops - no imports from the package - so the test
-suite can compare the two code paths value by value. Run as a script to
-print the full table:
+suite can compare the two code paths value by value. The one exception is
+``bolasso_full_b``, which reuses the package's per-resample LASSO fit and
+OLS refit but runs all b resamples, as an oracle for BOLASSO's early stop.
+Run as a script to print the full table:
 
     python3 tests/brute_force_reference.py data/toy
 """
@@ -220,6 +222,33 @@ def compute_all(data_dir, mu=1000.0, k=1000, k_fb=10, wig_k=5, nqc_k=10, uef_m=1
         values.update(post_values(docs, terms, ranked, k_fb, wig_k, nqc_k, uef_m, mu))
         results[qid] = values
     return results
+
+
+def bolasso_full_b(table, b, threshold, k_folds=5, lam_grid=None, seed=0):
+    """BOLASSO over every one of its b resamples, on the same seed streams."""
+    import numpy as np
+
+    from qppfuse.fusion import RegressionModel, cv_select, lambda_max, ols_fit
+    from qppfuse.seeding import derive_seed
+
+    counts = {name: 0 for name in table.column_names}
+    for i in range(b):
+        rng = np.random.default_rng(derive_seed(seed, "bootstrap", i))
+        sample = table.subset(rng.integers(0, table.n_rows, size=table.n_rows))
+        if lambda_max(sample) > 0.0:
+            _, model = cv_select(sample, "lasso", lam_grid=lam_grid, k_folds=k_folds,
+                                 seed=derive_seed(seed, "cv", i))
+            for name in model.support:
+                counts[name] += 1
+    kept = [name for name in table.column_names if counts[name] >= threshold * b - 1e-9]
+    if not kept:
+        return RegressionModel("BOLASSO", float(table.target.mean()),
+                               {name: 0.0 for name in table.column_names},
+                               hyperparameters={"support_counts": counts})
+    refit = ols_fit(table.with_columns(kept))
+    coefficients = {name: refit.coefficients.get(name, 0.0) for name in table.column_names}
+    return RegressionModel("BOLASSO", refit.intercept, coefficients,
+                           hyperparameters={"support_counts": counts})
 
 
 def main():

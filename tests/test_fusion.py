@@ -28,6 +28,7 @@ from qppfuse.fusion import (
     write_model,
 )
 from qppfuse.seeding import derive_seed
+from tests.brute_force_reference import bolasso_full_b
 
 
 def make_table(x, y, names=None):
@@ -591,8 +592,10 @@ class TestBolasso:
 
     def test_flat_resamples_count_as_empty_supports(self):
         # target zero on five of six rows: a resample missing the sixth row is
-        # flat. x0 equals the target, so every other resample selects it; a
-        # flat resample still counts in b, so the hard intersection keeps nothing
+        # flat. x0 equals the target, so every other resample selects it. At
+        # threshold (b - flat)/b, x0 is decided only at its last non-flat
+        # resample, so its count is exact; a flat resample still counts in b,
+        # so the hard intersection keeps nothing
         rng = np.random.default_rng(31)
         y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         table = make_table(np.column_stack([y, rng.uniform(0.0, 1.0, (6, 2))]), y)
@@ -602,16 +605,18 @@ class TestBolasso:
             draw = np.random.default_rng(derive_seed(seed, "bootstrap", i))
             flat += lambda_max(table.subset(draw.integers(0, 6, size=6))) == 0.0
         assert flat >= 1
-        model = bolasso(table, b=b, threshold=1.0, k_folds=2, seed=seed)
+        model = bolasso(table, b=b, threshold=(b - flat) / b, k_folds=2, seed=seed)
         counts = model.hyperparameters["support_counts"]
         assert all(c <= b - flat for c in counts.values())
         assert counts["x0"] == b - flat
-        assert model.support == set()
+        assert "x0" in model.support
+        assert bolasso(table, b=b, threshold=1.0, k_folds=2, seed=seed).support == set()
 
     def test_flat_resamples_count_as_empty_supports_with_a_grid(self, monkeypatch):
         # with a grid given, a flat resample is still not cross-validated
         # (the grid is the full table's, not the resample's): its support is
-        # empty and it stays in b
+        # empty and it stays in b. At threshold (b - flat)/b every non-flat
+        # resample runs, since x0 needs each of them
         rng = np.random.default_rng(31)
         y = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         table = make_table(np.column_stack([y, rng.uniform(0.0, 1.0, (6, 2))]), y)
@@ -630,12 +635,38 @@ class TestBolasso:
             return result
 
         monkeypatch.setattr(fusion, "cv_select", recording_cv_select)
-        model = bolasso(table, b=b, threshold=1.0, k_folds=2, lam_grid=lambda_grid(table, num=10),
-                        seed=seed)
+        grid = lambda_grid(table, num=10)
+        model = bolasso(table, b=b, threshold=(b - flat) / b, k_folds=2, lam_grid=grid, seed=seed)
         assert len(supports) == b - flat
         counts = model.hyperparameters["support_counts"]
         assert counts["x0"] == b - flat
-        assert model.support == set()
+        assert "x0" in model.support
+        assert bolasso(table, b=b, threshold=1.0, k_folds=2, lam_grid=grid, seed=seed).support == set()
+
+    @pytest.mark.parametrize("with_grid", [False, True])
+    @pytest.mark.parametrize("threshold", [0.5, 0.8, 0.9, 1.0])
+    def test_early_stop_matches_full_b(self, threshold, with_grid):
+        # b = 15: threshold*b is an integer at 0.8 and 1.0, a half at 0.5 and 0.9
+        b, stopped, refits = 15, 0, 0
+        for seed in range(6):
+            rng = np.random.default_rng(310 + seed)
+            x = rng.standard_normal((24, 4))
+            y = 1.5 * x[:, 0] - x[:, 1] + (0.5 + seed / 2) * rng.standard_normal(24)
+            table = make_table(x, y)
+            grid = lambda_grid(table, num=8) if with_grid else None
+            model = bolasso(table, b=b, threshold=threshold, k_folds=2, lam_grid=grid, seed=seed)
+            full = bolasso_full_b(table, b=b, threshold=threshold, k_folds=2, lam_grid=grid,
+                                  seed=seed)
+            assert model.support == full.support
+            assert model.intercept == full.intercept
+            assert model.coefficients == full.coefficients
+            counts = model.hyperparameters["support_counts"]
+            assert all(c <= full.hyperparameters["support_counts"][n] for n, c in counts.items())
+            assert all(c <= model.hyperparameters["resamples"] for c in counts.values())
+            stopped += model.hyperparameters["resamples"] < b
+            refits += bool(model.support)
+        assert stopped >= 1
+        assert refits >= 1
 
     def test_needs_two_bootstraps(self):
         rng = np.random.default_rng(29)
@@ -800,6 +831,8 @@ class TestModelIo:
         write_model(model, path)
         loaded = read_model(path)
         assert loaded.hyperparameters["support_counts"] == model.hyperparameters["support_counts"]
+        assert loaded.hyperparameters["resamples"] == model.hyperparameters["resamples"]
+        assert 1 <= loaded.hyperparameters["resamples"] <= 8
         assert loaded == model
 
     def test_unparseable_hyper_value_kept_as_text(self, tmp_path):

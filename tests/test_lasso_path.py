@@ -197,7 +197,8 @@ def test_constant_target_whose_mean_rounds_is_flat():
 def test_flat_bootstrap_of_a_rounding_mean_counts_as_empty_support():
     # target 0.4 on five of six rows: a resample without the sixth row is six
     # 0.4s, flat although its mean rounds off 0.4. x0 equals the target, so
-    # every other resample selects it; the flat ones stay in b as empty supports
+    # every other resample selects it and, at threshold (b - flat)/b, is decided
+    # only at its last non-flat one; the flat ones stay in b as empty supports
     rng = np.random.default_rng(50)
     y = np.array([0.4, 0.4, 0.4, 0.4, 0.4, 1.0])
     table = make_table(np.column_stack([y, rng.uniform(0.0, 1.0, (6, 2))]), y)
@@ -207,10 +208,11 @@ def test_flat_bootstrap_of_a_rounding_mean_counts_as_empty_support():
         draw = np.random.default_rng(derive_seed(seed, "bootstrap", i))
         flat += lambda_max(table.subset(draw.integers(0, 6, size=6))) == 0.0
     assert flat >= 1
-    model = bolasso(table, b=b, threshold=1.0, k_folds=2, seed=seed)
+    model = bolasso(table, b=b, threshold=(b - flat) / b, k_folds=2, seed=seed)
     counts = model.hyperparameters["support_counts"]
     assert counts["x0"] == b - flat
-    assert model.support == set()
+    assert "x0" in model.support
+    assert bolasso(table, b=b, threshold=1.0, k_folds=2, seed=seed).support == set()
 
 
 @pytest.mark.parametrize("seed", [27, 47, 74, 97, 117])
