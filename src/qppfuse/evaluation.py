@@ -173,36 +173,53 @@ def rmse_direct(y_hat, y) -> float:
     return float(np.sqrt(np.mean((y_hat - y) ** 2)))
 
 
-def rmse_single(predictor_col, ap_col, train_idx, test_idx) -> float:
-    """Test RMSE of a one-variable least-squares fit (AP ~ predictor) on train.
+def rmse_single(predictor_col, ap_col) -> float:
+    """Leave-one-out RMSE of the one-variable least-squares fit AP ~ predictor.
 
-    A constant predictor on the train rows falls back to an intercept-only
-    fit (the train AP mean).
+    One fit on all n rows gives row i's held-out residual e_i / (1 - h_ii),
+    h_ii = 1/n + (x_i - mean x)^2 / Sxx. The leverages h_ii sum to 2, so at
+    most three rows have h_ii > 1/2; those are refit without the row by
+    :func:`single_fit_predictions`. A row whose removal leaves the column
+    exactly constant (h_ii = 1) thus gets the other rows' mean AP, and so does
+    every row of a constant column or of a 2-row design.
     """
-    train_idx = np.asarray(train_idx, dtype=int)
-    test_idx = np.asarray(test_idx, dtype=int)
-    ap_col = np.asarray(ap_col, dtype=float)
-    if np.bincount(train_idx, minlength=ap_col.size)[test_idx].any():
-        raise ValueError("train and test index sets overlap")
-    y_hat = single_fit_predictions(predictor_col, ap_col, train_idx, test_idx)
-    return rmse_direct(y_hat, ap_col[test_idx])
+    x = np.asarray(predictor_col, dtype=float)
+    y = np.asarray(ap_col, dtype=float)
+    n = x.size
+    if n < 2:
+        raise ValueError(f"need at least 2 rows, got {n}")
+    xc, yc = x - x.mean(), y - y.mean()
+    if n == 2 or (x == x[0]).all():
+        logger.info("constant predictor on the train rows of every leave-one-out fit; "
+                    "intercept-only fits")
+        return float(np.sqrt(np.mean((yc * (n / (n - 1))) ** 2)))
+    sxx = float(xc @ xc)
+    leverage = 1.0 / n + xc**2 / sxx
+    residual = yc - (float(xc @ yc) / sxx) * xc
+    low = leverage <= 0.5
+    residual[low] /= 1.0 - leverage[low]
+    for i in np.flatnonzero(~low):
+        residual[i] = y[i] - single_fit_predictions(x, y, np.delete(np.arange(n), i), [i])[0]
+    return float(np.sqrt(np.mean(residual**2)))
 
 
 def single_fit_predictions(predictor_col, ap_col, train_idx, test_idx) -> np.ndarray:
-    """Test-set predictions of the one-variable fit used by :func:`rmse_single`."""
+    """Test-set predictions of the fit AP ~ predictor on train; intercept-only if x is constant there."""
     predictor_col = np.asarray(predictor_col, dtype=float)
     ap_col = np.asarray(ap_col, dtype=float)
     train_idx = np.asarray(train_idx, dtype=int)
     test_idx = np.asarray(test_idx, dtype=int)
+    if np.bincount(train_idx, minlength=ap_col.size)[test_idx].any():
+        raise ValueError("train and test index sets overlap")
     x_tr = predictor_col[train_idx]
     y_tr = ap_col[train_idx]
     x_mean = x_tr.mean()
-    var = float(((x_tr - x_mean) ** 2).sum())
-    if var == 0.0:
+    if (x_tr == x_tr[0]).all():  # exact: six 0.4s have a mean one ulp off 0.4
         logger.info("constant predictor on the train rows; intercept-only fit")
         slope = 0.0
     else:
-        slope = float((x_tr - x_mean) @ (y_tr - y_tr.mean())) / var
+        xc = x_tr - x_mean
+        slope = float(xc @ (y_tr - y_tr.mean())) / float((xc**2).sum())
     intercept = float(y_tr.mean()) - slope * float(x_mean)
     return intercept + slope * predictor_col[test_idx]
 

@@ -2,9 +2,11 @@
 
 Everything here is computed from the raw files with plain dictionaries,
 lists, and explicit loops - no imports from the package - so the test
-suite can compare the two code paths value by value. The one exception is
-``bolasso_full_b``, which reuses the package's per-resample LASSO fit and
-OLS refit but runs all b resamples, as an oracle for BOLASSO's early stop.
+suite can compare the two code paths value by value. Two exceptions reuse
+package fits in a loop the package no longer runs: ``bolasso_full_b`` runs
+all b resamples, as an oracle for BOLASSO's early stop, and
+``loo_rmse_loop`` makes the n leave-one-out fits that ``rmse_single``
+replaces by its closed form.
 Run as a script to print the full table:
 
     python3 tests/brute_force_reference.py data/toy
@@ -249,6 +251,19 @@ def bolasso_full_b(table, b, threshold, k_folds=5, lam_grid=None, seed=0):
     coefficients = {name: refit.coefficients.get(name, 0.0) for name in table.column_names}
     return RegressionModel("BOLASSO", refit.intercept, coefficients,
                            hyperparameters={"support_counts": counts})
+
+
+def loo_rmse_loop(x, y):
+    """Leave-one-out RMSE of y ~ x from n train/test fits of ``single_fit_predictions``."""
+    from qppfuse.evaluation import single_fit_predictions
+
+    n = len(y)
+    sq_sum = 0.0
+    for i in range(n):
+        train = [j for j in range(n) if j != i]
+        y_hat = single_fit_predictions(x, y, train, [i])[0]
+        sq_sum += (float(y[i]) - float(y_hat)) ** 2
+    return math.sqrt(sq_sum / n)
 
 
 def main():

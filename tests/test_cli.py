@@ -141,6 +141,37 @@ class TestSubcommands:
             expected = loo_rmse(table.columns[cells[0]], table.target)
             assert float(cells[rmse_col]) == pytest.approx(expected, abs=5e-5)
 
+    @staticmethod
+    def _evaluate_rmse(tmp_path, columns, target):
+        n = len(target)
+        table = ScoreTable(query_ids=[f"q{i}" for i in range(n)],
+                           columns={name: np.array(v) for name, v in columns.items()},
+                           target=np.array(target))
+        table.write_tsv(tmp_path / "design.tsv")
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(f"design = {tmp_path / 'design.tsv'}\n")
+        assert run_cli("evaluate", "--config", str(cfg), "--out", str(tmp_path / "eval")) == 0
+        header, *rows = (tmp_path / "eval" / "report.tsv").read_text().splitlines()
+        rmse_col = header.split("\t").index("rmse")
+        return {cells[0]: cells[rmse_col] for cells in (row.split("\t") for row in rows)}
+
+    def test_evaluate_two_rows(self, tmp_path):
+        # each left-out row leaves one row, whose AP is the prediction
+        rmse = self._evaluate_rmse(tmp_path, {"p0": [1.0, 2.0], "p1": [5.0, 3.0]}, [0.2, 0.3])
+        assert rmse == {"p0": "0.1000", "p1": "0.1000"}
+
+    def test_evaluate_three_rows(self, tmp_path):
+        rmse = self._evaluate_rmse(tmp_path, {"p0": [1.0, 2.0, 3.0], "p1": [2.0, 1.0, 2.0]},
+                                   [0.1, 0.2, 0.3])
+        assert rmse == {"p0": "0.0000", "p1": "0.1633"}
+
+    def test_evaluate_logs_intercept_only_once_per_column(self, tmp_path, caplog):
+        caplog.set_level("INFO", logger="qppfuse.evaluation")
+        n = 30
+        self._evaluate_rmse(tmp_path, {"flat": [0.5] * n, "lone": [1.0] + [0.0] * (n - 1),
+                                       "varied": list(range(n))}, np.linspace(0.0, 1.0, n))
+        assert len([r for r in caplog.records if "intercept-only" in r.getMessage()]) == 2
+
     def test_seed_flag_changes_split_outcomes(self, toy_cfg, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli("experiment", "--config", toy_cfg, "--seed", "1", "--out", str(out_a))

@@ -14,10 +14,12 @@ from qppfuse.evaluation import (
     predictor_correlation_matrix,
     rmse_direct,
     rmse_single,
+    single_fit_predictions,
     smare,
     write_corr_matrix_tsv,
     write_report_tsv,
 )
+from tests.brute_force_reference import loo_rmse_loop
 
 
 def kendall_brute_force(a, b):
@@ -168,20 +170,119 @@ class TestRmse:
     def test_single_exact_linear_gives_zero(self):
         x = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         y = 0.1 + 0.15 * x
-        assert rmse_single(x, y, [0, 2, 4], [1, 3, 5]) == pytest.approx(0.0, abs=1e-12)
+        y_hat = single_fit_predictions(x, y, [0, 2, 4], [1, 3, 5])
+        assert rmse_direct(y_hat, y[[1, 3, 5]]) == pytest.approx(0.0, abs=1e-12)
 
     def test_intercept_only_fallback(self):
         x = np.array([2.0, 2.0, 2.0, 5.0, 7.0])
         y = np.array([0.1, 0.3, 0.5, 0.2, 0.8])
-        out = rmse_single(x, y, [0, 1, 2], [3, 4])
+        out = rmse_direct(single_fit_predictions(x, y, [0, 1, 2], [3, 4]), y[[3, 4]])
         train_mean = y[:3].mean()
         expected = math.sqrt(((y[3] - train_mean) ** 2 + (y[4] - train_mean) ** 2) / 2)
         assert out == pytest.approx(expected, abs=1e-12)
 
+    def test_intercept_only_when_train_x_is_exactly_constant(self):
+        x = np.array([0.4] * 6 + [0.9])  # the mean of six 0.4s is one ulp off 0.4
+        y = np.array([0.1, 0.5, 0.2, 0.7, 0.3, 0.6, 0.9])
+        assert single_fit_predictions(x, y, range(6), [6]) == [y[:6].mean()]
+        # the left-out 0.9 row leaves six 0.4s: its residual is 0.9 - mean AP
+        assert rmse_single(x, y) == pytest.approx(loo_rmse_loop(x, y), rel=1e-15, abs=0.0)
+
     def test_overlapping_indices_rejected(self):
         x = np.arange(4.0)
         with pytest.raises(ValueError, match="overlap"):
-            rmse_single(x, x, [0, 1], [1, 2])
+            rmse_direct(single_fit_predictions(x, x, [0, 1], [1, 2]), x[[1, 2]])
+
+
+def _loo_design(seed, kind, n):
+    rng = np.random.default_rng([seed, n])
+    y = rng.uniform(0.0, 1.0, n)
+    if kind == "continuous":
+        x = rng.standard_normal(n)
+    elif kind == "ties":  # a few levels, so some rows share a value with many others
+        x = rng.integers(0, 3, n) * 0.3
+    elif kind == "heavy":  # heavy tails: rows with leverage above 1/2
+        x = rng.standard_normal(n) ** 5
+    elif kind == "duplicated":  # every value twice or more
+        x = np.repeat(rng.uniform(0.0, 1.0, (n + 1) // 2), 2)[:n]
+        rng.shuffle(x)
+    else:  # min-max scaled, as the CLI passes it: a 0 and a 1 per column
+        x = rng.standard_normal(n)
+        x = (x - x.min()) / (x.max() - x.min())
+    return x, y
+
+
+class TestRmseSingleLeaveOneOut:
+    """The closed form against n train/test fits of ``single_fit_predictions``."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "heavy", "duplicated", "scaled"])
+    @pytest.mark.parametrize("n", [4, 5, 9, 40, 301])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_loop_oracle(self, seed, kind, n):
+        x, y = _loo_design(seed, kind, n)
+        assert rmse_single(x, y) == pytest.approx(loo_rmse_loop(x, y), rel=1e-12, abs=0.0)
+
+    def test_constant_column_is_intercept_only(self):
+        x = np.full(5, 0.4)  # its rounded mean is one ulp off 0.4
+        y = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        # every held-out row is predicted by the mean of the other four
+        expected = math.sqrt(np.mean([(y[i] - np.delete(y, i).mean()) ** 2 for i in range(5)]))
+        assert rmse_single(x, y) == expected == loo_rmse_loop(x, y)
+
+    def test_constant_except_one_row(self):
+        x = np.array([3.0, 3.0, 3.0, 3.0, 7.0])
+        y = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        # row 4 left out leaves x constant: the mean of the others, 0.375;
+        # a row at x = 3 left out: the mean of the other three at x = 3
+        residuals = [y[i] - np.delete(y[:4], i).mean() for i in range(4)] + [1.0 - 0.375]
+        expected = math.sqrt(np.mean(np.square(residuals)))
+        assert rmse_single(x, y) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert rmse_single(x, y) == pytest.approx(loo_rmse_loop(x, y), rel=1e-15, abs=0.0)
+
+    def test_lone_row_on_either_side(self):
+        y = np.array([0.1, 0.7, 0.2, 0.9])
+        for x in ([0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0], [5.0, 5.0, -2.0, 5.0]):
+            x = np.array(x)
+            assert rmse_single(x, y) == pytest.approx(loo_rmse_loop(x, y), rel=1e-15, abs=0.0)
+
+    def test_two_rows(self):
+        # each row left out leaves one row: an intercept-only fit at its AP
+        x, y = np.array([1.0, 2.0]), np.array([0.25, 0.75])
+        assert rmse_single(x, y) == 0.5 == loo_rmse_loop(x, y)
+        assert rmse_single(np.array([0.0, 0.0]), y) == 0.5
+
+    def test_three_rows(self):
+        y = np.array([0.25, 0.5, 0.75])
+        assert rmse_single(np.array([1.0, 2.0, 3.0]), y) == 0.0
+        # row 1 left out: x = 2 twice, mean AP 0.5, residual 0; rows 0 and 2:
+        # the line through the other two predicts AP 0.25 away, residual 0.5
+        x = np.array([2.0, 1.0, 2.0])
+        assert rmse_single(x, y) == pytest.approx(math.sqrt(0.5 / 3), rel=1e-15, abs=0.0)
+        assert rmse_single(x, y) == pytest.approx(loo_rmse_loop(x, y), rel=1e-15, abs=0.0)
+
+    def test_perfect_linear_fit(self):
+        x = np.array([0.0, 1.0, 2.0, 3.0])
+        y = 0.5 + 0.25 * x
+        assert rmse_single(x, y) == 0.0 == loo_rmse_loop(x, y)
+
+    def test_one_row_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            rmse_single([0.5], [0.5])
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-9, 1e-15, 1e-17])
+    def test_nearly_constant_rest(self, eps):
+        # the row at 1 has 1 - h_ii near eps^2: it is refit, never divided by
+        x = np.r_[np.zeros(8), eps, 1.0]
+        y = np.linspace(0.1, 0.9, 10)
+        assert rmse_single(x, y) == pytest.approx(loo_rmse_loop(x, y), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x,logs", [
+        (np.zeros(50), 1), (np.r_[1.0, np.zeros(49)], 1), (np.arange(50.0), 0),
+        (np.array([0.0, 1.0]), 1)], ids=["constant", "lone-row", "varied", "two-rows"])
+    def test_intercept_only_logged_at_most_once(self, caplog, x, logs):
+        caplog.set_level("INFO", logger="qppfuse.evaluation")
+        rmse_single(x, np.linspace(0.0, 1.0, x.size))
+        assert sum("intercept-only" in r.getMessage() for r in caplog.records) == logs
 
 
 class TestSmare:
