@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import fusion
-from .corpus import TokenizerConfig, build_index, dump_stats, ingest, load_lexicon, load_queries
+from .corpus import build_index, dump_stats, ingest, load_lexicon
 from .evaluation import (
     predictor_correlation_matrix,
     report_row,
@@ -20,8 +20,8 @@ from .evaluation import (
     write_corr_matrix_tsv,
     write_report_tsv,
 )
-from .experiment import ExperimentConfig, HarnessError, fit_combiner, run_experiment
-from .post_retrieval import compute_post_scores
+from .experiment import (ExperimentConfig, HarnessError, fit_combiner, load_corpus,
+                         post_scores, run_experiment)
 from .pre_retrieval import compute_pre_scores, write_scores_long, write_scores_wide
 from .retrieval import retrieve, write_run_file
 
@@ -42,29 +42,18 @@ def _load_config(args) -> ExperimentConfig:
     return config
 
 
-def _build(config: ExperimentConfig, tok: TokenizerConfig):
-    docs = ingest(config.docs, config.corpus_format)
-    return build_index(docs, tok)
-
-
 def cmd_index(config: ExperimentConfig) -> None:
-    index = _build(config, config.tokenizer_config())
+    # not load_corpus: a config without corpus.queries can still be indexed
+    index = build_index(ingest(config.docs, config.corpus_format), config.tokenizer_config())
     out = Path(config.out)
     dump_stats(index, out / "index_stats.txt")
     print(f"indexed {index.n_docs} documents, {len(index.postings)} terms, "
           f"{index.total_tokens} tokens -> {out}")
 
 
-def _retrieve_all(config: ExperimentConfig):
-    tok = config.tokenizer_config()
-    index = _build(config, tok)
-    queries = load_queries(config.queries, tok)
-    ranked = [retrieve(index, q, k=config.k, mu=config.mu) for q in queries]
-    return index, queries, ranked
-
-
 def cmd_retrieve(config: ExperimentConfig) -> None:
-    _, _, ranked = _retrieve_all(config)
+    index, queries = load_corpus(config)
+    ranked = [retrieve(index, q, k=config.k, mu=config.mu) for q in queries]
     path = Path(config.out) / "run.txt"
     write_run_file(path, (r for r in ranked if len(r) > 0))
     n_degenerate = sum(1 for r in ranked if r.degenerate)
@@ -72,9 +61,7 @@ def cmd_retrieve(config: ExperimentConfig) -> None:
 
 
 def cmd_predict_pre(config: ExperimentConfig) -> None:
-    tok = config.tokenizer_config()
-    index = _build(config, tok)
-    queries = load_queries(config.queries, tok)
+    index, queries = load_corpus(config)
     lexicon = load_lexicon(config.lexicon) if config.lexicon else None
     scores = {
         q.query_id: compute_pre_scores(index, q, lexicon, distinct=config.distinct_terms)
@@ -87,17 +74,15 @@ def cmd_predict_pre(config: ExperimentConfig) -> None:
 
 
 def cmd_predict_post(config: ExperimentConfig) -> None:
-    index, queries, ranked = _retrieve_all(config)
+    index, queries = load_corpus(config)
     scores = {}
     skipped = []
-    for query, rl in zip(queries, ranked):
-        if rl.degenerate or len(rl) == 0:
+    for query in queries:
+        ranked = retrieve(index, query, k=config.k, mu=config.mu)
+        if len(ranked) == 0:
             skipped.append(query.query_id)
             continue
-        values = compute_post_scores(
-            index, query, rl, k_fb=config.k_fb, wig_k=config.wig_k,
-            nqc_k=config.nqc_k, uef_m=config.uef_m, mu=config.mu,
-            uef_sim=config.uef_sim)
+        values = post_scores(config, index, query, ranked)
         scores[query.query_id] = {
             k: (float("nan") if v is None else v) for k, v in values.items()
         }

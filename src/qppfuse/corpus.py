@@ -175,9 +175,11 @@ _TREC_TEXT = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 def _ingest_trec(path: Path) -> list[Document]:
     raw = path.read_text(encoding="utf-8")
     docs, seen = [], set()
+    lineno, counted_to = 1, 0  # newlines are counted once, from the previous <DOC> on
     for m in _TREC_DOC.finditer(raw):
         block = m.group(1)
-        lineno = raw.count("\n", 0, m.start()) + 1
+        lineno += raw.count("\n", counted_to, m.start())
+        counted_to = m.start()
         docno = _TREC_DOCNO.search(block)
         if docno is None:
             raise CorpusError(f"{path}:{lineno}: <DOC> without <DOCNO>")

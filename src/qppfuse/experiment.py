@@ -57,6 +57,8 @@ __all__ = [
     "split_leave_one_out",
     "split_fixed",
     "import_external_scores",
+    "load_corpus",
+    "post_scores",
     "build_score_table",
     "fit_combiner",
     "run_experiment",
@@ -384,6 +386,20 @@ def import_external_scores(path, expected_qids) -> dict[str, float]:
     return {qid: scores[qid] for qid in expected_qids}
 
 
+def load_corpus(config: ExperimentConfig):
+    """The index and the tokenized queries, under one reading of the tokenizer settings."""
+    tok = config.tokenizer_config()
+    index = build_index(ingest(config.docs, config.corpus_format), tok)
+    return index, load_queries(config.queries, tok)
+
+
+def post_scores(config: ExperimentConfig, index, query, ranked) -> dict[str, float | None]:
+    """The six post-retrieval values of one query under the config's settings."""
+    return compute_post_scores(
+        index, query, ranked, k_fb=config.k_fb, wig_k=config.wig_k, nqc_k=config.nqc_k,
+        uef_m=config.uef_m, mu=config.mu, uef_sim=config.uef_sim)
+
+
 def build_score_table(config: ExperimentConfig):
     """Index, retrieve, and score every query; returns the table and context.
 
@@ -394,24 +410,21 @@ def build_score_table(config: ExperimentConfig):
         raise HarnessError("AvP/AvNP require corpus.lexicon")
     if not (config.pre_predictors or config.post_predictors or config.external_scores):
         raise HarnessError("no predictor: set predictors.pre, predictors.post or external.scores")
-    tok = config.tokenizer_config()
-    docs = ingest(config.docs, config.corpus_format)
-    index = build_index(docs, tok)
-    queries = load_queries(config.queries, tok)
+    index, queries = load_corpus(config)
     qrels = load_qrels(config.qrels)
     lexicon = load_lexicon(config.lexicon) if config.lexicon else None
 
+    names = list(config.pre_predictors) + list(config.post_predictors)
+    columns: dict[str, list] = {name: [] for name in names}
     excluded: dict[str, str] = {}
-    rows: dict[str, dict[str, float]] = {}
-    aps: dict[str, float] = {}
-    ranked_lists = []
+    qids, aps, ranked_lists = [], [], []
     for query in queries:
         qid = query.query_id
         if query.is_empty:
             excluded[qid] = "empty after tokenization"
             continue
         ranked = retrieve(index, query, k=config.k, mu=config.mu)
-        if ranked.degenerate or len(ranked) == 0:
+        if len(ranked) == 0:
             excluded[qid] = "no query term occurs in the collection"
             continue
         ranked_lists.append(ranked)
@@ -419,42 +432,22 @@ def build_score_table(config: ExperimentConfig):
         if ap is None:
             excluded[qid] = "no relevant documents in qrels"
             continue
-        pre = compute_pre_scores(index, query, lexicon, distinct=config.distinct_terms)
-        post = compute_post_scores(
-            index, query, ranked,
-            k_fb=config.k_fb, wig_k=config.wig_k, nqc_k=config.nqc_k,
-            uef_m=config.uef_m, mu=config.mu, uef_sim=config.uef_sim,
-        )
-        row = {}
-        undefined = []
-        for name in config.pre_predictors:
-            row[name] = pre[name]
-        for name in config.post_predictors:
-            value = post[name]
-            if value is None:
-                undefined.append(name)
-            else:
-                row[name] = value
+        scores = compute_pre_scores(index, query, lexicon, distinct=config.distinct_terms)
+        scores |= post_scores(config, index, query, ranked)
+        undefined = [name for name in names if scores[name] is None]
         if undefined:
             excluded[qid] = f"undefined predictor values: {', '.join(undefined)}"
             continue
-        rows[qid] = row
-        aps[qid] = ap
+        for name in names:
+            columns[name].append(scores[name])
+        qids.append(qid)
+        aps.append(ap)
 
-    if not rows:
+    if not qids:
         raise HarnessError("no usable queries remain after exclusions")
-    qids = list(rows.keys())
     for name, score_path in config.external_scores:
-        column = import_external_scores(score_path, qids)
-        for qid in qids:
-            rows[qid][name] = column[qid]
-
-    names = list(config.pre_predictors) + list(config.post_predictors) + [
-        n for n, _ in config.external_scores
-    ]
-    columns = {n: np.array([rows[q][n] for q in qids]) for n in names}
-    table = ScoreTable(query_ids=qids, columns=columns,
-                       target=np.array([aps[q] for q in qids]))
+        columns[name] = list(import_external_scores(score_path, qids).values())
+    table = ScoreTable(query_ids=qids, columns=columns, target=aps)
     return table, excluded, ranked_lists, index
 
 
@@ -586,7 +579,7 @@ class HypothesisReport:
     delta_tau: float
     delta_smare: float
     delta_rmse: float
-    consistent: bool
+    consistent: bool | None  # None when delta_rho is undefined
     thresholds: dict = field(default_factory=dict)
 
 
@@ -626,7 +619,9 @@ def hypothesis_report(corr_matrix: CorrMatrix, single_rows, combined_rows,
     delta_tau = _best(combined_rows, "tau") - _best(single_rows, "tau")
     delta_smare = _best(combined_rows, "smare", True) - _best(single_rows, "smare", True)
     delta_rmse = _best(combined_rows, "rmse", True) - _best(single_rows, "rmse", True)
-    if regime == "H1":
+    if math.isnan(delta_rho):
+        consistent = None
+    elif regime == "H1":
         consistent = delta_rho <= 0.01
     elif regime == "H2":
         consistent = delta_rho > 0.0
@@ -746,7 +741,8 @@ def write_hypothesis_tsv(path, report: HypothesisReport) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("field\tvalue\n")
         fh.write(f"regime\t{report.regime}\n")
-        fh.write(f"consistent\t{str(report.consistent).lower()}\n")
+        verdict = "nan" if report.consistent is None else str(report.consistent).lower()
+        fh.write(f"consistent\t{verdict}\n")
         for name in ("mean_rho", "min_rho", "frac_negative",
                      "delta_rho", "delta_tau", "delta_smare", "delta_rmse"):
             fh.write(f"{name}\t{format_metric(getattr(report, name))}\n")

@@ -84,3 +84,25 @@ def test_design_eval_commands_open_every_layer_span(tmp_path, tracer):
         if run.DESIGN not in workloads or sources == ("setup.import",):
             continue  # the worker times the import itself, outside any wrapped call
         assert seen.intersection(sources), f"{metric}: no {'/'.join(sources)} span"
+
+
+def test_run_experiment_calls_evaluate_split_once_per_split(toy_dir):
+    # the toy worker samples the CPU speed from a wrapper patched over evaluate_split
+    from qppfuse.experiment import ExperimentConfig, evaluate_split, run_experiment
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return evaluate_split(*args, **kwargs)
+
+    config = ExperimentConfig.from_file(toy_dir / "experiment.cfg")
+    config.repeats = 3
+    undo: list = []
+    spans.patch_everywhere(evaluate_split, counted, undo)
+    try:
+        result = run_experiment(config)
+    finally:
+        spans.restore(undo)
+    assert calls == list(result.plan.pairs)
+    assert len(calls) == 3

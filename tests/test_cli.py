@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,12 @@ class TestSubcommands:
         assert stats[1].startswith("N\t50")
         assert "indexed 50 documents" in capsys.readouterr().out
 
+    def test_index_needs_no_queries(self, toy_dir, toy_index, tmp_path):
+        config = tmp_path / "docs_only.cfg"
+        config.write_text(f"corpus.docs = {toy_dir / 'docs.jsonl'}\n")
+        assert run_cli("index", "--config", str(config), "--out", str(tmp_path)) == 0
+        assert load_stats(tmp_path / "index_stats.txt") == toy_index
+
     def test_retrieve(self, toy_cfg, tmp_path):
         out = tmp_path / "run"
         assert run_cli("retrieve", "--config", toy_cfg, "--out", str(out)) == 0
@@ -77,6 +85,34 @@ class TestSubcommands:
         assert len(long_lines) == 12 * 6
         names = {line.split("\t")[1] for line in long_lines}
         assert names == {"Clarity", "WIG", "NQC", "UEF-NQC", "UEF-WIG", "UEF-Clarity"}
+
+    def test_corpus_subcommands_match_the_experiment_table(self, toy_cfg, tmp_path):
+        # one query stage: predict-pre and predict-post see what the experiment scores
+        for cmd in ("predict-pre", "predict-post", "experiment"):
+            assert run_cli(cmd, "--config", toy_cfg, "--out", str(tmp_path / cmd)) == 0
+        table = ScoreTable.read_tsv(tmp_path / "experiment" / "score_table.tsv")
+        assert len(table.query_ids) == 12
+        assert table.column_names == ["MaxIDF", "AvgSCQ", "NQC", "Clarity"]
+        for cmd, wide in (("predict-pre", "pre_scores_wide.tsv"),
+                          ("predict-post", "post_scores_wide.tsv")):
+            header, *rows = (tmp_path / cmd / wide).read_text().splitlines()
+            names = header.split("\t")[1:]
+            cells = {row.split("\t")[0]: dict(zip(names, row.split("\t")[1:])) for row in rows}
+            assert list(cells) == table.query_ids
+            for name in set(names) & set(table.column_names):
+                assert [cells[q][name] for q in table.query_ids] == [
+                    f"{v:.6f}" for v in table.columns[name]], name
+
+    def test_bad_lexicon_fails_only_the_commands_that_read_it(self, toy_dir, tmp_path, capsys):
+        bundle = tmp_path / "toy"
+        shutil.copytree(toy_dir, bundle)
+        (bundle / "lexicon.tsv").write_text("dog\tmany\t1\n")
+        config = str(bundle / "experiment.cfg")
+        for cmd, code in (("index", 0), ("retrieve", 0), ("predict-post", 0),
+                          ("predict-pre", 1), ("experiment", 1)):
+            capsys.readouterr()
+            assert run_cli(cmd, "--config", config, "--out", str(tmp_path / cmd)) == code, cmd
+            assert ("lexicon.tsv:1: non-integer sense count" in capsys.readouterr().err) == code
 
     def test_experiment_then_design_consumers(self, toy_cfg, toy_dir, tmp_path):
         out = tmp_path / "exp"

@@ -153,6 +153,23 @@ class TestIngest:
         with pytest.raises(CorpusError, match=rf"docs\.{fmt}:{line}: empty doc_id$"):
             ingest(path, fmt)
 
+    @pytest.mark.parametrize("bad, message", [
+        ("<DOC>\n<TEXT>x</TEXT>\n</DOC>\n", "<DOC> without <DOCNO>"),
+        ("<DOC>\n<DOCNO>d7</DOCNO>\n</DOC>\n", "<DOC> without <TEXT>"),
+        (_TREC_DOC.format("d7", "again"), "duplicate doc_id 'd7'"),
+        (_TREC_DOC.format(" ", "b"), "empty doc_id"),
+    ], ids=["no-docno", "no-text", "duplicate", "empty-id"])
+    def test_trec_error_deep_in_file_reports_line(self, tmp_path, bad, message):
+        # 2,000 documents of 4 to 6 lines each, then the bad one
+        good = "".join(self._TREC_DOC.format(f"d{i}", "w\n" * (i % 3) + "w")
+                       for i in range(2000))
+        line = good.count("\n") + 1
+        path = tmp_path / "docs.trec"
+        path.write_text(good + bad + self._TREC_DOC.format("d9999", "tail"))
+        with pytest.raises(CorpusError) as err:
+            ingest(path, "trec")
+        assert str(err.value) == f"{path}:{line}: {message}"
+
     def test_malformed_reports_line(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id":"d1","text":"a"}\nnot json\n')

@@ -21,6 +21,7 @@ from qppfuse.experiment import (
     split_leave_one_out,
     split_predictions,
     split_random_halves,
+    write_hypothesis_tsv,
 )
 from qppfuse.fusion import ScoreTable, cv_select, fit_penalized, lambda_grid, lasso_kkt_residual
 from qppfuse.seeding import derive_seed
@@ -548,3 +549,24 @@ class TestHypothesisReport:
         matrix = self._matrix([[1.0, 0.4], [0.4, 1.0]])
         report = hypothesis_report(matrix, _rows(a=0.5), _rows(ols=0.5))
         assert report.regime == "none"
+
+    @pytest.mark.parametrize("pairwise", [
+        [[1.0, 0.9], [0.9, 1.0]],  # H1
+        [[1.0, 0.1], [0.1, 1.0]],  # H2
+        [[1.0, -0.4], [-0.4, 1.0]],  # H3
+        [[1.0, 0.4], [0.4, 1.0]],  # none
+    ], ids=["H1", "H2", "H3", "none"])
+    def test_undefined_delta_gives_no_verdict(self, pairwise, tmp_path):
+        # a combiner whose every split predicts a constant has rho nan
+        report = hypothesis_report(self._matrix(pairwise), _rows(a=0.5), _rows(bolasso=math.nan))
+        assert math.isnan(report.delta_rho)
+        assert report.consistent is None
+        write_hypothesis_tsv(tmp_path / "hypothesis.tsv", report)
+        lines = (tmp_path / "hypothesis.tsv").read_text().splitlines()
+        assert "consistent\tnan" in lines and "delta_rho\tnan" in lines
+
+    def test_toy_bolasso_alone_gives_no_verdict(self, toy_dir, tmp_path):
+        # BOLASSO keeps no toy column, so its predictions are constant on every split
+        run_experiment(toy_config(toy_dir, out=tmp_path, combiners=("BOLASSO",), repeats=3))
+        lines = (tmp_path / "hypothesis.tsv").read_text().splitlines()
+        assert "consistent\tnan" in lines and "delta_rho\tnan" in lines
