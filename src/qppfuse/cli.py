@@ -47,7 +47,7 @@ def cmd_index(config: ExperimentConfig) -> None:
     index = build_index(ingest(config.docs, config.corpus_format), config.tokenizer_config())
     out = Path(config.out)
     dump_stats(index, out / "index_stats.txt")
-    print(f"indexed {index.n_docs} documents, {len(index.postings)} terms, "
+    print(f"indexed {index.n_docs} documents, {len(index.terms)} terms, "
           f"{index.total_tokens} tokens -> {out}")
 
 

@@ -1,16 +1,23 @@
 """Corpus ingestion, tokenization, and the immutable inverted index.
 
 The index stores every statistic the predictors need: document count N,
-total token count |C|, per-document lengths, postings with term frequencies,
-document frequencies df and collection frequencies cf.
+total token count |C|, per-document lengths, document frequencies df,
+collection frequencies cf, and the term frequencies as int32 compressed rows
+in both directions (term -> documents, document -> terms), built by sorting
+integer token keys.
 """
 
 import json
 import logging
 import re
-from collections import Counter, defaultdict
+from array import array
+from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 __all__ = [
     "CorpusError",
@@ -19,7 +26,9 @@ __all__ = [
     "Qrels",
     "SenseLexicon",
     "TokenizerConfig",
+    "Rows",
     "Index",
+    "key_dtype",
     "tokenize",
     "ingest",
     "build_index",
@@ -217,29 +226,169 @@ def ingest(path, format: str) -> list[Document]:
     return readers[format](path)
 
 
+def key_dtype(n_rows: int, width: int):
+    """The type of ``row * width + col`` sort keys: int32 while n_rows * width,
+    their bound, is below 2^31; int64 beyond (10^5 documents x 21,475 terms)."""
+    return np.int32 if n_rows * width < 2**31 else np.int64
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Compressed sparse rows: row r holds the columns ``cols[ptr[r]:ptr[r + 1]]``
+    (int32, strictly ascending) and their tfs (int32). The arrays are read-only."""
+
+    ptr: np.ndarray
+    cols: np.ndarray
+    tfs: np.ndarray
+
+    def __post_init__(self):
+        for values in (self.ptr, self.cols, self.tfs):
+            values.flags.writeable = False
+
+    def __eq__(self, other):
+        return isinstance(other, Rows) and all(map(np.array_equal, (self.ptr, self.cols, self.tfs),
+                                                   (other.ptr, other.cols, other.tfs)))
+
+    def row(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """The columns and tfs of row ``r``."""
+        return self.cols[self.ptr[r]:self.ptr[r + 1]], self.tfs[self.ptr[r]:self.ptr[r + 1]]
+
+    def take(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The cells of ``rows``, row after row: the position in ``rows`` of
+        each cell's row, the cell's column and its tf."""
+        rows = np.asarray(rows, dtype=np.intp)
+        starts, sizes = self.ptr[rows], self.ptr[rows + 1] - self.ptr[rows]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        at = np.arange(len(owner)) + (starts - np.cumsum(sizes) + sizes)[owner]
+        return owner, self.cols[at], self.tfs[at]
+
+    def sums(self) -> np.ndarray:
+        """The tf sum of every row."""
+        cumulative = np.concatenate([[0], np.cumsum(self.tfs, dtype=np.int64)])
+        return cumulative[self.ptr[1:]] - cumulative[self.ptr[:-1]]
+
+
+RUN_CHUNK = 1 << 18  # tokens per step of the run-length count
+
+
+def _rows(keys: np.ndarray, n_rows: int, width: int) -> tuple[Rows, np.ndarray]:
+    """Sorts the token keys ``row * width + col`` in place; returns their rows,
+    a key's repeats being its tf, and the token count of each row."""
+    keys.sort()
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    cells = keys[first]
+    # tfs holds the run starts, then in place their differences; chunks keep
+    # int64 positions from being the build's largest array
+    tfs = np.empty(cells.size + 1, dtype=np.int32)
+    tfs[-1] = keys.size
+    n = 0
+    for lo in range(0, keys.size, RUN_CHUNK):
+        starts = np.flatnonzero(first[lo:lo + RUN_CHUNK]) + lo
+        tfs[n:n + starts.size] = starts
+        n += starts.size
+    del first
+    for lo in range(0, cells.size, RUN_CHUNK):
+        hi = min(lo + RUN_CHUNK, cells.size)
+        tfs[lo:hi] = tfs[lo + 1:hi + 1] - tfs[lo:hi]
+    bounds = np.arange(n_rows + 1, dtype=keys.dtype) * keys.dtype.type(width)
+    ptr = np.searchsorted(cells, bounds)
+    np.remainder(cells, width, out=cells)
+    return (Rows(ptr, cells.astype(np.int32, copy=False), tfs[:-1]),
+            np.diff(np.searchsorted(keys, bounds)))
+
+
+def _from_tokens(n_docs, total_tokens, doc_len, terms, doc_ids, term_of, doc_of) -> "Index":
+    """The Index of the tokens numbered ``term_of`` in the sorted ``terms`` and
+    ``doc_of`` in the sorted ``doc_ids``: the one builder of the arrays. The
+    token arrays are overwritten; pass them as temporaries, so they free early."""
+    n_terms, n = len(terms), len(doc_ids)
+    keys = term_of.astype(key_dtype(n_terms, n), copy=False)
+    del term_of
+    keys *= n
+    keys += doc_of
+    del doc_of
+    by_term, cf = _rows(keys, n_terms, n)
+    term = keys // n  # to doc * n_terms + term, in place
+    np.remainder(keys, n, out=keys)
+    keys *= n_terms
+    keys += term
+    del term
+    by_doc, _ = _rows(keys, n, n_terms)
+    del keys
+    return Index(n_docs, total_tokens, doc_len, dict(zip(terms, np.diff(by_term.ptr).tolist())),
+                 dict(zip(terms, cf.tolist())), tuple(terms), tuple(doc_ids), by_term, by_doc)
+
+
+class _PostingsView(Mapping):
+    """term -> {doc_id: tf} in ascending doc_id order, a new dict on each access."""
+
+    def __init__(self, index: "Index"):
+        self._index = index
+
+    def __getitem__(self, term: str) -> dict[str, int]:
+        docs, tfs = self._index.by_term.row(self._index.term_row[term])
+        return dict(zip(map(self._index.doc_ids.__getitem__, docs.tolist()), tfs.tolist()))
+
+    def __iter__(self):
+        return iter(self._index.terms)
+
+    def __len__(self) -> int:
+        return len(self._index.terms)
+
+
 @dataclass(frozen=True)
 class Index:
     """Immutable inverted index with collection statistics.
 
-    Mapping fields are plain dicts for speed; they must be treated as
-    read-only. ``postings[term]`` maps doc_id -> tf with keys in ascending
-    doc_id order; read a term frequency as ``postings[term].get(doc_id, 0)``.
+    Term numbers follow the sorted ``terms``, document numbers the sorted
+    ``doc_ids``. ``by_term`` has a row per term of document numbers and tfs
+    (retrieval, VAR); ``by_doc``, its transpose, a row per document of term
+    numbers and tfs (RM1, the RM re-ranking). ``doc_len``, ``df`` and ``cf``
+    are plain dicts in those orders, to be treated as read-only.
+    ``postings`` is a mapping view for dumps and checks, not for scoring.
     """
 
     n_docs: int
     total_tokens: int
     doc_len: dict[str, int] = field(repr=False)
-    postings: dict[str, dict[str, int]] = field(repr=False)
     df: dict[str, int] = field(repr=False)
     cf: dict[str, int] = field(repr=False)
+    terms: tuple[str, ...] = field(repr=False)
+    doc_ids: tuple[str, ...] = field(repr=False)
+    by_term: Rows = field(repr=False)
+    by_doc: Rows = field(repr=False)
 
     @classmethod
     def from_postings(cls, n_docs: int, total_tokens: int, doc_len: dict[str, int],
                       postings: dict[str, dict[str, int]]) -> "Index":
-        """An Index whose df and cf are derived from ``postings``."""
-        return cls(n_docs=n_docs, total_tokens=total_tokens, doc_len=doc_len, postings=postings,
-                   df={t: len(p) for t, p in postings.items()},
-                   cf={t: sum(p.values()) for t, p in postings.items()})
+        """An Index of ``postings`` (term -> {doc_id: tf}); df and cf are derived
+        from it. Documents missing from ``doc_len`` are numbered for validate."""
+        terms = sorted(postings)
+        doc_ids = sorted(doc_len.keys() | {d for plist in postings.values() for d in plist})
+        doc_row = dict(zip(doc_ids, range(len(doc_ids))))
+        sizes = [len(postings[t]) for t in terms]
+        tfs = np.fromiter((tf for t in terms for tf in postings[t].values()), np.int64, sum(sizes))
+        docs = np.fromiter((doc_row[d] for t in terms for d in postings[t]), np.int64, sum(sizes))
+        return _from_tokens(n_docs, total_tokens, doc_len, terms, doc_ids,
+                            np.repeat(np.repeat(np.arange(len(terms)), sizes), tfs),
+                            np.repeat(docs, tfs))
+
+    @cached_property
+    def term_row(self) -> dict[str, int]:
+        """term -> its number, the row of ``by_term``."""
+        return dict(zip(self.terms, range(len(self.terms))))
+
+    @cached_property
+    def doc_row(self) -> dict[str, int]:
+        """doc_id -> its number, the row of ``by_doc``."""
+        return dict(zip(self.doc_ids, range(len(self.doc_ids))))
+
+    @property
+    def postings(self) -> Mapping[str, dict[str, int]]:
+        """term -> {doc_id: tf}, ascending doc_id; each access builds a new dict."""
+        return _PostingsView(self)
 
     def validate(self) -> None:
         """Check the structural invariants; raises CorpusError on violation."""
@@ -247,25 +396,26 @@ class Index:
             raise CorpusError(f"N = {self.n_docs} but {len(self.doc_len)} documents")
         if sum(self.doc_len.values()) != self.total_tokens:
             raise CorpusError("sum of doc lengths != total_tokens")
-        tf_sums = dict.fromkeys(self.doc_len, 0)
-        for term, plist in self.postings.items():
-            if not 1 <= self.df[term] <= self.n_docs:
-                raise CorpusError(f"df out of range for {term!r}")
-            if self.df[term] != len(plist):
-                raise CorpusError(f"df != |postings| for {term!r}")
-            if self.cf[term] != sum(plist.values()):
-                raise CorpusError(f"cf != sum tf for {term!r}")
-            if self.cf[term] < self.df[term]:
-                raise CorpusError(f"cf < df for {term!r}")
-            if not plist.keys() <= tf_sums.keys():
-                unknown = sorted(plist.keys() - tf_sums.keys())
-                raise CorpusError(f"postings of {term!r} name unknown documents {unknown}")
-            if list(plist) != sorted(plist):
-                raise CorpusError(f"postings not ascending for {term!r}")
-            for doc_id, tf in plist.items():
-                tf_sums[doc_id] += tf
-        if tf_sums != self.doc_len:
-            bad = sorted(d for d, n in self.doc_len.items() if tf_sums[d] != n)
+        ptr, docs = self.by_term.ptr, self.by_term.cols
+        df = np.array([self.df[t] for t in self.terms], dtype=np.int64)
+        cf = np.array([self.cf[t] for t in self.terms], dtype=np.int64)
+        row = np.repeat(np.arange(len(self.terms)), np.diff(ptr))  # of every cell
+        descending = row[1:][(docs[1:] <= docs[:-1]) & (row[1:] == row[:-1])]
+        for broken, message in (((df < 1) | (df > self.n_docs), "df out of range"),
+                                (df != np.diff(ptr), "df != |postings|"),
+                                (cf != self.by_term.sums(), "cf != sum tf"),
+                                (cf < df, "cf < df"),
+                                (np.isin(np.arange(len(df)), descending), "postings not ascending")):
+            if broken.any():
+                raise CorpusError(f"{message} for {self.terms[np.argmax(broken)]!r}")
+        known = np.array([d in self.doc_len for d in self.doc_ids], dtype=bool)
+        if not known[docs].all():
+            term = row[np.argmax(~known[docs])]
+            unknown = [self.doc_ids[d] for d in self.by_term.row(term)[0] if not known[d]]
+            raise CorpusError(f"postings of {self.terms[term]!r} name unknown documents {unknown}")
+        tf_sums = dict(zip(self.doc_ids, self.by_doc.sums().tolist()))
+        bad = sorted(d for d, n in self.doc_len.items() if tf_sums.get(d, 0) != n)
+        if bad:
             raise CorpusError(f"sum of tf != doc length for documents {bad}")
 
 
@@ -273,23 +423,28 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     """Tokenize ``docs`` and build the index; errors if every doc tokenizes empty."""
     if not docs:
         raise CorpusError("cannot index an empty corpus")
-    doc_len: dict[str, int] = {}
-    postings: defaultdict[str, dict[str, int]] = defaultdict(dict)
-    total = 0
-    # documents in doc_id order fill every postings dict in ascending order
-    for doc in sorted(docs, key=lambda d: d.doc_id):
-        doc_id = doc.doc_id
-        if doc_id in doc_len:
-            raise CorpusError(f"duplicate doc_id {doc_id!r}")
-        tokens = tokenize(doc.text, config)
-        doc_len[doc_id] = len(tokens)
-        total += len(tokens)
-        for term, tf in Counter(tokens).items():
-            postings[term][doc_id] = tf
-    if total == 0:
+    docs = sorted(docs, key=lambda d: d.doc_id)
+    doc_ids = [d.doc_id for d in docs]
+    for a, b in zip(doc_ids, doc_ids[1:]):
+        if a == b:
+            raise CorpusError(f"duplicate doc_id {a!r}")
+    vocabulary = defaultdict()
+    vocabulary.default_factory = vocabulary.__len__  # a new term takes the next number
+    tokens, lengths = array("i"), []  # C int: 32 bits on every supported platform
+    for doc in docs:
+        words = tokenize(doc.text, config)
+        lengths.append(len(words))
+        tokens.extend(map(vocabulary.__getitem__, words))
+    if not tokens:
         raise CorpusError("all documents tokenized to empty")
-    postings = {term: postings[term] for term in sorted(postings)}
-    return Index.from_postings(len(docs), total, doc_len, postings)
+    terms = sorted(vocabulary)
+    rank = np.empty(len(terms), dtype=np.intc)  # first-seen number -> sorted number
+    rank[list(map(vocabulary.__getitem__, terms))] = np.arange(len(terms))
+    del vocabulary
+    term_of = np.frombuffer(tokens, dtype=np.intc)
+    np.take(rank, term_of, out=term_of)
+    return _from_tokens(len(docs), len(term_of), dict(zip(doc_ids, lengths)), terms, doc_ids,
+                        term_of, np.repeat(np.arange(len(docs), dtype=np.int32), lengths))
 
 
 def dump_stats(index: Index, path) -> None:

@@ -15,6 +15,8 @@ post-tokenization token count.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .corpus import Index, Query
 from .evaluation import UndefinedMetricError, kendall_tau_b, pearson_r
 from .retrieval import DegenerateQueryError, RankedList, collection_likelihood, dirichlet_sums
@@ -63,8 +65,9 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
     z = sum(exp_scores)
     weights = [e / z for e in exp_scores]
 
-    wanted = set(doc_ids)
-    terms = sorted(t for t, plist in index.postings.items() if not wanted.isdisjoint(plist))
+    used = np.zeros(len(index.terms), dtype=bool)  # term numbers follow the sorted terms
+    used[index.by_doc.take([index.doc_row[d] for d in doc_ids])[1]] = True
+    terms = list(map(index.terms.__getitem__, np.flatnonzero(used).tolist()))
     # per term, the weighted smoothed probabilities summed in feedback-doc order
     sums = dirichlet_sums(index, terms, doc_ids, mu, weights, log=False, per="term")
     mass = sum(sums.tolist())

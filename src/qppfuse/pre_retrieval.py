@@ -107,7 +107,8 @@ def scq_family(index: Index, query, distinct: bool = True) -> ScqFamily:
 def term_weight_std(index: Index, term: str) -> float:
     """Population std of (1 + ln tf) * idf over the postings of ``term``."""
     idf = math.log(index.n_docs / index.df[term])
-    weights = [(1.0 + math.log(tf)) * idf for tf in index.postings[term].values()]
+    _, tfs = index.by_term.row(index.term_row[term])
+    weights = [(1.0 + math.log(tf)) * idf for tf in tfs.tolist()]
     if len(weights) == 1:
         return 0.0
     return statistics.pstdev(weights)

@@ -22,7 +22,8 @@ from qppfuse.corpus import (
     load_stats,
     tokenize,
 )
-from qppfuse.corpus import _s_stem
+from qppfuse import corpus
+from qppfuse.corpus import _s_stem, key_dtype
 from tests import brute_force_reference
 
 # ASCII controls (\x1c-\x1f are str.split() whitespace), Latin-1 letters,
@@ -222,16 +223,29 @@ def _docs(*texts):
     return [Document(f"d{i+1}", t) for i, t in enumerate(texts)]
 
 
-def _reference_build(docs):
-    # the setdefault fill and sorted rebuild that build_index replaced
+def _reference_build(docs, config=TokenizerConfig()):
+    # the setdefault fill and sorted rebuild of the dict-of-dicts index
     doc_len, postings, total = {}, {}, 0
     for doc in sorted(docs, key=lambda d: d.doc_id):
-        tokens = tokenize(doc.text)
+        tokens = tokenize(doc.text, config)
         doc_len[doc.doc_id] = len(tokens)
         total += len(tokens)
         for term, tf in Counter(tokens).items():
             postings.setdefault(term, {})[doc.doc_id] = tf
     return doc_len, {term: postings[term] for term in sorted(postings)}, total
+
+
+def _assert_row_layout(cols, tfs):
+    assert cols.dtype == np.int32 and tfs.dtype == np.int32
+    assert not cols.flags.writeable and not tfs.flags.writeable
+    assert (np.diff(cols) > 0).all()
+
+
+def _assert_rows_layout(rows):
+    assert rows.ptr.dtype == np.int64 and not rows.ptr.flags.writeable
+    assert rows.ptr[0] == 0 and rows.ptr[-1] == len(rows.cols) == len(rows.tfs)
+    for r in range(len(rows.ptr) - 1):
+        _assert_row_layout(*rows.row(r))
 
 
 class TestBuildIndex:
@@ -317,10 +331,11 @@ class TestBuildIndex:
         for docs in (toy_docs, synthetic):
             index = build_index(docs)
             doc_len, postings, total = _reference_build(docs)
-            assert type(index.postings) is dict
+            for rows in (index.by_term, index.by_doc):
+                _assert_rows_layout(rows)
             assert list(index.postings) == list(postings)
             for term, plist in postings.items():
-                assert type(index.postings[term]) is dict
+                _assert_row_layout(*index.by_term.row(index.term_row[term]))
                 assert list(index.postings[term].items()) == list(plist.items()), term
             assert list(index.df.items()) == [(t, len(p)) for t, p in postings.items()]
             assert list(index.cf.items()) == [(t, sum(p.values())) for t, p in postings.items()]
@@ -350,6 +365,67 @@ class TestBuildIndex:
         n_postings = sum(index.df.values())
         assert n_postings > 200_000
         assert peak / n_postings < 48
+
+
+def _cells(rows, row_names, col_names):
+    """(row name, column name, tf) of every cell, row after row."""
+    return [(row_names[r], col_names[c], tf) for r in range(len(row_names))
+            for c, tf in zip(*(a.tolist() for a in rows.row(r)))]
+
+
+class TestArrayIndex:
+    STEM_WORDS = ["cats", "cat", "ponies", "pony", "boxes", "glass", "is", "the", "a", "of", "x"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_are_transposes_and_match_reference(self, seed):
+        rng = random.Random(seed)
+        config = TokenizerConfig(stopwords=frozenset({"The", "a", "of"}), stem=True)
+        vocab = self.STEM_WORDS + [f"w{i}" for i in range(rng.randint(1, 40))]
+        docs = [Document(f"r{rng.randrange(10**4):04d}-{i}",
+                         " ".join(rng.choices(vocab[:rng.randint(1, len(vocab))],
+                                              k=rng.randint(1, 50))))
+                for i in range(rng.randint(1, 30))]
+        docs += [Document("one", "w0"), Document("repeat", "cats cat cats w0 w0"),
+                 Document("stopped", "the a of")]  # the last tokenizes empty
+        rng.shuffle(docs)
+        index = build_index(docs, config)
+        doc_len, postings, total = _reference_build(docs, config)
+        term_major = _cells(index.by_term, index.terms, index.doc_ids)
+        assert term_major == [(t, d, tf) for t, plist in postings.items() for d, tf in plist.items()]
+        assert _cells(index.by_doc, index.doc_ids, index.terms) == sorted(
+            (d, t, tf) for t, d, tf in term_major)
+        assert index.terms == tuple(postings) and index.doc_ids == tuple(doc_len)
+        assert index.by_doc.sums().tolist() == list(doc_len.values())
+        assert index.doc_len == doc_len and index.total_tokens == total
+        assert index.by_doc.row(index.doc_row["stopped"])[0].size == 0
+        index.validate()
+
+    def test_arrays_are_read_only(self, toy_index):
+        for rows in (toy_index.by_term, toy_index.by_doc):
+            for array in (rows.ptr, rows.cols, rows.tfs):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+        plist = toy_index.postings["comet"]
+        plist.clear()  # a fresh dict per access: the index is untouched
+        assert toy_index.postings["comet"] and toy_index.df["comet"] == len(toy_index.postings["comet"])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_run_chunks_and_int64_keys_build_the_same_index(self, monkeypatch, toy_docs, chunk):
+        expected = build_index(toy_docs)
+        monkeypatch.setattr(corpus, "RUN_CHUNK", chunk)
+        assert build_index(toy_docs) == expected
+        monkeypatch.setattr(corpus, "key_dtype", lambda n_rows, width: np.int64)
+        assert build_index(toy_docs) == expected
+
+    @pytest.mark.parametrize("n_rows, width, dtype", [
+        (1, 2**31 - 1, np.int32), (2**31 - 1, 1, np.int32), (46_337, 46_337, np.int32),
+        (1, 2**31, np.int64), (2**16, 2**15, np.int64), (10**5, 21_475, np.int64),
+        (10**5, 21_474, np.int32),
+    ])
+    def test_key_width(self, n_rows, width, dtype):
+        # the largest key is n_rows * width - 1; the row bound n_rows * width must fit too
+        assert key_dtype(n_rows, width) is dtype
+        assert (n_rows * width <= np.iinfo(np.int32).max) == (dtype is np.int32)
 
 
 class TestPersistence:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -128,11 +129,9 @@ class TestRetrieve:
             for t, plist in toy_index.postings.items()
         }
         postings = {t: p for t, p in postings.items() if p}
-        reduced = Index(
-            n_docs=toy_index.n_docs,            # stats held fixed
-            total_tokens=toy_index.total_tokens,
-            doc_len=doc_len,
-            postings=postings,
+        # stats held fixed: N and |C| pass through from_postings, df and cf are put back
+        reduced = dataclasses.replace(
+            Index.from_postings(toy_index.n_docs, toy_index.total_tokens, doc_len, postings),
             df=dict(toy_index.df),
             cf=dict(toy_index.cf),
         )
