@@ -40,9 +40,11 @@ from .experiment import (
     ExperimentResult,
     HarnessError,
     SplitPlan,
+    evaluate_table,
     fit_combiner,
     hypothesis_report,
     import_external_scores,
+    load_design,
     run_experiment,
     split_leave_one_out,
     split_random_halves,

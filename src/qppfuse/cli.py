@@ -21,7 +21,7 @@ from .evaluation import (
     write_report_tsv,
 )
 from .experiment import (ExperimentConfig, HarnessError, fit_combiner, load_corpus,
-                         post_scores, run_experiment)
+                         load_design, post_scores, run_experiment)
 from .pre_retrieval import compute_pre_scores, write_scores_long, write_scores_wide
 from .retrieval import retrieve, write_run_file
 
@@ -94,16 +94,9 @@ def cmd_predict_post(config: ExperimentConfig) -> None:
     print(f"wrote post-retrieval scores for {len(scores)} queries -> {out}")
 
 
-def _load_design(config: ExperimentConfig) -> fusion.ScoreTable:
-    if not config.design:
-        raise HarnessError("this subcommand needs config key 'design' "
-                           "(a wide TSV: query_id, predictor columns, AP)")
-    return fusion.ScoreTable.read_tsv(config.design)
-
-
 def cmd_fuse(config: ExperimentConfig) -> None:
     """Fit each configured combiner on the full design matrix and dump models."""
-    table = _load_design(config)
+    table = load_design(config)
     params, _ = fusion.minmax_fit(table)
     normalized = fusion.minmax_apply(table, params)
     out = Path(config.out)
@@ -121,7 +114,7 @@ def cmd_fuse(config: ExperimentConfig) -> None:
 
 def cmd_evaluate(config: ExperimentConfig) -> None:
     """Per-predictor metrics on a design matrix; RMSE is closed-form leave-one-out."""
-    table = _load_design(config)
+    table = load_design(config)
     params, _ = fusion.minmax_fit(table)
     normalized = fusion.minmax_apply(table, params)
     rows = []
@@ -135,7 +128,7 @@ def cmd_evaluate(config: ExperimentConfig) -> None:
 
 
 def cmd_heatmap(config: ExperimentConfig) -> None:
-    table = _load_design(config)
+    table = load_design(config)
     corr = predictor_correlation_matrix(table.columns, metric=config.corr_metric)
     path = Path(config.out) / "corr_matrix.tsv"
     write_corr_matrix_tsv(path, corr)

@@ -1,12 +1,13 @@
 """Experiment orchestration: configs, seeded splits, and end-to-end runs.
 
 The pipeline indexes the corpus, retrieves, computes AP targets and
-predictor columns, then for every train/test split normalizes on train,
-fits each combiner (tuning on train only), predicts the test queries, and
-evaluates. Metrics are averaged over splits (undefined per-split values are
-skipped in the average); the pairwise predictor-correlation matrix and a
-hypothesis diagnostic summarize predictor relationships. Every random
-choice derives from the root seed, so repeated runs are byte-identical.
+predictor columns (or reads them from a ``design`` table), then for every
+train/test split normalizes on train, fits each combiner (tuning on train
+only), predicts the test queries, and evaluates. Metrics are averaged over
+splits (undefined per-split values are skipped in the average); the
+pairwise predictor-correlation matrix and a hypothesis diagnostic summarize
+predictor relationships. Every random choice derives from the root seed,
+so repeated runs are byte-identical.
 """
 
 import logging
@@ -61,6 +62,8 @@ __all__ = [
     "post_scores",
     "build_score_table",
     "fit_combiner",
+    "evaluate_table",
+    "load_design",
     "run_experiment",
     "hypothesis_report",
 ]
@@ -491,14 +494,11 @@ def fit_combiner(name: str, train: ScoreTable, config: ExperimentConfig, seed: i
             model = fusion.fit_penalized(train, method, best_lam, config.enet_alpha)
         return model
 
+    cv_methods = {"LASSO-CV": "lasso", "Ridge-CV": "ridge", "E-Net": "enet"}
     if name == "OLS":
         return fusion.ols_fit(train)
-    if name == "LASSO-CV":
-        return cv("lasso")
-    if name == "Ridge-CV":
-        return cv("ridge")
-    if name == "E-Net":
-        return cv("enet")
+    if name in cv_methods:
+        return cv(cv_methods[name])
     if name == "LARS-CV":
         return fusion.lars_cv(train, k_folds=config.k_folds, seed=derive_seed(seed, "cv"))
     if name == "LARS-Traps":
@@ -619,16 +619,10 @@ def hypothesis_report(corr_matrix: CorrMatrix, single_rows, combined_rows,
     delta_tau = _best(combined_rows, "tau") - _best(single_rows, "tau")
     delta_smare = _best(combined_rows, "smare", True) - _best(single_rows, "smare", True)
     delta_rmse = _best(combined_rows, "rmse", True) - _best(single_rows, "rmse", True)
+    agrees = {"H1": delta_rho <= 0.01, "H2": delta_rho > 0.0, "H3": delta_rho < 0.0}
+    consistent = agrees.get(regime, True)  # the "none" regime predicts no direction
     if math.isnan(delta_rho):
         consistent = None
-    elif regime == "H1":
-        consistent = delta_rho <= 0.01
-    elif regime == "H2":
-        consistent = delta_rho > 0.0
-    elif regime == "H3":
-        consistent = delta_rho < 0.0
-    else:
-        consistent = True
     return HypothesisReport(
         regime=regime, mean_rho=mean_rho, min_rho=min_rho,
         frac_negative=frac_negative, delta_rho=delta_rho, delta_tau=delta_tau,
@@ -646,7 +640,7 @@ class ExperimentResult:
     aggregate: list[ReportRow]
     per_split: list[list[ReportRow]]
     corr_matrix: CorrMatrix | None  # None with fewer than 2 predictors
-    hypothesis: HypothesisReport | None
+    hypothesis: HypothesisReport | None  # None also when no predictor pair correlates
     table: ScoreTable
     excluded: dict[str, str]
     plan: SplitPlan
@@ -678,60 +672,70 @@ def make_split_plan(config: ExperimentConfig, query_ids) -> SplitPlan:
     return plan
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Full pipeline; writes all artifacts when ``config.out`` is set.
+def evaluate_table(table: ScoreTable, config: ExperimentConfig,
+                   excluded: dict[str, str]) -> ExperimentResult:
+    """Split, fit and evaluate one score table; writes nothing.
 
-    For the halves and fixed protocols, metrics are computed per split and
-    averaged. Leave-one-out instead pools the held-out predictions into one
-    vector per method and evaluates once, so correlations are taken over
-    the full query set.
+    Halves and fixed splits are evaluated one by one and averaged. Leave-one-out
+    pools the held-out predictions and evaluates them once, over all queries.
     """
-    try:
-        table, excluded, ranked_lists, _ = build_score_table(config)
-    except Exception as exc:
-        raise HarnessError(f"score-table stage failed: {exc}") from exc
     plan = make_split_plan(config, table.query_ids)
-
+    evaluate = split_predictions if config.protocol == "loo" else evaluate_split
+    per_split = []
+    for s, (train_ids, test_ids) in enumerate(plan.pairs):
+        seed = derive_seed(config.seed, config.protocol, s, "fit")
+        try:
+            per_split.append(evaluate(table, train_ids, test_ids, config, seed))
+        except Exception as exc:
+            raise HarnessError(f"split {s} failed: {exc}") from exc
     if config.protocol == "loo":
-        pooled: dict[str, np.ndarray] = {}
-        pos = {qid: i for i, qid in enumerate(table.query_ids)}
-        for s, (train_ids, test_ids) in enumerate(plan.pairs):
-            seed = derive_seed(config.seed, config.protocol, s, "fit")
-            try:
-                predictions = split_predictions(table, train_ids, test_ids, config, seed)
-            except Exception as exc:
-                raise HarnessError(f"split {s} failed: {exc}") from exc
-            for name, values in predictions.items():
-                if name not in pooled:
-                    pooled[name] = np.zeros(table.n_rows)
-                for qid, value in zip(test_ids, values):
-                    pooled[name][pos[qid]] = value
+        # each query was held out once, in table order
+        pooled = {name: np.concatenate([p[name] for p in per_split]) for name in per_split[0]}
         per_split = [rows_from_predictions(pooled, table.target, config.combiners)]
-    else:
-        per_split = []
-        for s, (train_ids, test_ids) in enumerate(plan.pairs):
-            seed = derive_seed(config.seed, config.protocol, s, "fit")
-            try:
-                per_split.append(evaluate_split(table, train_ids, test_ids, config, seed))
-            except Exception as exc:
-                raise HarnessError(f"split {s} failed: {exc}") from exc
     aggregate = _aggregate_rows(per_split)
 
     n_singles = len(table.column_names)
+    corr = hypothesis = None
     if n_singles >= 2:
         corr = predictor_correlation_matrix(table.columns, metric=config.corr_metric)
-        hypothesis = hypothesis_report(
-            corr, aggregate[:n_singles], aggregate[n_singles:],
-            h1_mean=config.h1_mean, h2_mean=config.h2_mean,
-            h3_frac=config.h3_frac, h3_rho=config.h3_rho,
-        )
-    else:
-        corr = None
-        hypothesis = None
-    result = ExperimentResult(
+        if corr.offdiagonal().size:
+            hypothesis = hypothesis_report(
+                corr, aggregate[:n_singles], aggregate[n_singles:],
+                h1_mean=config.h1_mean, h2_mean=config.h2_mean,
+                h3_frac=config.h3_frac, h3_rho=config.h3_rho,
+            )
+        else:
+            logger.warning("no predictor pair has a defined correlation: no hypothesis.tsv")
+    return ExperimentResult(
         aggregate=aggregate, per_split=per_split, corr_matrix=corr,
         hypothesis=hypothesis, table=table, excluded=excluded, plan=plan,
     )
+
+
+def load_design(config: ExperimentConfig) -> ScoreTable:
+    """The score table in the wide TSV named by the ``design`` key."""
+    if not config.design:
+        raise HarnessError("this subcommand needs config key 'design' "
+                           "(a wide TSV: query_id, predictor columns, AP)")
+    return ScoreTable.read_tsv(config.design)
+
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Full pipeline; writes all artifacts when ``config.out`` is set.
+
+    The score table comes from the corpus when ``corpus.docs`` is set, else
+    from the ``design`` table.
+    """
+    if config.docs:
+        try:
+            table, excluded, ranked_lists, _ = build_score_table(config)
+        except Exception as exc:
+            raise HarnessError(f"score-table stage failed: {exc}") from exc
+    elif config.design:
+        table, excluded, ranked_lists = load_design(config), {}, None
+    else:
+        raise HarnessError("experiment needs config key 'corpus.docs' or 'design'")
+    result = evaluate_table(table, config, excluded)
     if config.out:
         write_artifacts(result, ranked_lists, config)
     return result
@@ -760,11 +764,12 @@ def write_artifacts(result: ExperimentResult, ranked_lists, config: ExperimentCo
     if result.hypothesis is not None:
         write_hypothesis_tsv(out / "hypothesis.tsv", result.hypothesis)
     result.table.write_tsv(out / "score_table.tsv")
-    write_run_file(out / "run.txt", ranked_lists)
-    with open(out / "excluded.tsv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("query_id\treason\n")
-        for qid, reason in result.excluded.items():
-            fh.write(f"{qid}\t{reason}\n")
+    if ranked_lists is not None:  # a design table has no run and excludes nothing
+        write_run_file(out / "run.txt", ranked_lists)
+        with open(out / "excluded.tsv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("query_id\treason\n")
+            for qid, reason in result.excluded.items():
+                fh.write(f"{qid}\t{reason}\n")
     with open(out / "config_used.txt", "w", encoding="utf-8", newline="\n") as fh:
         for key, value in config.resolved_items():
             fh.write(f"{key} = {value}\n")

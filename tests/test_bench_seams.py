@@ -86,9 +86,11 @@ def test_design_eval_commands_open_every_layer_span(tmp_path, tracer):
         assert seen.intersection(sources), f"{metric}: no {'/'.join(sources)} span"
 
 
-def test_run_experiment_calls_evaluate_split_once_per_split(toy_dir):
+@pytest.mark.parametrize("source", ["corpus", "design"])
+def test_run_experiment_calls_evaluate_split_once_per_split(toy_dir, tmp_path, source):
     # the toy worker samples the CPU speed from a wrapper patched over evaluate_split
-    from qppfuse.experiment import ExperimentConfig, evaluate_split, run_experiment
+    from qppfuse.experiment import (ExperimentConfig, build_score_table, evaluate_split,
+                                    run_experiment)
 
     calls = []
 
@@ -98,6 +100,9 @@ def test_run_experiment_calls_evaluate_split_once_per_split(toy_dir):
 
     config = ExperimentConfig.from_file(toy_dir / "experiment.cfg")
     config.repeats = 3
+    if source == "design":
+        build_score_table(config)[0].write_tsv(tmp_path / "design.tsv")
+        config.docs, config.design = "", str(tmp_path / "design.tsv")
     undo: list = []
     spans.patch_everywhere(evaluate_split, counted, undo)
     try:

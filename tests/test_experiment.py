@@ -417,6 +417,65 @@ class TestRunExperiment:
         assert len(result.per_split) == 1
         assert result.plan.pairs[0][0] == tuple(table.query_ids[:8])
 
+    @pytest.mark.parametrize("protocol", ["halves", "loo"])
+    def test_design_run_reproduces_corpus_run(self, toy_dir, tmp_path, protocol):
+        corpus_out, design_out = tmp_path / "corpus", tmp_path / "design"
+        run_experiment(toy_config(toy_dir, out=corpus_out, protocol=protocol, repeats=5))
+        cfg = tmp_path / "design.cfg"
+        cfg.write_text(f"design = {corpus_out / 'score_table.tsv'}\n"
+                       "fusion.k_folds = 2\nfusion.grid_size = 20\nfusion.bolasso_b = 25\n"
+                       f"split.protocol = {protocol}\nsplit.repeats = 5\nout = design\n")
+        result = run_experiment(ExperimentConfig.from_file(cfg))
+        assert result.excluded == {}
+        for name in ("report_aggregate.tsv", "report_splits.tsv", "corr_matrix.tsv",
+                     "hypothesis.tsv", "score_table.tsv"):
+            assert (design_out / name).read_bytes() == (corpus_out / name).read_bytes(), name
+        # a design table has no run and excludes nothing
+        assert not (design_out / "run.txt").exists()
+        assert not (design_out / "excluded.tsv").exists()
+
+    def test_corpus_wins_over_design(self, toy_dir, tmp_path):
+        # a planted design the corpus run must ignore
+        rng = np.random.default_rng(3)
+        qids = [f"x{i}" for i in range(20)]
+        planted = ScoreTable(qids, {"a": rng.random(20), "b": rng.random(20)}, rng.random(20))
+        planted.write_tsv(tmp_path / "planted.tsv")
+        corpus_only, both = tmp_path / "corpus", tmp_path / "both"
+        run_experiment(toy_config(toy_dir, out=corpus_only, repeats=3))
+        run_experiment(toy_config(toy_dir, out=both, repeats=3,
+                                  design=str(tmp_path / "planted.tsv")))
+        written = sorted(p.name for p in corpus_only.iterdir())
+        assert sorted(p.name for p in both.iterdir()) == written
+        assert "run.txt" in written and "excluded.tsv" in written
+        for name in written:
+            if name != "config_used.txt":
+                assert (both / name).read_bytes() == (corpus_only / name).read_bytes(), name
+
+    def test_no_table_source_names_both_keys(self):
+        with pytest.raises(HarnessError, match=r"'corpus\.docs' or 'design'"):
+            run_experiment(ExperimentConfig())
+
+    def test_no_defined_correlation_still_writes_reports(self, toy_dir, tmp_path, caplog):
+        # a constant external column leaves MaxIDF without a defined partner
+        flat = tmp_path / "flat.tsv"
+        qids = [line.split("\t")[0] for line in (toy_dir / "queries.tsv").read_text().splitlines()]
+        flat.write_text("".join(f"{qid}\t1.0\n" for qid in qids))
+        config = toy_config(toy_dir, out=tmp_path / "out", repeats=3,
+                            pre_predictors=("MaxIDF",), post_predictors=(),
+                            external_scores=(("Flat", str(flat)),))
+        with caplog.at_level("WARNING", logger="qppfuse.experiment"):
+            result = run_experiment(config)
+        assert result.hypothesis is None
+        assert result.corr_matrix.offdiagonal().size == 0
+        warned = [r for r in caplog.records if r.name == "qppfuse.experiment"]
+        assert len(warned) == 1 and "no predictor pair" in warned[0].getMessage()
+        written = {p.name for p in (tmp_path / "out").iterdir()}
+        assert written == {"report_aggregate.tsv", "report_splits.tsv", "corr_matrix.tsv",
+                           "score_table.tsv", "run.txt", "excluded.tsv", "config_used.txt"}
+        # direct callers of the diagnostic still get its error
+        with pytest.raises(HarnessError, match="no defined off-diagonal cells"):
+            hypothesis_report(result.corr_matrix, result.aggregate[:2], result.aggregate[2:])
+
     def test_fixed_protocol_refits_on_train_at_tuned_lam(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal((40, 3))
