@@ -235,14 +235,16 @@ def key_dtype(n_rows: int, width: int):
 @dataclass(frozen=True, eq=False)
 class Rows:
     """Compressed sparse rows: row r holds the columns ``cols[ptr[r]:ptr[r + 1]]``
-    (int32, strictly ascending) and their tfs (int32). The arrays are read-only."""
+    (int32, strictly ascending), their tfs (int32) and, in ``sums[r]``, their tf
+    sum: cf for a term row, the length for a document row. Arrays are read-only."""
 
     ptr: np.ndarray
     cols: np.ndarray
     tfs: np.ndarray
+    sums: np.ndarray
 
     def __post_init__(self):
-        for values in (self.ptr, self.cols, self.tfs):
+        for values in (self.ptr, self.cols, self.tfs, self.sums):
             values.flags.writeable = False
 
     def __eq__(self, other):
@@ -262,18 +264,13 @@ class Rows:
         at = np.arange(len(owner)) + (starts - np.cumsum(sizes) + sizes)[owner]
         return owner, self.cols[at], self.tfs[at]
 
-    def sums(self) -> np.ndarray:
-        """The tf sum of every row."""
-        cumulative = np.concatenate([[0], np.cumsum(self.tfs, dtype=np.int64)])
-        return cumulative[self.ptr[1:]] - cumulative[self.ptr[:-1]]
-
 
 RUN_CHUNK = 1 << 18  # tokens per step of the run-length count
 
 
-def _rows(keys: np.ndarray, n_rows: int, width: int) -> tuple[Rows, np.ndarray]:
+def _rows(keys: np.ndarray, n_rows: int, width: int) -> Rows:
     """Sorts the token keys ``row * width + col`` in place; returns their rows,
-    a key's repeats being its tf, and the token count of each row."""
+    a key's repeats being its tf and a row's token count its sum."""
     keys.sort()
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
@@ -295,8 +292,8 @@ def _rows(keys: np.ndarray, n_rows: int, width: int) -> tuple[Rows, np.ndarray]:
     bounds = np.arange(n_rows + 1, dtype=keys.dtype) * keys.dtype.type(width)
     ptr = np.searchsorted(cells, bounds)
     np.remainder(cells, width, out=cells)
-    return (Rows(ptr, cells.astype(np.int32, copy=False), tfs[:-1]),
-            np.diff(np.searchsorted(keys, bounds)))
+    return Rows(ptr, cells.astype(np.int32, copy=False), tfs[:-1],
+                np.diff(np.searchsorted(keys, bounds)))
 
 
 def _from_tokens(n_docs, total_tokens, doc_len, terms, doc_ids, term_of, doc_of) -> "Index":
@@ -309,16 +306,17 @@ def _from_tokens(n_docs, total_tokens, doc_len, terms, doc_ids, term_of, doc_of)
     keys *= n
     keys += doc_of
     del doc_of
-    by_term, cf = _rows(keys, n_terms, n)
+    by_term = _rows(keys, n_terms, n)
     term = keys // n  # to doc * n_terms + term, in place
     np.remainder(keys, n, out=keys)
     keys *= n_terms
     keys += term
     del term
-    by_doc, _ = _rows(keys, n, n_terms)
+    by_doc = _rows(keys, n, n_terms)
     del keys
-    return Index(n_docs, total_tokens, doc_len, dict(zip(terms, np.diff(by_term.ptr).tolist())),
-                 dict(zip(terms, cf.tolist())), tuple(terms), tuple(doc_ids), by_term, by_doc)
+    df, cf = np.diff(by_term.ptr).tolist(), by_term.sums.tolist()
+    return Index(n_docs, total_tokens, doc_len, dict(zip(terms, df)), dict(zip(terms, cf)),
+                 tuple(terms), tuple(doc_ids), by_term, by_doc)
 
 
 class _PostingsView(Mapping):
@@ -403,7 +401,7 @@ class Index:
         descending = row[1:][(docs[1:] <= docs[:-1]) & (row[1:] == row[:-1])]
         for broken, message in (((df < 1) | (df > self.n_docs), "df out of range"),
                                 (df != np.diff(ptr), "df != |postings|"),
-                                (cf != self.by_term.sums(), "cf != sum tf"),
+                                (cf != self.by_term.sums, "cf != sum tf"),
                                 (cf < df, "cf < df"),
                                 (np.isin(np.arange(len(df)), descending), "postings not ascending")):
             if broken.any():
@@ -413,7 +411,7 @@ class Index:
             term = row[np.argmax(~known[docs])]
             unknown = [self.doc_ids[d] for d in self.by_term.row(term)[0] if not known[d]]
             raise CorpusError(f"postings of {self.terms[term]!r} name unknown documents {unknown}")
-        tf_sums = dict(zip(self.doc_ids, self.by_doc.sums().tolist()))
+        tf_sums = dict(zip(self.doc_ids, self.by_doc.sums.tolist()))
         bad = sorted(d for d, n in self.doc_len.items() if tf_sums.get(d, 0) != n)
         if bad:
             raise CorpusError(f"sum of tf != doc length for documents {bad}")

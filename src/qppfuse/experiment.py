@@ -199,7 +199,7 @@ def _at_least(lo: int):
     return _rule(lambda v: v >= lo, f">= {lo}")
 
 
-_POSITIVE = _rule(lambda v: v > 0, "> 0")
+_POSITIVE = _rule(lambda v: 0 < v < math.inf, "> 0 and finite")
 _FRACTION = _rule(lambda v: 0 < v <= 1, "in (0, 1]")
 _CORRELATION = _rule(lambda v: -1 <= v <= 1, "in [-1, 1]")
 

@@ -58,7 +58,7 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
     if len(ranked) == 0:
         raise ValueError(f"empty ranked list for query {ranked.query_id!r}")
     top = ranked.entries[:k_fb]
-    doc_ids = [d for d, _ in top]
+    docs = [index.doc_row[d] for d, _ in top]
     scores = [s for _, s in top]
     max_score = max(scores)
     exp_scores = [math.exp(s - max_score) for s in scores]
@@ -66,12 +66,12 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
     weights = [e / z for e in exp_scores]
 
     used = np.zeros(len(index.terms), dtype=bool)  # term numbers follow the sorted terms
-    used[index.by_doc.take([index.doc_row[d] for d in doc_ids])[1]] = True
-    terms = list(map(index.terms.__getitem__, np.flatnonzero(used).tolist()))
+    used[index.by_doc.take(docs)[1]] = True
+    terms = np.flatnonzero(used)
     # per term, the weighted smoothed probabilities summed in feedback-doc order
-    sums = dirichlet_sums(index, terms, doc_ids, mu, weights, log=False, per="term")
+    sums = dirichlet_sums(index, terms, docs, mu, weights, log=False, per="term")
     mass = sum(sums.tolist())
-    probs = dict(zip(terms, (sums / mass).tolist()))
+    probs = dict(zip(map(index.terms.__getitem__, terms.tolist()), (sums / mass).tolist()))
     return RelevanceModel(probs=probs, feedback_depth=len(top))
 
 
@@ -144,11 +144,11 @@ def rm_rerank_similarity(
         return None
     if model is None:
         model = rm1(index, ranked, k_fb=k_fb, mu=mu)
-    doc_ids = [d for d, _ in top]
+    docs = [index.doc_row[d] for d, _ in top]
     original = [s for _, s in top]
     # each document's sum runs over the terms in model.probs order
-    rm_scores = dirichlet_sums(index, model.probs, doc_ids, mu, list(model.probs.values()),
-                               log=True, per="doc").tolist()
+    rm_scores = dirichlet_sums(index, [index.term_row[t] for t in model.probs], docs, mu,
+                               list(model.probs.values()), log=True, per="doc").tolist()
     if metric == "pearson":
         return pearson_r(original, rm_scores)
     if metric == "kendall":

@@ -23,7 +23,6 @@ __all__ = [
     "DegenerateQueryError",
     "RankedList",
     "scoreable_terms",
-    "dirichlet_mass",
     "BLOCK_CELLS",
     "dirichlet_sums",
     "score_dirichlet",
@@ -61,11 +60,6 @@ class RankedList:
 def scoreable_terms(index: Index, terms) -> list[str]:
     """Query terms with cf > 0, multiplicity preserved."""
     return [t for t in terms if index.cf.get(t, 0) > 0]
-
-
-def dirichlet_mass(index: Index, terms, mu: float) -> dict[str, float]:
-    """Dirichlet prior mass mu * cf(t) / |C| of each term (cf > 0 assumed)."""
-    return {t: mu * index.cf[t] / index.total_tokens for t in terms}
 
 
 BLOCK_CELLS = 16384  # cells per scoring block; no float grid of dirichlet_sums is larger
@@ -145,15 +139,16 @@ def _tf_cells(index: Index, term_rows, docs, first_cols):
     return rows, cols[hit], tfs[hit].astype(float), np.bincount(rows, minlength=len(term_rows))
 
 
-def dirichlet_sums(index: Index, terms, doc_ids, mu: float, weights, *,
+def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
                    log: bool, per: str) -> np.ndarray:
     """Weighted sums of Dirichlet-smoothed term probabilities over terms x documents.
 
-    Cell (t, d) is f = (tf(t, d) + mu * cf(t)/|C|) / (|d| + mu), or ln f when
-    ``log`` is true. ``per="doc"`` returns, for each document, the sum over
-    ``terms`` in order of weights[t] * f (query likelihood, RM re-ranking);
-    ``per="term"`` returns, for each term, the sum over ``doc_ids`` in order
-    of weights[d] * f (RM1). ``terms`` must be distinct and occur in the index.
+    ``terms`` and ``docs`` are term and document numbers. Cell (t, d) is
+    f = (tf(t, d) + mu * cf(t)/|C|) / (|d| + mu), or ln f when ``log`` is true;
+    cf and |d| are the index rows' sums. ``per="doc"`` returns, for each document,
+    the sum over ``terms`` in order of weights[t] * f (query likelihood, RM
+    re-ranking); ``per="term"`` returns, for each term, the sum over ``docs`` in
+    order of weights[d] * f (RM1). ``terms`` must be distinct with cf > 0.
 
     The result equals, bit for bit, a Python loop that starts each sum at 0.0
     and adds cell by cell: every cell is the same IEEE operations done
@@ -165,31 +160,34 @@ def dirichlet_sums(index: Index, terms, doc_ids, mu: float, weights, *,
     """
     if per not in ("doc", "term"):
         raise ValueError(f"per must be 'doc' or 'term', got {per!r}")
-    terms, doc_ids = list(terms), list(doc_ids)
-    mass = dirichlet_mass(index, terms, mu)
-    priors = np.array([mass[t] for t in terms], dtype=float)
-    lengths = np.fromiter(map(index.doc_len.__getitem__, doc_ids), dtype=float, count=len(doc_ids))
-    denoms = lengths + mu
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be > 0 and finite, got {mu!r}")
+    terms, docs = np.asarray(terms, dtype=np.intp), np.asarray(docs, dtype=np.intp)
+    if (terms < 0).any() or (docs < 0).any():  # numpy would read a negative one from the end
+        raise ValueError("term and document numbers must be >= 0")
     weights = np.array(weights, dtype=float)
-    out = np.zeros(len(doc_ids) if per == "doc" else len(terms))
-    if not terms or not doc_ids:
+    n, axis = (len(docs), "documents") if per == "term" else (len(terms), "terms")
+    if len(weights) != n:
+        raise ValueError(f"{len(weights)} weights for {n} {axis}")
+    priors = float(mu) * index.by_term.sums[terms] / index.total_tokens  # float: no int64 wrap
+    denoms = index.by_doc.sums[docs] + float(mu)
+    out = np.zeros(len(docs) if per == "doc" else len(terms))
+    if not len(terms) or not len(docs):
         return out
-    term_rows = np.fromiter(map(index.term_row.__getitem__, terms), np.intp, len(terms))
-    doc_rows = np.fromiter(map(index.doc_row.__getitem__, doc_ids), np.intp, len(doc_ids))
-    width = min(len(doc_ids), BLOCK_CELLS)
+    width = min(len(docs), BLOCK_CELLS)
     height = max(1, BLOCK_CELLS // width)
-    for c0 in range(0, len(doc_ids), width):
+    for c0 in range(0, len(docs), width):
         cols = slice(c0, c0 + width)
-        block_docs = doc_rows[cols].tolist()
+        block_docs = docs[cols].tolist()
         col_of = dict(zip(reversed(block_docs), range(len(block_docs) - 1, -1, -1)))  # first columns
-        docs = np.fromiter(col_of, np.intp, len(col_of))
+        distinct = np.fromiter(col_of, np.intp, len(col_of))
         first_cols = np.fromiter(col_of.values(), np.intp, len(col_of))
         den = denoms[cols]
         zero_logs = _ZeroTfLogs(priors, den) if log else None
         for r0 in range(0, len(terms), height):
             rows = slice(r0, r0 + height)
             pri = priors[rows]
-            r, c, tf, counts = _tf_cells(index, term_rows[rows], docs, first_cols)
+            r, c, tf, counts = _tf_cells(index, terms[rows], distinct, first_cols)
             cells = (tf + pri[r]) / den[c]
             if log:
                 block = np.empty((len(pri), len(den)))
@@ -215,8 +213,8 @@ def dirichlet_sums(index: Index, terms, doc_ids, mu: float, weights, *,
 
 def score_dirichlet(index: Index, terms, doc_id: str, mu: float = 1000.0) -> float:
     """Dirichlet-smoothed query log-likelihood of ``doc_id`` for the term multiset."""
-    if mu <= 0:
-        raise ValueError("mu must be > 0")
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be > 0 and finite, got {mu!r}")
     if doc_id not in index.doc_len:
         raise KeyError(f"unknown doc_id {doc_id!r}")
     scored = scoreable_terms(index, terms)
@@ -253,17 +251,18 @@ def retrieve(index: Index, query: Query, k: int = 1000, mu: float = 1000.0) -> R
     if not scored:
         return RankedList(query.query_id, (), degenerate=True)
     qtfs = Counter(scored)
+    terms = [index.term_row[t] for t in qtfs]
     holds = np.zeros(len(index.doc_ids), dtype=bool)
-    holds[index.by_term.take([index.term_row[t] for t in qtfs])[1]] = True
-    candidates = list(map(index.doc_ids.__getitem__, np.flatnonzero(holds).tolist()))
-    scores = dirichlet_sums(index, qtfs, candidates, mu, list(qtfs.values()), log=True, per="doc")
+    holds[index.by_term.take(terms)[1]] = True
+    candidates = np.flatnonzero(holds)
+    scores = dirichlet_sums(index, terms, candidates, mu, list(qtfs.values()), log=True, per="doc")
     scores = scores.tolist()
-    results = list(zip(candidates, scores))
+    results = list(zip(candidates.tolist(), scores))
     if len(results) > k:  # only scores >= the k-th largest can rank in the top k
         kth = sorted(scores)[-k]
         results = [e for e in results if e[1] >= kth]
-    results.sort(key=lambda e: (-e[1], e[0]))
-    return RankedList(query.query_id, tuple(results[:k]))
+    results.sort(key=lambda e: (-e[1], e[0]))  # numbers follow the doc_id order
+    return RankedList(query.query_id, tuple((index.doc_ids[d], s) for d, s in results[:k]))
 
 
 def average_precision(ranked: RankedList, qrels: Qrels, cutoff: int = 1000) -> float | None:

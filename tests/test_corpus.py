@@ -395,14 +395,14 @@ class TestArrayIndex:
         assert _cells(index.by_doc, index.doc_ids, index.terms) == sorted(
             (d, t, tf) for t, d, tf in term_major)
         assert index.terms == tuple(postings) and index.doc_ids == tuple(doc_len)
-        assert index.by_doc.sums().tolist() == list(doc_len.values())
+        assert index.by_doc.sums.tolist() == list(doc_len.values())
         assert index.doc_len == doc_len and index.total_tokens == total
         assert index.by_doc.row(index.doc_row["stopped"])[0].size == 0
         index.validate()
 
     def test_arrays_are_read_only(self, toy_index):
         for rows in (toy_index.by_term, toy_index.by_doc):
-            for array in (rows.ptr, rows.cols, rows.tfs):
+            for array in (rows.ptr, rows.cols, rows.tfs, rows.sums):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 1
         plist = toy_index.postings["comet"]
@@ -488,6 +488,8 @@ class TestPersistence:
             "documents": {1: f"N\t{toy_index.n_docs + 1}"},
             # retrieve would hit a bare KeyError on the unknown doc
             "unknown documents": {first_term: lines[first_term] + "\tzz9:1"},
+            # a term with no postings: df = 0
+            "df out of range": {len(lines) - 1: lines[-1] + "\nterm\tzzz"},
             "sum of tf != doc length": {
                 first_doc: f"doc\t{doc_id}\t{int(length) + 1}",
                 2: f"C\t{toy_index.total_tokens + 1}",

@@ -252,6 +252,7 @@ class TestConfig:
         ({"k_folds": 1}, "config key fusion.k_folds: fusion.k_folds must be >= 2, got 1"),
         ({"combiners": ("OLS", "Magic")}, "config key combiners: combiners has unknown names: Magic"),
         ({"protocol": "fixed"}, "fixed protocol needs split.train_file and split.test_file"),
+        ({"mu": math.inf}, "config key retrieval.mu: retrieval.mu must be > 0 and finite, got inf"),
     ])
     def test_validate_names_the_key(self, overrides, message):
         with pytest.raises(HarnessError, match=re.escape(message)):

@@ -63,6 +63,11 @@ class TestRelevanceModel:
         with pytest.raises(ValueError):
             rm1(toy_index, RankedList("q", ()))
 
+    @pytest.mark.parametrize("mu", [0, -5.0, math.inf, math.nan])
+    def test_bad_mu_rejected(self, toy_index, ranked_lists, mu):
+        with pytest.raises(ValueError, match="mu must be > 0 and finite"):
+            rm1(toy_index, ranked_lists["q01"], mu=mu)
+
 
 class TestClarity:
     def test_zero_when_model_equals_collection(self):
@@ -225,6 +230,12 @@ class TestUef:
         # a negative m would slice from the end of the list instead
         with pytest.raises(ValueError, match="m must be >= 1"):
             rm_rerank_similarity(toy_index, ranked_lists["q01"], m=m)
+
+    @pytest.mark.parametrize("mu", [0, math.inf])
+    def test_bad_mu_rejected(self, toy_index, ranked_lists, mu):
+        model = rm1(toy_index, ranked_lists["q01"], k_fb=10)
+        with pytest.raises(ValueError, match="mu must be > 0 and finite"):
+            rm_rerank_similarity(toy_index, ranked_lists["q01"], mu=mu, model=model)
 
 
 class TestComputePostScores:

@@ -65,9 +65,10 @@ class TestScoreDirichlet:
         double = score_dirichlet(engineered_index, ["t", "t"], "d1")
         assert double == pytest.approx(2 * single, rel=1e-12)
 
-    def test_bad_mu(self, engineered_index):
-        with pytest.raises(ValueError):
-            score_dirichlet(engineered_index, ["t"], "d1", mu=0)
+    @pytest.mark.parametrize("mu", [0, -5.0, math.inf, math.nan])
+    def test_bad_mu(self, engineered_index, mu):
+        with pytest.raises(ValueError, match="mu must be > 0 and finite"):
+            score_dirichlet(engineered_index, ["t"], "d1", mu=mu)
 
 
 class TestRetrieve:
@@ -85,6 +86,12 @@ class TestRetrieve:
         index = build_index([Document(f"d{i}", "a b") for i in range(5)])
         ranked = retrieve(index, Query("q", ("a",)), k=1)
         assert len(ranked) == 1
+
+    @pytest.mark.parametrize("mu", [0, -5.0, math.inf, math.nan])
+    def test_bad_mu(self, mu):
+        index = build_index([Document("d1", "a a"), Document("d2", "a b")])
+        with pytest.raises(ValueError, match="mu must be > 0 and finite"):
+            retrieve(index, Query("q", ("a",)), mu=mu)
 
     def test_tie_broken_by_doc_id(self):
         index = build_index([Document("dB", "a x"), Document("dA", "a x")])

@@ -67,6 +67,10 @@ def _reference_sums(index, terms, doc_ids, mu, weights, log, per):
     return out
 
 
+def _numbered(index, terms, doc_ids):
+    return [index.term_row[t] for t in terms], [index.doc_row[d] for d in doc_ids]
+
+
 def _assert_retrieves_as_reference(index, queries, ks=(1000, 7, 1)):
     for query in queries:
         for mu in MU_VALUES:
@@ -178,7 +182,8 @@ class TestDirichletSums:
         rng = np.random.default_rng(6)
         weights = rng.uniform(0.0, 2.0, size=len(doc_ids) if per == "term" else len(terms)).tolist()
         for mu in MU_VALUES:
-            got = dirichlet_sums(index, terms, doc_ids, mu, weights, log=log, per=per)
+            got = dirichlet_sums(index, *_numbered(index, terms, doc_ids), mu, weights, log=log,
+                                 per=per)
             assert got.tolist() == _reference_sums(index, terms, doc_ids, mu, weights, log, per)
 
     @pytest.mark.parametrize("cells", [12, 24, 60])
@@ -190,20 +195,48 @@ class TestDirichletSums:
         doc_ids = doc_ids[:6]
         assert len({index.cf[t] for t in terms}) > cells // len({index.doc_len[d] for d in doc_ids})
         weights = np.random.default_rng(8).uniform(0.0, 2.0, size=len(terms)).tolist()
-        got = dirichlet_sums(index, terms, doc_ids, 37.5, weights, log=True, per="doc")
+        got = dirichlet_sums(index, *_numbered(index, terms, doc_ids), 37.5, weights, log=True,
+                             per="doc")
         assert got.tolist() == _reference_sums(index, terms, doc_ids, 37.5, weights, True, "doc")
 
     def test_empty_grid(self, grid):
         index, terms, doc_ids = grid
-        no_terms = dirichlet_sums(index, [], doc_ids, 1000.0, [], log=True, per="doc")
+        no_terms = dirichlet_sums(index, *_numbered(index, [], doc_ids), 1000.0, [], log=True,
+                                  per="doc")
         assert no_terms.tolist() == [0.0] * len(doc_ids)
-        no_docs = dirichlet_sums(index, terms, [], 1000.0, [], log=False, per="term")
+        no_docs = dirichlet_sums(index, *_numbered(index, terms, []), 1000.0, [], log=False,
+                                 per="term")
         assert no_docs.tolist() == [0.0] * len(terms)
 
     def test_rejects_unknown_axis(self, grid):
         index, terms, doc_ids = grid
         with pytest.raises(ValueError):
-            dirichlet_sums(index, terms, doc_ids, 1000.0, [1.0] * len(terms), log=True, per="cell")
+            dirichlet_sums(index, *_numbered(index, terms, doc_ids), 1000.0, [1.0] * len(terms),
+                           log=True, per="cell")
+
+    @pytest.mark.parametrize("mu", [0.0, -5.0, math.inf, math.nan])
+    @pytest.mark.parametrize("per", ["doc", "term"])
+    def test_rejects_mu_not_finite_and_positive(self, grid, mu, per):
+        index, terms, doc_ids = grid
+        weights = [1.0] * (len(terms) if per == "doc" else len(doc_ids))
+        with pytest.raises(ValueError, match="mu must be > 0 and finite"):
+            dirichlet_sums(index, *_numbered(index, terms, doc_ids), mu, weights, log=True, per=per)
+
+    @pytest.mark.parametrize("term, doc", [(-1, 0), (0, -1)])
+    def test_rejects_negative_numbers(self, grid, term, doc):
+        index, _, _ = grid
+        with pytest.raises(ValueError, match="numbers must be >= 0"):
+            dirichlet_sums(index, [term], [doc], 1000.0, [1.0], log=True, per="doc")
+
+    @pytest.mark.parametrize("per, n_weights, message", [
+        ("doc", 1, "1 weights for 3 terms"), ("doc", 4, "4 weights for 3 terms"),
+        ("term", 1, "1 weights for 2 documents"), ("term", 3, "3 weights for 2 documents")])
+    def test_rejects_weights_of_the_wrong_length(self, grid, per, n_weights, message):
+        # one weight would broadcast over every row or column without this check
+        index, terms, doc_ids = grid
+        with pytest.raises(ValueError, match=message):
+            dirichlet_sums(index, *_numbered(index, terms[:3], doc_ids[:2]), 1000.0,
+                           [1.0] * n_weights, log=False, per=per)
 
 
 @pytest.fixture(scope="module")
