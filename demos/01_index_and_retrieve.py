@@ -23,7 +23,7 @@ index = build_index(docs)
 
 print(f"documents        : {index.n_docs}")
 print(f"total tokens |C| : {index.total_tokens}")
-print(f"vocabulary       : {len(index.postings)} terms")
+print(f"vocabulary       : {len(index.terms)} terms")
 
 # Collection statistics drive everything downstream. A couple of examples:
 for term in ("galaxy", "bread", "culture"):

@@ -1,21 +1,22 @@
 """Corpus ingestion, tokenization, and the immutable inverted index.
 
-The index stores every statistic the predictors need: document count N,
-total token count |C|, per-document lengths, document frequencies df,
-collection frequencies cf, and the term frequencies as int32 compressed rows
-in both directions (term -> documents, document -> terms), built by sorting
-integer token keys.
+The index stores the term frequencies as int32 compressed rows in both
+directions (term -> documents, document -> terms), built by sorting integer
+token keys. Every statistic the predictors need is derived from those rows:
+document count N, total token count |C|, per-document lengths, document
+frequencies df and collection frequencies cf.
 """
 
 import json
 import logging
 import re
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -148,6 +149,8 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
 def _add_doc(docs, seen, path, lineno, doc_id, text) -> None:
     if not doc_id:
         raise CorpusError(f"{path}:{lineno}: empty doc_id")
+    if doc_id.split() != [doc_id]:  # a run line is split on whitespace
+        raise CorpusError(f"{path}:{lineno}: doc_id {doc_id!r} contains whitespace")
     if doc_id in seen:
         raise CorpusError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
     seen.add(doc_id)
@@ -296,7 +299,7 @@ def _rows(keys: np.ndarray, n_rows: int, width: int) -> Rows:
                 np.diff(np.searchsorted(keys, bounds)))
 
 
-def _from_tokens(n_docs, total_tokens, doc_len, terms, doc_ids, term_of, doc_of) -> "Index":
+def _from_tokens(terms, doc_ids, term_of, doc_of) -> "Index":
     """The Index of the tokens numbered ``term_of`` in the sorted ``terms`` and
     ``doc_of`` in the sorted ``doc_ids``: the one builder of the arrays. The
     token arrays are overwritten; pass them as temporaries, so they free early."""
@@ -314,9 +317,7 @@ def _from_tokens(n_docs, total_tokens, doc_len, terms, doc_ids, term_of, doc_of)
     del term
     by_doc = _rows(keys, n, n_terms)
     del keys
-    df, cf = np.diff(by_term.ptr).tolist(), by_term.sums.tolist()
-    return Index(n_docs, total_tokens, doc_len, dict(zip(terms, df)), dict(zip(terms, cf)),
-                 tuple(terms), tuple(doc_ids), by_term, by_doc)
+    return Index(tuple(terms), tuple(doc_ids), by_term, by_doc)
 
 
 class _PostingsView(Mapping):
@@ -336,42 +337,45 @@ class _PostingsView(Mapping):
         return len(self._index.terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Index:
-    """Immutable inverted index with collection statistics.
+    """Immutable inverted index; its rows are its only stored state.
 
     Term numbers follow the sorted ``terms``, document numbers the sorted
     ``doc_ids``. ``by_term`` has a row per term of document numbers and tfs
     (retrieval, VAR); ``by_doc``, its transpose, a row per document of term
-    numbers and tfs (RM1, the RM re-ranking). ``doc_len``, ``df`` and ``cf``
-    are plain dicts in those orders, to be treated as read-only.
-    ``postings`` is a mapping view for dumps and checks, not for scoring.
+    numbers and tfs (RM1, the RM re-ranking). N, |C| and the read-only
+    mappings ``doc_len``, ``df`` and ``cf`` (in those orders) are derived from
+    the rows. ``postings`` is a mapping view for checks, not for scoring.
     """
 
-    n_docs: int
-    total_tokens: int
-    doc_len: dict[str, int] = field(repr=False)
-    df: dict[str, int] = field(repr=False)
-    cf: dict[str, int] = field(repr=False)
-    terms: tuple[str, ...] = field(repr=False)
-    doc_ids: tuple[str, ...] = field(repr=False)
-    by_term: Rows = field(repr=False)
-    by_doc: Rows = field(repr=False)
+    terms: tuple[str, ...]
+    doc_ids: tuple[str, ...]
+    by_term: Rows
+    by_doc: Rows
 
-    @classmethod
-    def from_postings(cls, n_docs: int, total_tokens: int, doc_len: dict[str, int],
-                      postings: dict[str, dict[str, int]]) -> "Index":
-        """An Index of ``postings`` (term -> {doc_id: tf}); df and cf are derived
-        from it. Documents missing from ``doc_len`` are numbered for validate."""
-        terms = sorted(postings)
-        doc_ids = sorted(doc_len.keys() | {d for plist in postings.values() for d in plist})
-        doc_row = dict(zip(doc_ids, range(len(doc_ids))))
-        sizes = [len(postings[t]) for t in terms]
-        tfs = np.fromiter((tf for t in terms for tf in postings[t].values()), np.int64, sum(sizes))
-        docs = np.fromiter((doc_row[d] for t in terms for d in postings[t]), np.int64, sum(sizes))
-        return _from_tokens(n_docs, total_tokens, doc_len, terms, doc_ids,
-                            np.repeat(np.repeat(np.arange(len(terms)), sizes), tfs),
-                            np.repeat(docs, tfs))
+    @property
+    def n_docs(self) -> int:
+        return len(self.doc_ids)
+
+    @cached_property
+    def total_tokens(self) -> int:
+        return int(self.by_doc.sums.sum())
+
+    @cached_property
+    def doc_len(self) -> Mapping[str, int]:
+        """doc_id -> length, the tf sum of its ``by_doc`` row."""
+        return MappingProxyType(dict(zip(self.doc_ids, self.by_doc.sums.tolist())))
+
+    @cached_property
+    def df(self) -> Mapping[str, int]:
+        """term -> document frequency, the size of its ``by_term`` row."""
+        return MappingProxyType(dict(zip(self.terms, np.diff(self.by_term.ptr).tolist())))
+
+    @cached_property
+    def cf(self) -> Mapping[str, int]:
+        """term -> collection frequency, the tf sum of its ``by_term`` row."""
+        return MappingProxyType(dict(zip(self.terms, self.by_term.sums.tolist())))
 
     @cached_property
     def term_row(self) -> dict[str, int]:
@@ -387,34 +391,6 @@ class Index:
     def postings(self) -> Mapping[str, dict[str, int]]:
         """term -> {doc_id: tf}, ascending doc_id; each access builds a new dict."""
         return _PostingsView(self)
-
-    def validate(self) -> None:
-        """Check the structural invariants; raises CorpusError on violation."""
-        if self.n_docs != len(self.doc_len):
-            raise CorpusError(f"N = {self.n_docs} but {len(self.doc_len)} documents")
-        if sum(self.doc_len.values()) != self.total_tokens:
-            raise CorpusError("sum of doc lengths != total_tokens")
-        ptr, docs = self.by_term.ptr, self.by_term.cols
-        df = np.array([self.df[t] for t in self.terms], dtype=np.int64)
-        cf = np.array([self.cf[t] for t in self.terms], dtype=np.int64)
-        row = np.repeat(np.arange(len(self.terms)), np.diff(ptr))  # of every cell
-        descending = row[1:][(docs[1:] <= docs[:-1]) & (row[1:] == row[:-1])]
-        for broken, message in (((df < 1) | (df > self.n_docs), "df out of range"),
-                                (df != np.diff(ptr), "df != |postings|"),
-                                (cf != self.by_term.sums, "cf != sum tf"),
-                                (cf < df, "cf < df"),
-                                (np.isin(np.arange(len(df)), descending), "postings not ascending")):
-            if broken.any():
-                raise CorpusError(f"{message} for {self.terms[np.argmax(broken)]!r}")
-        known = np.array([d in self.doc_len for d in self.doc_ids], dtype=bool)
-        if not known[docs].all():
-            term = row[np.argmax(~known[docs])]
-            unknown = [self.doc_ids[d] for d in self.by_term.row(term)[0] if not known[d]]
-            raise CorpusError(f"postings of {self.terms[term]!r} name unknown documents {unknown}")
-        tf_sums = dict(zip(self.doc_ids, self.by_doc.sums.tolist()))
-        bad = sorted(d for d, n in self.doc_len.items() if tf_sums.get(d, 0) != n)
-        if bad:
-            raise CorpusError(f"sum of tf != doc length for documents {bad}")
 
 
 def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZER) -> Index:
@@ -441,8 +417,8 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     del vocabulary
     term_of = np.frombuffer(tokens, dtype=np.intc)
     np.take(rank, term_of, out=term_of)
-    return _from_tokens(len(docs), len(term_of), dict(zip(doc_ids, lengths)), terms, doc_ids,
-                        term_of, np.repeat(np.arange(len(docs), dtype=np.int32), lengths))
+    return _from_tokens(terms, doc_ids, term_of,
+                        np.repeat(np.arange(len(docs), dtype=np.int32), lengths))
 
 
 def dump_stats(index: Index, path) -> None:
@@ -455,10 +431,11 @@ def dump_stats(index: Index, path) -> None:
         fh.write(f"# {SNAPSHOT_MAGIC} stats v{SNAPSHOT_VERSION}\n")
         fh.write(f"N\t{index.n_docs}\n")
         fh.write(f"C\t{index.total_tokens}\n")
-        for doc_id in sorted(index.doc_len):
-            fh.write(f"doc\t{doc_id}\t{index.doc_len[doc_id]}\n")
-        for term in sorted(index.postings):
-            cells = "\t".join(f"{d}:{tf}" for d, tf in index.postings[term].items())
+        for doc_id, length in index.doc_len.items():
+            fh.write(f"doc\t{doc_id}\t{length}\n")
+        for r, term in enumerate(index.terms):
+            docs, tfs = (a.tolist() for a in index.by_term.row(r))
+            cells = "\t".join(f"{index.doc_ids[d]}:{tf}" for d, tf in zip(docs, tfs))
             fh.write(f"term\t{term}\t{cells}\n")
 
 
@@ -507,9 +484,28 @@ def load_stats(path) -> Index:
                 raise CorpusError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
     if n_docs is None or total is None:
         raise CorpusError(f"{path}: missing N or C header")
-    index = Index.from_postings(n_docs, total, doc_len, postings)
-    index.validate()
-    return index
+    if n_docs != len(doc_len):
+        raise CorpusError(f"{path}: N = {n_docs} but {len(doc_len)} documents")
+    if sum(doc_len.values()) != total:
+        raise CorpusError(f"{path}: sum of doc lengths != total_tokens")
+    tf_sums = Counter()
+    for term, plist in postings.items():
+        if not plist:
+            raise CorpusError(f"{path}: df out of range for {term!r}")
+        unknown = [d for d in plist if d not in doc_len]
+        if unknown:
+            raise CorpusError(f"{path}: postings of {term!r} name unknown documents {unknown}")
+        tf_sums.update(plist)
+    bad = sorted(d for d, n in doc_len.items() if tf_sums[d] != n)
+    if bad:
+        raise CorpusError(f"{path}: sum of tf != doc length for documents {bad}")
+    terms, doc_ids = sorted(postings), sorted(doc_len)
+    doc_row = dict(zip(doc_ids, range(len(doc_ids))))
+    sizes = [len(postings[t]) for t in terms]
+    tfs = np.fromiter((tf for t in terms for tf in postings[t].values()), np.int64, sum(sizes))
+    docs = np.fromiter((doc_row[d] for t in terms for d in postings[t]), np.int64, sum(sizes))
+    return _from_tokens(terms, doc_ids, np.repeat(np.repeat(np.arange(len(terms)), sizes), tfs),
+                        np.repeat(docs, tfs))
 
 
 def load_queries(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Query]:
@@ -525,6 +521,8 @@ def load_queries(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Quer
             if len(parts) != 2:
                 raise CorpusError(f"{path}:{lineno}: expected 'query_id<TAB>text'")
             qid, text = parts
+            if qid.split() != [qid]:  # a run line is split on whitespace
+                raise CorpusError(f"{path}:{lineno}: query_id {qid!r} is empty or has whitespace")
             if qid in seen:
                 raise CorpusError(f"{path}:{lineno}: duplicate query_id {qid!r}")
             seen.add(qid)

@@ -220,10 +220,12 @@ def score_dirichlet(index: Index, terms, doc_id: str, mu: float = 1000.0) -> flo
     scored = scoreable_terms(index, terms)
     if not scored:
         raise DegenerateQueryError("no query term occurs in the collection")
-    dl = index.doc_len[doc_id]
+    dl, d = index.doc_len[doc_id], index.doc_row[doc_id]
     score = 0.0
     for term, qtf in Counter(scored).items():
-        tf = index.postings[term].get(doc_id, 0)
+        docs, tfs = index.by_term.row(index.term_row[term])
+        at = np.searchsorted(docs, d)
+        tf = int(tfs[at]) if at < len(docs) and docs[at] == d else 0
         p_c = index.cf[term] / index.total_tokens
         score += qtf * math.log((tf + mu * p_c) / (dl + mu))
     return score

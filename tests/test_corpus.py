@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import random
 import re
@@ -10,6 +11,7 @@ import pytest
 from qppfuse.corpus import (
     CorpusError,
     Document,
+    Index,
     Qrels,
     SenseLexicon,
     TokenizerConfig,
@@ -154,6 +156,20 @@ class TestIngest:
         with pytest.raises(CorpusError, match=rf"docs\.{fmt}:{line}: empty doc_id$"):
             ingest(path, fmt)
 
+    @pytest.mark.parametrize("fmt, text, line, doc_id", [
+        ("jsonl", '{"id":"d1","text":"a"}\n{"id":"doc 1","text":"b"}\n', 2, "doc 1"),
+        ("jsonl", '{"id":"d1","text":"a"}\n{"id":"doc\\t2","text":"b"}\n', 2, "doc\t2"),
+        ("tsv", "d1\ta\ndoc\x1c2\tb\n", 2, "doc\x1c2"),
+        ("trec", _TREC_DOC.format("d1", "a") + _TREC_DOC.format("doc 3", "b"), 5, "doc 3"),
+    ], ids=["jsonl-space", "jsonl-tab", "tsv", "trec"])
+    def test_whitespace_id_reports_line(self, tmp_path, fmt, text, line, doc_id):
+        # a run line "q1 Q0 doc 1 1 -0.8 tag" could never match a qrels line
+        path = tmp_path / f"docs.{fmt}"
+        path.write_text(text)
+        with pytest.raises(CorpusError) as err:
+            ingest(path, fmt)
+        assert str(err.value) == f"{path}:{line}: doc_id {doc_id!r} contains whitespace"
+
     @pytest.mark.parametrize("bad, message", [
         ("<DOC>\n<TEXT>x</TEXT>\n</DOC>\n", "<DOC> without <DOCNO>"),
         ("<DOC>\n<DOCNO>d7</DOCNO>\n</DOC>\n", "<DOC> without <TEXT>"),
@@ -266,9 +282,6 @@ class TestBuildIndex:
         index = build_index(_docs("a b", "a"))
         assert list(index.postings["a"].items()) == [("d1", 1), ("d2", 1)]
 
-    def test_invariants_on_toy(self, toy_index):
-        toy_index.validate()
-
     def test_deterministic(self, toy_docs):
         a = build_index(toy_docs)
         b = build_index(toy_docs)
@@ -301,7 +314,6 @@ class TestBuildIndex:
             for doc_id, tf in plist.items()
         }
         assert actual == expected
-        index.validate()
 
     def test_input_order_independent(self, tmp_path):
         # ids d1..d40 sort as d1, d10, d11, ..., so input order != doc_id order
@@ -341,7 +353,6 @@ class TestBuildIndex:
             assert list(index.cf.items()) == [(t, sum(p.values())) for t, p in postings.items()]
             assert list(index.doc_len.items()) == list(doc_len.items())
             assert index.total_tokens == total and index.n_docs == len(docs)
-            index.validate()
 
     def test_duplicate_doc_id(self):
         with pytest.raises(CorpusError, match="duplicate doc_id 'd1'"):
@@ -398,7 +409,18 @@ class TestArrayIndex:
         assert index.by_doc.sums.tolist() == list(doc_len.values())
         assert index.doc_len == doc_len and index.total_tokens == total
         assert index.by_doc.row(index.doc_row["stopped"])[0].size == 0
-        index.validate()
+
+    def test_rows_are_the_only_stored_state(self, toy_index):
+        assert [f.name for f in dataclasses.fields(Index)] == ["terms", "doc_ids", "by_term", "by_doc"]
+        assert toy_index.n_docs == len(toy_index.doc_ids) == 50
+        assert toy_index.total_tokens == sum(toy_index.doc_len.values())
+        for name, key in (("df", "comet"), ("cf", "comet"), ("doc_len", toy_index.doc_ids[0])):
+            stats = getattr(toy_index, name)
+            with pytest.raises(TypeError):
+                stats[key] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(toy_index, name, {})
+            assert getattr(toy_index, name) is stats and stats[key] > 0
 
     def test_arrays_are_read_only(self, toy_index):
         for rows in (toy_index.by_term, toy_index.by_doc):
@@ -474,32 +496,45 @@ class TestPersistence:
         with pytest.raises(CorpusError, match=f":{len(lines) + 1}: malformed"):
             load_stats(path)
 
-    def test_stats_dump_rejects_broken_invariant(self, toy_index, tmp_path):
-        path = tmp_path / "stats.txt"
-        dump_stats(toy_index, path)
+    @staticmethod
+    def _broken_dumps(index, path):
+        """(message, dump text) of each statistic that breaks an index invariant."""
+        dump_stats(index, path)
         lines = path.read_text().splitlines()
         assert lines[1].startswith("N\t") and lines[2].startswith("C\t")
         first_doc = next(i for i, line in enumerate(lines) if line.startswith("doc\t"))
         _, doc_id, length = lines[first_doc].split("\t")
         first_term = next(i for i, line in enumerate(lines) if line.startswith("term\t"))
         broken = {
-            "total_tokens": {2: f"C\t{toy_index.total_tokens + 1}"},
+            "total_tokens": {2: f"C\t{index.total_tokens + 1}"},
             # IDF would use the wrong N
-            "documents": {1: f"N\t{toy_index.n_docs + 1}"},
+            "documents": {1: f"N\t{index.n_docs + 1}"},
             # retrieve would hit a bare KeyError on the unknown doc
             "unknown documents": {first_term: lines[first_term] + "\tzz9:1"},
             # a term with no postings: df = 0
             "df out of range": {len(lines) - 1: lines[-1] + "\nterm\tzzz"},
             "sum of tf != doc length": {
                 first_doc: f"doc\t{doc_id}\t{int(length) + 1}",
-                2: f"C\t{toy_index.total_tokens + 1}",
+                2: f"C\t{index.total_tokens + 1}",
             },
         }
         for message, edits in broken.items():
-            edited = [edits.get(i, line) for i, line in enumerate(lines)]
-            path.write_text("\n".join(edited) + "\n")
+            yield message, "\n".join(edits.get(i, line) for i, line in enumerate(lines)) + "\n"
+
+    def test_stats_dump_rejects_broken_invariant(self, toy_index, tmp_path):
+        path = tmp_path / "stats.txt"
+        for message, text in self._broken_dumps(toy_index, path):
+            path.write_text(text)
             with pytest.raises(CorpusError, match=message):
                 load_stats(path)
+
+    def test_broken_dump_error_names_the_file(self, toy_index, tmp_path):
+        path = tmp_path / "stats.txt"
+        for message, text in self._broken_dumps(toy_index, path):
+            path.write_text(text)
+            with pytest.raises(CorpusError) as err:
+                load_stats(path)
+            assert str(err.value).startswith(f"{path}: "), message
 
 
 class TestFileLoaders:
@@ -510,6 +545,14 @@ class TestFileLoaders:
         assert queries[0].query_id == "q1"
         assert queries[0].terms == ("the", "dog", "ran")
         assert queries[1].is_empty
+
+    @pytest.mark.parametrize("qid", ["", "q 2", "q\x1c2"], ids=["empty", "space", "separator"])
+    def test_queries_id_empty_or_with_whitespace(self, tmp_path, qid):
+        path = tmp_path / "q.tsv"
+        path.write_text(f"q1\ta\n{qid}\tb\n")
+        with pytest.raises(CorpusError) as err:
+            load_queries(path)
+        assert str(err.value) == f"{path}:2: query_id {qid!r} is empty or has whitespace"
 
     def test_queries_duplicate_id(self, tmp_path):
         path = tmp_path / "q.tsv"

@@ -1,10 +1,10 @@
-import dataclasses
 import math
 import random
+from collections import Counter
 
 import pytest
 
-from qppfuse.corpus import Document, Qrels, Query, build_index
+from qppfuse.corpus import Document, Index, Qrels, Query, build_index, tokenize
 from qppfuse.retrieval import (
     DegenerateQueryError,
     RankedList,
@@ -65,6 +65,24 @@ class TestScoreDirichlet:
         double = score_dirichlet(engineered_index, ["t", "t"], "d1")
         assert double == pytest.approx(2 * single, rel=1e-12)
 
+    def test_reads_term_rows_not_postings(self, monkeypatch, toy_index, toy_queries):
+        # the per-document formula over tfs read from postings dicts
+        def by_postings(terms, doc_id, mu):
+            dl = toy_index.doc_len[doc_id]
+            return sum(qtf * math.log((toy_index.postings[t].get(doc_id, 0)
+                                       + mu * (toy_index.cf[t] / toy_index.total_tokens)) / (dl + mu))
+                       for t, qtf in Counter(t for t in terms if t in toy_index.cf).items())
+
+        cases = [(q.terms, d, mu) for q in toy_queries if any(t in toy_index.cf for t in q.terms)
+                 for d in toy_index.doc_ids for mu in (1000.0, 2.5)]
+        expected = [by_postings(*case) for case in cases]
+
+        def no_view(index):
+            raise AssertionError("score_dirichlet read the postings view")
+
+        monkeypatch.setattr(Index, "postings", property(no_view))
+        assert [score_dirichlet(toy_index, terms, d, mu=mu) for terms, d, mu in cases] == expected
+
     @pytest.mark.parametrize("mu", [0, -5.0, math.inf, math.nan])
     def test_bad_mu(self, engineered_index, mu):
         with pytest.raises(ValueError, match="mu must be > 0 and finite"):
@@ -117,32 +135,21 @@ class TestRetrieve:
             term_docs.update(toy_index.postings.get(term, {}))
         assert set(ranked.doc_ids) <= term_docs
 
-    def test_removing_unrelated_doc_with_stats_fixed(self, toy_index, toy_queries):
-        # drop a document containing no query term but keep the global
-        # statistics: every retrieved score must be bit-identical
-        from qppfuse.corpus import Index
-
+    def test_removing_unrelated_doc_with_stats_fixed(self, toy_docs, toy_index, toy_queries):
+        # replace a document holding no query term by as many tokens of a
+        # fresh term: N, |C|, every doc length and every query term's cf stay
+        # the same, so every retrieved score must be bit-identical
         query = toy_queries[0]
         before = retrieve(toy_index, query)
-        candidates = set(before.doc_ids)
-        victim = next(
-            d for d in sorted(toy_index.doc_len)
-            if d not in candidates
-            and all(toy_index.postings.get(t, {}).get(d, 0) == 0 for t in query.terms)
-        )
-        doc_len = {d: n for d, n in toy_index.doc_len.items() if d != victim}
-        postings = {
-            t: {d: tf for d, tf in plist.items() if d != victim}
-            for t, plist in toy_index.postings.items()
-        }
-        postings = {t: p for t, p in postings.items() if p}
-        # stats held fixed: N and |C| pass through from_postings, df and cf are put back
-        reduced = dataclasses.replace(
-            Index.from_postings(toy_index.n_docs, toy_index.total_tokens, doc_len, postings),
-            df=dict(toy_index.df),
-            cf=dict(toy_index.cf),
-        )
-        after = retrieve(reduced, query)
+        victim = next(d for d in toy_docs
+                      if tokenize(d.text) and not set(tokenize(d.text)) & set(query.terms))
+        assert victim.doc_id not in before.doc_ids and "zzfresh" not in toy_index.cf
+        docs = [Document(d.doc_id, " ".join(["zzfresh"] * len(tokenize(d.text))))
+                if d is victim else d for d in toy_docs]
+        replaced = build_index(docs)
+        assert (replaced.n_docs, replaced.total_tokens) == (toy_index.n_docs, toy_index.total_tokens)
+        assert all(replaced.cf[t] == toy_index.cf[t] for t in query.terms if t in toy_index.cf)
+        after = retrieve(replaced, query)
         assert after.entries == before.entries
 
 
