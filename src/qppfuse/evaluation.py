@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .retrieval import BLOCK_CELLS
+
 __all__ = [
     "UndefinedMetricError",
     "CorrelationResult",
@@ -64,6 +66,8 @@ def pearson(a, b) -> CorrelationResult:
     n = a.size
     if n < 3:
         raise UndefinedMetricError(f"need n >= 3, got {n}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise UndefinedMetricError("non-finite input")
     r = pearson_r(a.tolist(), b.tolist())
     if r is None:
         raise UndefinedMetricError("zero variance input")
@@ -109,59 +113,84 @@ def kendall_tau_b(a, b) -> CorrelationResult:
     """Tie-aware Kendall's tau from exact integer pair counts.
 
     tau_b = (C - D) / sqrt((C + D + Ta) * (C + D + Tb)) where Ta / Tb count
-    pairs tied only in a / only in b; pairs tied in both count nowhere.
-    Knight (1966): sort by (a, b); n1 / n2 / n3 (pairs tied in a / b / both)
-    come from runs of equal values, D from the inversions of b in that order.
-    O(n log n) time, O(n) memory.
+    pairs tied only in a / only in b; pairs tied in both count nowhere. The
+    counts are a one-row call of the block kernel :func:`_pair_counts`, so
+    O(n log n) time and O(n) memory.
     """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
+    return CorrelationResult(_kendall_taus([a, np.asarray(b, dtype=float)])(0, 1), a.size)
+
+
+def _kendall_taus(vectors):
+    """``tau(i, j)``, tau-b of columns i < j, raising where undefined; each column is
+    checked and ranked once, ties sharing their lowest sorted position (-0.0 ties 0.0)."""
+    n = vectors[0].size
+    if any(v.shape != (n,) for v in vectors):
         raise ValueError("inputs must be 1-d vectors of equal length")
-    n = a.size
-    if n < 2:
-        raise UndefinedMetricError(f"need n >= 2, got {n}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise UndefinedMetricError("non-finite input")
-    order = np.lexsort((b, a))  # by a, then b
-    a, b = a[order], b[order]
-    b_sorted = np.sort(b)
-    a_differs = a[1:] != a[:-1]
-    n1 = _tied_pairs(a_differs)
-    n2 = _tied_pairs(b_sorted[1:] != b_sorted[:-1])
-    n3 = _tied_pairs(a_differs | (b[1:] != b[:-1]))
-    d = _inversions(np.searchsorted(b_sorted, b).tolist())
-    c = n * (n - 1) // 2 - n1 - n2 + n3 - d
-    denom_sq = (c + d + n1 - n3) * (c + d + n2 - n3)  # Ta = n1 - n3, Tb = n2 - n3
-    if denom_sq == 0:
-        raise UndefinedMetricError("all pairs tied in one vector")
-    return CorrelationResult((c - d) / math.sqrt(denom_sq), n)
+    ordered = [np.sort(v) for v in vectors]  # NaN sorts last
+    finite = [n >= 2 and math.isfinite(s[0]) and math.isfinite(s[-1]) for s in ordered]
+    ranks = np.array([np.searchsorted(s, v) for s, v in zip(ordered, vectors)])
+    live = [(i, j) for i in range(len(vectors)) for j in range(i + 1, len(vectors))
+            if finite[i] and finite[j]]
+    counts, step = {}, max(1, BLOCK_CELLS // max(n, 1))
+    for start in range(0, len(live), step):
+        i, j = np.array(live[start:start + step]).T
+        counts.update(zip(live[start:start + step], _pair_counts(ranks[i], ranks[j]).tolist()))
+
+    def tau(i, j):
+        if n < 2:
+            raise UndefinedMetricError(f"need n >= 2, got {n}")
+        if (i, j) not in counts:
+            raise UndefinedMetricError("non-finite input")
+        n1, n2, n3, d = counts[i, j]
+        c = n * (n - 1) // 2 - n1 - n2 + n3 - d
+        denom_sq = (c + d + n1 - n3) * (c + d + n2 - n3)  # Ta = n1 - n3, Tb = n2 - n3
+        if denom_sq == 0:
+            raise UndefinedMetricError("all pairs tied in one vector")
+        return (c - d) / math.sqrt(denom_sq)
+    return tau
+
+
+_BASE_PAIRS = np.arange(16)[:, None] < np.arange(16)  # i < j within a 16-element block
+
+
+def _pair_counts(ra, rb) -> np.ndarray:
+    """Exact int64 [n1, n2, n3, D] of each row pair of two P x n lowest-position rank blocks.
+
+    Knight (1966): sorted by (a, b), n1 / n2 / n3 count pairs tied in a / b / both (a
+    run tied from sorted position s holds sum(i - s) pairs) and D the inversions of b,
+    counted merge-sort style on b padded with n to 16 * 2^k: a broadcast comparison in
+    each 16-element block, then per level one sort of each pair of w-runs, the right one
+    tagged so that its k-th element, sorted to q, lies below w - (q - k) left ones.
+    """
+    p, n = ra.shape
+    half = n * (n - 1) // 2
+    size = 16 << ((n - 1) // 16).bit_length()
+    y = np.full((p, size), n)
+    key = y[:, :n]  # sorted by (a, b) in place, then b's ranks doubled, so a tag bit sorts below
+    np.add(ra * n, rb, out=key)
+    key.sort(axis=1)
+    n3 = half - np.maximum.accumulate(
+        np.where(key[:, 1:] != key[:, :-1], np.arange(1, n), 0), axis=1).sum(axis=1)
+    key %= n
+    y <<= 1
+    d = np.greater(y.reshape(p, -1, 16, 1), y.reshape(p, -1, 1, 16), where=_BASE_PAIRS,
+                   out=np.zeros((p, size // 16, 16, 16), dtype=bool)).sum(axis=(1, 2, 3))
+    position, width = np.arange(size), 16
+    while width < size:  # every sort is in place, so memory stays y and one temporary
+        y.reshape(-1, 2, width)[:, 1] += 1
+        y.reshape(-1, 2 * width).sort(axis=1)
+        # w + k - q summed over a row's right elements, q read as a row position, r = size / 2w:
+        # r(w^2 + w(w-1)/2) + w^2 r(r-1) - tags @ position
+        d += size * size // 4 + size // (2 * width) * (width * (width - 1) // 2) - (y & 1) @ position
+        y &= -2
+        width *= 2
+    return np.array([half - ra.sum(axis=1), half - rb.sum(axis=1), n3, d]).T
 
 
 def _run_bounds(differs) -> np.ndarray:
     """Run boundaries of a sorted sequence: 0, each i whose element differs from i - 1, n."""
     return np.flatnonzero(np.concatenate(([True], differs, [True])))
-
-
-def _tied_pairs(differs) -> int:
-    runs = np.diff(_run_bounds(differs))
-    return int((runs * (runs - 1) // 2).sum())
-
-
-def _inversions(ranks: list[int]) -> int:
-    """Pairs i < j with ranks[i] > ranks[j], for ranks in [0, n); a Fenwick tree."""
-    tree, count = [0] * (len(ranks) + 1), 0
-    for seen, rank in enumerate(ranks):
-        count += seen
-        i = rank + 1
-        while i:  # earlier ranks <= rank are not inversions
-            count -= tree[i]
-            i &= i - 1
-        i = rank + 1
-        while i < len(tree):
-            tree[i] += 1
-            i += i & -i
-    return count
 
 
 def rmse_direct(y_hat, y) -> float:
@@ -329,8 +358,10 @@ class CorrMatrix:
 def predictor_correlation_matrix(columns: dict[str, "np.ndarray"], metric: str = "pearson") -> CorrMatrix:
     """Pairwise correlations between predictor score columns.
 
-    Undefined cells (zero variance, all ties) are NaN, with the reason
-    recorded per pair.
+    Pearson calls :func:`pearson` per pair; Kendall ranks each column once and
+    counts the pairs in blocks of at most BLOCK_CELLS rank cells, so memory
+    stays linear in n. Undefined cells (non-finite input, zero variance, all
+    ties) are NaN, with the reason recorded per pair.
     """
     if metric not in ("pearson", "kendall"):
         raise ValueError(f"metric must be 'pearson' or 'kendall', got {metric!r}")
@@ -338,14 +369,15 @@ def predictor_correlation_matrix(columns: dict[str, "np.ndarray"], metric: str =
         raise ValueError("need at least 2 predictor columns")
     names = list(columns.keys())
     vectors = [np.asarray(columns[n], dtype=float) for n in names]
-    corr = pearson if metric == "pearson" else kendall_tau_b
+    corr = (_kendall_taus(vectors) if metric == "kendall"
+            else lambda i, j: pearson(vectors[i], vectors[j]).coefficient)
     m = len(names)
     matrix = np.ones((m, m))
     missing: dict[tuple[str, str], str] = {}
     for i in range(m):
         for j in range(i + 1, m):
             try:
-                value = corr(vectors[i], vectors[j]).coefficient
+                value = corr(i, j)
             except UndefinedMetricError as exc:
                 value = math.nan
                 missing[(names[i], names[j])] = str(exc)

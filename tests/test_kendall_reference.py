@@ -2,29 +2,36 @@
 
 ``_reference_kendall_tau_b`` is the earlier n x n sign-matrix implementation,
 copied unchanged; the O(n log n) ``kendall_tau_b`` must return the same float
-(``==``) or raise the same exception type. The rank helper must equal the
-``scipy.stats`` call it replaced, bit for bit. The paired t-test's p-value
-comes from the package's own Student-t CDF (Cephes' series, checked against
-mpmath in ``test_t_cdf.py``), so it must stay within 4e-15 of
-``scipy.stats.t.cdf`` rather than equal it.
+(``==``) or raise the same exception type. The block kernel behind it must
+give the sign matrices' exact pair counts at every padding and merge-level
+boundary, and the Kendall matrix must equal ``kendall_tau_b`` cell by cell.
+The rank helper must equal the ``scipy.stats`` call it replaced, bit for bit.
+The paired t-test's p-value comes from the package's own Student-t CDF
+(Cephes' series, checked against mpmath in ``test_t_cdf.py``), so it must
+stay within 4e-15 of ``scipy.stats.t.cdf`` rather than equal it.
 """
 
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from qppfuse import evaluation
 from qppfuse.evaluation import (
     CorrelationResult,
     UndefinedMetricError,
     _average_ranks,
+    _pair_counts,
     kendall_tau_b,
     paired_t_one_sided,
+    pearson,
     predictor_correlation_matrix,
     smare,
 )
@@ -141,12 +148,15 @@ def test_case_kinds_reach_their_regimes():
         kendall_tau_b(*_all_tied(20, rng))
 
 
-@pytest.mark.parametrize("a, b", [
+NON_FINITE = [
     ([1, 1, 2, 3], [math.nan, 2, 3, 1]),
     ([math.nan] * 4, [1, 2, 3, 4]),
     ([1, 2, 3, 4], [1, math.inf, 3, 4]),
     ([-math.inf, 2, 3, 4], [1, 2, 3, 4]),
-])
+]
+
+
+@pytest.mark.parametrize("a, b", NON_FINITE)
 def test_non_finite_input_is_undefined(a, b):
     with pytest.raises(UndefinedMetricError, match="non-finite input"):
         kendall_tau_b(a, b)
@@ -157,6 +167,106 @@ def test_non_finite_becomes_nan_cell():
     corr = predictor_correlation_matrix(columns, metric="kendall")
     assert math.isnan(corr.value("x", "y")) and corr.missing[("x", "y")] == "non-finite input"
     assert corr.value("x", "z") == -1.0
+
+
+@pytest.mark.parametrize("a, b", NON_FINITE)
+def test_pearson_non_finite_input_is_undefined(a, b):
+    with pytest.raises(UndefinedMetricError, match="non-finite input"):
+        pearson(a, b)
+
+
+def test_pearson_non_finite_becomes_nan_cell():
+    columns = {"x": [1.0, 2.0, 3.0, 4.0], "y": [1.0, math.nan, 2.0, 3.0], "z": [4.0, 3.0, 2.0, 1.0]}
+    corr = predictor_correlation_matrix(columns, metric="pearson")
+    assert math.isnan(corr.value("x", "y")) and corr.missing[("x", "y")] == "non-finite input"
+    assert corr.value("x", "z") == -1.0
+
+
+def _reference_counts(a, b) -> list[int]:
+    """[n1, n2, n3, D]: pairs tied in a, tied in b, tied in both, discordant; from sign matrices."""
+    iu = np.triu_indices(len(a), k=1)
+    da = np.sign(a[:, None] - a[None, :])[iu]
+    db = np.sign(b[:, None] - b[None, :])[iu]
+    tied_a, tied_b = da == 0, db == 0
+    return [int(np.count_nonzero(m)) for m in (tied_a, tied_b, tied_a & tied_b, da * db < 0)]
+
+
+def _lowest_ranks(x):
+    return np.searchsorted(np.sort(x), x)
+
+
+def _signed_zero_ties(n, rng):  # -0.0 and 0.0 tie; one column is all zeros of both signs
+    zeros = rng.choice([-0.0, 0.0], n)
+    other = rng.choice([-1.0, -0.0, 0.0, 2.0], n)
+    return (zeros, other) if rng.random() < 0.5 else (other, zeros)
+
+
+# the base block is 16 elements and rows pad to 16 * 2^k, so each size sits at a boundary
+BOUNDARY_SIZES = (2, 15, 16, 17, 31, 32, 33, 255, 256, 257, 1000)
+BOUNDARY_KINDS = {"continuous": _continuous, "heavy_ties": _heavy_ties, "all_tied": _all_tied,
+                  "mixed": _mixed, "signed_zero_ties": _signed_zero_ties}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_KINDS))
+def test_kernel_counts_at_block_boundaries(kind):
+    rng = np.random.default_rng([20261020, sorted(BOUNDARY_KINDS).index(kind)])
+    for n in BOUNDARY_SIZES:
+        a, b = BOUNDARY_KINDS[kind](n, rng)
+        counts = _pair_counts(_lowest_ranks(a)[None], _lowest_ranks(b)[None])
+        assert counts.dtype == np.int64 and counts.tolist() == [_reference_counts(a, b)], n
+        assert _outcome(kendall_tau_b, a, b) == _outcome(_reference_kendall_tau_b, a, b), n
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_KINDS))
+def test_kernel_block_rows_equal_single_rows(kind):
+    rng = np.random.default_rng([20261021, sorted(BOUNDARY_KINDS).index(kind)])
+    for n in BOUNDARY_SIZES:
+        rows = [BOUNDARY_KINDS[kind](n, rng) for _ in range(5)]
+        ra = np.array([_lowest_ranks(a) for a, _ in rows])
+        rb = np.array([_lowest_ranks(b) for _, b in rows])
+        single = [_pair_counts(ra[k:k + 1], rb[k:k + 1])[0].tolist() for k in range(len(rows))]
+        assert _pair_counts(ra, rb).tolist() == single, n
+
+
+def _matrix_columns(n, rng):
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    with_nan, with_inf = x.copy(), y.copy()
+    with_nan[: n // 2 + 1] = math.nan
+    with_inf[n - 1:] = math.inf
+    return {"x": x, "y": y, "tied": rng.integers(0, 3, n).astype(float),
+            "zeros": rng.choice([-0.0, 0.0, 1.0], n), "constant": np.full(n, 0.4),
+            "nan": with_nan, "inf": with_inf, "reversed": -x, "copy": x.copy()}
+
+
+# 7 finite columns, so 21 counted pairs, BLOCK_CELLS // n of them per block
+@pytest.mark.parametrize("n, block_cells, blocks", [(1, None, 0), (2, None, 1), (2, 6, 7),
+                                                    (17, 40, 11), (300, None, 1), (1000, None, 2)])
+def test_kendall_matrix_equals_pairwise_calls(n, block_cells, blocks, monkeypatch):
+    if block_cells is not None:
+        monkeypatch.setattr(evaluation, "BLOCK_CELLS", block_cells)
+    rows = []
+    monkeypatch.setattr(evaluation, "_pair_counts",
+                        lambda ra, rb: rows.append(len(ra)) or _pair_counts(ra, rb))
+    columns = _matrix_columns(n, np.random.default_rng(n))
+    corr = predictor_correlation_matrix(columns, metric="kendall")
+    assert len(rows) == blocks and sum(rows) == (21 if n >= 2 else 0)
+    names = list(columns)
+    for i, j in combinations(range(len(names)), 2):
+        outcome = _outcome(kendall_tau_b, columns[names[i]], columns[names[j]])
+        cell, reason = corr.matrix[i, j], corr.missing.get((names[i], names[j]))
+        assert cell == corr.matrix[j, i] or math.isnan(cell) and math.isnan(corr.matrix[j, i])
+        if isinstance(outcome, float):
+            assert (cell, reason) == (outcome, None), (names[i], names[j])
+        else:
+            assert math.isnan(cell) and reason is not None, (names[i], names[j])
+            with pytest.raises(outcome, match=f"^{re.escape(reason)}$"):
+                kendall_tau_b(columns[names[i]], columns[names[j]])
+
+
+def test_kendall_matrix_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="equal length"):
+        predictor_correlation_matrix({"a": [1.0, 2.0, 3.0], "b": [3.0, 1.0, 2.0],
+                                      "c": [1.0, 2.0, 3.0, 4.0]}, metric="kendall")
 
 
 def test_kendall_matrix_memory_is_linear():
