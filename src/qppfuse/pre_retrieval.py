@@ -14,8 +14,9 @@ zeros and counts as degenerate (n_terms == 0).
 """
 
 import math
-import statistics
 from typing import NamedTuple
+
+import numpy as np
 
 from .corpus import Index, Query, SenseLexicon
 
@@ -104,14 +105,36 @@ def scq_family(index: Index, query, distinct: bool = True) -> ScqFamily:
     return ScqFamily(sum(scqs), sum(scqs) / len(scqs), max(scqs), len(scqs))
 
 
+def _exact_pstdev(values, counts) -> float:
+    """Population std of ``values``, each repeated ``counts`` times: exact and
+    correctly rounded, the bits of ``statistics.pstdev`` from Python 3.11 on.
+
+    The values are integers over their largest denominator D (floats' are powers
+    of two); the variance is (n * S2 - S1**2) / (n * D)**2 in integers, and its
+    root is an isqrt of at least 56 bits, rounded to odd, then divided once.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    nums = [p * (scale // d) for p, d in ratios]
+    n = sum(counts)
+    s1 = sum(c * p for c, p in zip(counts, nums))
+    s2 = sum(c * p * p for c, p in zip(counts, nums))
+    num, den = n * s2 - s1 * s1, (n * scale) ** 2
+    shift = max(0, 112 - num.bit_length() + den.bit_length()) // 2
+    root = math.isqrt((num << 2 * shift) // den)
+    root |= root * root * den != num << 2 * shift  # a sticky bit for an inexact root
+    return root / (1 << shift)
+
+
 def term_weight_std(index: Index, term: str) -> float:
-    """Population std of (1 + ln tf) * idf over the postings of ``term``."""
+    """Population std of (1 + ln tf) * idf over the postings of ``term``, one
+    weight per distinct tf."""
     idf = math.log(index.n_docs / index.df[term])
     _, tfs = index.by_term.row(index.term_row[term])
-    weights = [(1.0 + math.log(tf)) * idf for tf in tfs.tolist()]
-    if len(weights) == 1:
-        return 0.0
-    return statistics.pstdev(weights)
+    counts = np.bincount(tfs)
+    found = np.flatnonzero(counts)
+    return _exact_pstdev([(1.0 + math.log(tf)) * idf for tf in found.tolist()],
+                         counts[found].tolist())
 
 
 def var_family(index: Index, query, distinct: bool = True) -> VarFamily:

@@ -119,24 +119,25 @@ class _ZeroTfLogs:
 def _tf_cells(index: Index, term_rows, docs, first_cols):
     """Rows, columns and tfs of the tf > 0 cells of the terms ``term_rows`` x
     the distinct documents ``docs`` (first seen at the columns ``first_cols``),
-    plus the cell count of each row.
+    ordered by row, plus the cell count of each row.
 
     They are read from the index rows of the side with fewer: a query's terms
     in ``by_term``, or the feedback documents in ``by_doc``.
     """
     if len(term_rows) <= len(docs):
         rows, found, tfs = index.by_term.take(term_rows)
-        col_of = np.full(len(index.doc_ids), -1)
+        col_of = np.full(len(index.doc_ids), -1, dtype=np.int32)
         col_of[docs] = first_cols
         cols = col_of[found]
     else:
         owner, found, tfs = index.by_doc.take(docs)
-        row_of = np.full(len(index.terms), -1)
+        row_of = np.full(len(index.terms), -1, dtype=np.int32)
         row_of[term_rows] = np.arange(len(term_rows))
         rows, cols = row_of[found], first_cols[owner]
-    hit = (rows >= 0) & (cols >= 0)
+    hit = np.flatnonzero((rows >= 0) & (cols >= 0))
+    hit = hit[np.argsort(rows[hit], kind="stable")]
     rows = rows[hit]
-    return rows, cols[hit], tfs[hit].astype(float), np.bincount(rows, minlength=len(term_rows))
+    return rows, cols[hit], tfs[hit], np.bincount(rows, minlength=len(term_rows))
 
 
 def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
@@ -154,9 +155,10 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
     and adds cell by cell: every cell is the same IEEE operations done
     elementwise, logs are ``math.log`` (taken once per distinct input of a
     column block, kept rows permitting), and the sums are sequential
-    ``np.cumsum``. The tfs come from the index's rows. Work goes in blocks of
-    at most ``BLOCK_CELLS`` cells, so the float temporaries stay bounded on
-    any grid.
+    ``np.cumsum``. The tfs come from the index's rows, read once per column
+    block for all of ``terms``; each row block takes its slice of those cells.
+    Work goes in blocks of at most ``BLOCK_CELLS`` cells, so the float
+    temporaries stay bounded on any grid.
     """
     if per not in ("doc", "term"):
         raise ValueError(f"per must be 'doc' or 'term', got {per!r}")
@@ -184,14 +186,17 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
         first_cols = np.fromiter(col_of.values(), np.intp, len(col_of))
         den = denoms[cols]
         zero_logs = _ZeroTfLogs(priors, den) if log else None
+        cell_r, cell_c, cell_tf, row_counts = _tf_cells(index, terms, distinct, first_cols)
+        bounds = np.concatenate(([0], np.cumsum(row_counts)))  # row i: bounds[i]:bounds[i + 1]
         for r0 in range(0, len(terms), height):
             rows = slice(r0, r0 + height)
             pri = priors[rows]
-            r, c, tf, counts = _tf_cells(index, terms[rows], distinct, first_cols)
+            at = slice(bounds[r0], bounds[r0 + len(pri)])
+            r, c, tf = cell_r[at] - r0, cell_c[at], cell_tf[at]
             cells = (tf + pri[r]) / den[c]
             if log:
                 block = np.empty((len(pri), len(den)))
-                sparse = counts < len(col_of)  # rows with a tf = 0 cell
+                sparse = row_counts[rows] < len(col_of)  # rows with a tf = 0 cell
                 if sparse.any():
                     block[sparse] = zero_logs.rows(pri[sparse])
                 block[r, c] = _logs(cells)
@@ -258,13 +263,9 @@ def retrieve(index: Index, query: Query, k: int = 1000, mu: float = 1000.0) -> R
     holds[index.by_term.take(terms)[1]] = True
     candidates = np.flatnonzero(holds)
     scores = dirichlet_sums(index, terms, candidates, mu, list(qtfs.values()), log=True, per="doc")
-    scores = scores.tolist()
-    results = list(zip(candidates.tolist(), scores))
-    if len(results) > k:  # only scores >= the k-th largest can rank in the top k
-        kth = sorted(scores)[-k]
-        results = [e for e in results if e[1] >= kth]
-    results.sort(key=lambda e: (-e[1], e[0]))  # numbers follow the doc_id order
-    return RankedList(query.query_id, tuple((index.doc_ids[d], s) for d, s in results[:k]))
+    top = np.argsort(-scores, kind="stable")[:k]  # ties keep the candidates' doc_id order
+    doc_ids = map(index.doc_ids.__getitem__, candidates[top].tolist())
+    return RankedList(query.query_id, tuple(zip(doc_ids, scores[top].tolist())))
 
 
 def average_precision(ranked: RankedList, qrels: Qrels, cutoff: int = 1000) -> float | None:
@@ -274,16 +275,16 @@ def average_precision(ranked: RankedList, qrels: Qrels, cutoff: int = 1000) -> f
     not). Returns None when the query has no relevant documents, in which
     case AP is undefined and the query is excluded from experiments.
     """
-    n_relevant = qrels.num_relevant(ranked.query_id)
-    if n_relevant == 0:
+    relevant = qrels.relevant_docs(ranked.query_id)
+    if not relevant:
         return None
     hits = 0
     precision_sum = 0.0
     for rank, (doc_id, _) in enumerate(ranked.entries[:cutoff], start=1):
-        if qrels.grade(ranked.query_id, doc_id) > 0:
+        if doc_id in relevant:
             hits += 1
             precision_sum += hits / rank
-    return precision_sum / n_relevant
+    return precision_sum / len(relevant)
 
 
 def write_run_file(path, ranked_lists, tag: str = "qppfuse") -> None:

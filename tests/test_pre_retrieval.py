@@ -1,10 +1,14 @@
 import math
 import random
+import statistics
+import sys
+from fractions import Fraction
 
 import pytest
 
 from qppfuse.corpus import Document, SenseLexicon, build_index, dump_stats, load_stats
 from qppfuse.pre_retrieval import (
+    _exact_pstdev,
     PRE_PREDICTORS,
     compute_pre_scores,
     idf_family,
@@ -86,6 +90,83 @@ class TestVarFamily:
         assert term_weight_std(index, "t") == pytest.approx(expected, abs=1e-12)
         total, avg, mx, n = var_family(index, ["t"])
         assert total == avg == mx == pytest.approx(expected, abs=1e-12)
+
+
+def _histogram(rng):
+    """Distinct tfs (small, medium and up to 10**6) with their posting counts."""
+    hist = {}
+    for _ in range(rng.randint(1, 30)):
+        tf = rng.choice([rng.randint(1, 5), rng.randint(1, 100), rng.randint(1, 10**6)])
+        hist[tf] = hist.get(tf, 0) + rng.randint(1, 40)
+    return sorted(hist), [hist[tf] for tf in sorted(hist)]
+
+
+def _weights(tfs, idf):
+    return [(1.0 + math.log(tf)) * idf for tf in tfs]
+
+
+def _per_posting_pstdev(index, term):
+    """The per-posting statistics.pstdev that VAR used before."""
+    idf = math.log(index.n_docs / index.df[term])
+    return statistics.pstdev(_weights(index.postings[term].values(), idf))
+
+
+class TestExactStd:
+    """VAR's std is exact and correctly rounded; it equals statistics.pstdev where
+    that is too (3.11 on) and is checked against exact fractions everywhere."""
+
+    needs_exact_pstdev = pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="Python 3.10's statistics.pstdev rounds the variance to a float before "
+               "its square root, so it is not correctly rounded")
+
+    def test_correctly_rounded_against_fractions(self):
+        # the float next to the result on either side is no nearer the exact root:
+        # the squared midpoints bracket the exact variance
+        rng = random.Random(31)
+        for _ in range(300):
+            tfs, counts = _histogram(rng)
+            weights = _weights(tfs, math.log(rng.randint(2, 10**5) / rng.randint(1, 2)))
+            n = sum(counts)
+            mean = sum(Fraction(w) * c for w, c in zip(weights, counts)) / n
+            variance = sum((Fraction(w) - mean) ** 2 * c for w, c in zip(weights, counts)) / n
+            root = _exact_pstdev(weights, counts)
+            below, above = math.nextafter(root, 0.0), math.nextafter(root, math.inf)
+            if root > 0:
+                assert ((Fraction(below) + Fraction(root)) / 2) ** 2 <= variance
+            assert variance <= ((Fraction(root) + Fraction(above)) / 2) ** 2
+
+    @needs_exact_pstdev
+    def test_seeded_histograms(self):
+        rng = random.Random(17)
+        for _ in range(2000):
+            tfs, counts = _histogram(rng)
+            weights = _weights(tfs, math.log(rng.randint(2, 10**5) / rng.randint(1, 2)))
+            expanded = [w for w, c in zip(weights, counts) for _ in range(c)]
+            assert _exact_pstdev(weights, counts) == statistics.pstdev(expanded)
+
+    @needs_exact_pstdev
+    @pytest.mark.parametrize("texts", [
+        ("t t t", "x"),                   # one posting
+        ("t t", "t t x", "t t y", "z"),   # all tfs equal
+        ("t", "t t", "t x"),              # df = N: idf 0
+        ("t " * 10**6, "t x", "y"),       # a tf of 10**6
+    ], ids=["one-posting", "equal-tfs", "idf-zero", "tf-1e6"])
+    def test_edge_rows(self, texts):
+        index = build_index(_docs(*texts))
+        assert term_weight_std(index, "t") == _per_posting_pstdev(index, "t")
+
+    @needs_exact_pstdev
+    def test_row_of_1e5_postings(self):
+        index = build_index([Document(f"d{i:06d}", "t " * (1 + i % 7))
+                             for i in range(10**5)] + [Document("z", "x")])
+        assert index.df["t"] == 10**5
+        assert term_weight_std(index, "t") == _per_posting_pstdev(index, "t")
+
+    @needs_exact_pstdev
+    def test_every_toy_term(self, toy_index):
+        for term in toy_index.terms:
+            assert term_weight_std(toy_index, term) == _per_posting_pstdev(toy_index, term)
 
 
 class TestPolysemy:

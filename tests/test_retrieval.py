@@ -211,6 +211,22 @@ class TestAveragePrecision:
             prefix_is_relevant = all(d.startswith("r") for d in ids[:n_rel])
             assert (ap == 1.0) == prefix_is_relevant
 
+    def test_judged_non_relevant_is_not_a_hit(self):
+        qrels = Qrels({("q", "d1"): 0, ("q", "d2"): 1, ("other", "d1"): 1})
+        assert average_precision(_ranked("q", "d1", "d2"), qrels) == 0.5
+
+    def test_same_bits_as_the_grade_lookup(self, toy_index, toy_queries, toy_qrels):
+        for query in toy_queries:
+            ranked = retrieve(toy_index, query)
+            hits, precision_sum = 0, 0.0
+            for rank, (doc_id, _) in enumerate(ranked.entries, start=1):
+                if toy_qrels.grade(query.query_id, doc_id) > 0:
+                    hits += 1
+                    precision_sum += hits / rank
+            n_relevant = toy_qrels.num_relevant(query.query_id)
+            expected = precision_sum / n_relevant if n_relevant else None
+            assert average_precision(ranked, toy_qrels) == expected
+
     def test_in_unit_interval_on_toy(self, toy_index, toy_queries, toy_qrels):
         for query in toy_queries:
             ranked = retrieve(toy_index, query)

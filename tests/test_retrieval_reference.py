@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qppfuse import retrieval
+from qppfuse import post_retrieval, retrieval
 from qppfuse.corpus import Document, Query, build_index
 from qppfuse.post_retrieval import rm1, rm_rerank_similarity
 from qppfuse.retrieval import RankedList, dirichlet_sums, retrieve
@@ -161,6 +161,88 @@ class TestRetrieveAgainstReference:
         assert len(calls) == index.df["w0"]
 
 
+def _sort_selected(index, query, k, mu):
+    """retrieve's top k as chosen before its one argsort: scores as Python floats,
+    those below the k-th largest dropped, the rest sorted by (-score, number)."""
+    qtfs = Counter(t for t in query.terms if index.cf.get(t, 0) > 0)
+    terms = [index.term_row[t] for t in qtfs]
+    candidates = np.unique(index.by_term.take(terms)[1])
+    scores = dirichlet_sums(index, terms, candidates, mu, list(qtfs.values()), log=True,
+                            per="doc").tolist()
+    results = list(zip(candidates.tolist(), scores))
+    if len(results) > k:
+        kth = sorted(scores)[-k]
+        results = [e for e in results if e[1] >= kth]
+    results.sort(key=lambda e: (-e[1], e[0]))
+    return RankedList(query.query_id, tuple((index.doc_ids[d], s) for d, s in results[:k]))
+
+
+class TestTopK:
+    @pytest.mark.parametrize("terms", [("alpha",), ("beta", "gamma"), ("delta", "alpha")])
+    def test_matches_the_sort_based_selection(self, terms):
+        index = _tied_corpus()
+        query = Query("t", terms)
+        n_candidates = len(retrieve(index, query, k=1000))
+        # 3, 7 and 12 cut groups of five tied scores; the last two keep every candidate
+        for k in (1, 3, 7, 12, n_candidates - 1, n_candidates, n_candidates + 1, 1000):
+            for mu in MU_VALUES:
+                assert retrieve(index, query, k=k, mu=mu) == _sort_selected(index, query, k, mu)
+
+    def test_tie_group_straddles_rank_k(self):
+        index = _tied_corpus()
+        query = Query("t1", ("alpha",))
+        full = retrieve(index, query, k=1000)
+        assert full.scores[2] == full.scores[3]  # rank 3 cuts a tied group
+        ranked = retrieve(index, query, k=3)
+        assert ranked == _sort_selected(index, query, 3, 1000.0)
+        assert ranked.entries == full.entries[:3]  # the group's lowest doc_ids, in order
+
+    def test_random_corpus(self, random_corpus):
+        index, queries = random_corpus
+        for query in queries:
+            for k in (1, 5, 1000):
+                assert retrieve(index, query, k=k) == _sort_selected(index, query, k, 1000.0)
+
+
+class TestOneCellReadPerColumnBlock:
+    @pytest.mark.parametrize("cells", [None, 7, 64, 500])
+    def test_retrieval_rm1_and_rerank(self, monkeypatch, request, cells):
+        if cells is None:  # RM1's feedback vocabulary spans several row blocks of the shipped size
+            index = request.getfixturevalue("corpus_2k")
+            queries = [Query("a", ("w3", "w40", "w200")), Query("b", ("w7", "w1000"))]
+        else:
+            monkeypatch.setattr(retrieval, "BLOCK_CELLS", cells)
+            index, queries = request.getfixturevalue("random_corpus")
+        reads, grids = [], []
+        tf_cells, sums = retrieval._tf_cells, retrieval.dirichlet_sums
+
+        def counting_cells(index, term_rows, docs, first_cols):
+            reads.append(len(term_rows))
+            return tf_cells(index, term_rows, docs, first_cols)
+
+        def recording_sums(index, terms, docs, *args, **kwargs):
+            start = len(reads)
+            out = sums(index, terms, docs, *args, **kwargs)
+            grids.append((len(terms), len(docs), reads[start:]))
+            return out
+
+        monkeypatch.setattr(retrieval, "_tf_cells", counting_cells)
+        monkeypatch.setattr(retrieval, "dirichlet_sums", recording_sums)
+        monkeypatch.setattr(post_retrieval, "dirichlet_sums", recording_sums)
+        for query in queries:
+            ranked = retrieve(index, query, k=1000)
+            model = rm1(index, ranked, k_fb=100)
+            rm_rerank_similarity(index, ranked, m=100, model=model)
+        assert len(grids) == 3 * len(queries)
+        block = retrieval.BLOCK_CELLS
+        row_blocks = 0
+        for n_terms, n_docs, calls in grids:
+            width = min(n_docs, block)
+            assert calls == [n_terms] * -(-n_docs // width)  # every term, once per column block
+            row_blocks = max(row_blocks, -(-n_terms // max(1, block // width)))
+        assert row_blocks > 1  # some grid has several row blocks sharing one read
+
+
 class TestDirichletSums:
     @pytest.fixture
     def grid(self, random_corpus):
@@ -256,7 +338,7 @@ def corpus_2k():
 
 
 # The block size pins the temporaries: at BLOCK_CELLS = 16384 the peaks below
-# read 0.5-0.75 MB, while one unblocked V x m float matrix alone is 1.68 MB.
+# read 0.75-0.92 MB, while one unblocked V x m float matrix alone is 1.68 MB.
 PEAK_BOUND = 1_000_000
 
 

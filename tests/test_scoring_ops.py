@@ -1,11 +1,14 @@
 """Operations that change bits stay out of the scoring modules, checked on the AST.
 
-Retrieval, RM1 and the RM re-ranking must give the bits of their per-cell
-Python loops. numpy's SIMD ``np.log`` and ``np.exp`` (AVX-512 among them) differ
-from ``math.log`` and ``math.exp`` in the last bit on some inputs, BLAS
-products (``@``, ``np.dot``) do not add in sequence, and ``np.sum`` and
-``np.mean`` add pairwise. Sums there are sequential ``np.cumsum`` or
-Python's ``sum``; logs and exps are ``math.log`` and ``math.exp``.
+Retrieval, RM1, the RM re-ranking and the pre-retrieval predictors must give
+the bits of their per-cell Python loops. numpy's SIMD ``np.log`` and ``np.exp``
+(AVX-512 among them) differ from ``math.log`` and ``math.exp`` in the last bit
+on some inputs, BLAS products (``@``, ``np.dot``) do not add in sequence, and
+``np.sum`` and ``np.mean`` add pairwise. Sums of floats there are sequential
+``np.cumsum``, or Python's builtin ``sum``, which adds in sequence only up to
+Python 3.11 (3.12 compensates it). Logs and exps are ``math.log`` and
+``math.exp``. The ``statistics`` module is banned too: its ``pstdev`` rounds
+twice on 3.10 and once from 3.11 on; VAR computes that std exactly instead.
 """
 
 import ast
@@ -14,10 +17,23 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "qppfuse"
-SCORING_MODULES = [PACKAGE / "retrieval.py", PACKAGE / "post_retrieval.py"]
+SCORING_MODULES = [PACKAGE / "retrieval.py", PACKAGE / "post_retrieval.py",
+                   PACKAGE / "pre_retrieval.py"]
 NUMPY_BANNED = {"log", "log2", "log10", "log1p", "exp", "exp2", "expm1", "dot", "vdot", "inner",
                 "matmul", "einsum", "tensordot", "sum", "mean", "average", "nansum", "nanmean"}
 METHOD_BANNED = {"sum", "mean", "dot"}
+
+
+def statistics_imports(source: str) -> list[str]:
+    """Imports of the ``statistics`` module, as ``line: message`` strings."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(f"{node.lineno}: imports statistics" for a in node.names
+                         if a.name.split(".")[0] == "statistics")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "statistics":
+            found.append(f"{node.lineno}: imports from statistics")
+    return found
 
 
 def violations(source: str) -> list[str]:
@@ -27,7 +43,7 @@ def violations(source: str) -> list[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             numpy_names.update(a.asname or a.name for a in node.names if a.name == "numpy")
-    found = []
+    found = statistics_imports(source)
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
             for alias in node.names:
@@ -53,6 +69,11 @@ def test_scoring_module_keeps_bit_identical_ops(path):
     assert violations(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_statistics(path):
+    assert statistics_imports(path.read_text(encoding="utf-8")) == []
+
+
 @pytest.mark.parametrize("source", [
     "import numpy as np\nnp.log(x)",
     "import numpy as np\nnp.exp(x)",
@@ -68,6 +89,11 @@ def test_scoring_module_keeps_bit_identical_ops(path):
     "import numpy as np\nnp.linalg.norm(x) + np.matmul(a, b)",
     "from numpy import log",
     "import numpy as xp\nxp.log(x)",
+    "import statistics\nstatistics.pstdev(x)",
+    "import statistics as st",
+    "import math, statistics",
+    "from statistics import pstdev",
+    "from statistics import fmean as mean",
 ])
 def test_checker_flags(source):
     assert violations(source)
