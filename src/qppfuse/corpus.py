@@ -131,19 +131,31 @@ def _s_stem(token: str) -> str:
     return token
 
 
-def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
-    """Deterministic tokenization; identical input and config give identical output."""
+def _normalise(text: str, config: TokenizerConfig) -> bytes:
+    """``text`` as bytes whose words are its runs of bytes other than b" "."""
     if config.lowercase:
         text = text.lower()
     if config.split_non_alnum:
         # a non-ASCII code point encodes as "?", which the table makes a space
-        text = text.encode("ascii", "replace").translate(_ALNUM_BYTES).decode("ascii")
-    tokens = text.split()
-    if config.stopwords:
-        tokens = [t for t in tokens if t not in config.stopwords]
-    if config.stem:
-        tokens = [_s_stem(t) for t in tokens]
-    return tokens
+        return text.encode("ascii", "replace").translate(_ALNUM_BYTES)
+    return " ".join(text.split()).encode("utf-8", "surrogatepass")
+
+
+def _word_rule(word: bytes, config: TokenizerConfig) -> str | None:
+    """The term of a normalised word; None for a stopword."""
+    word = word.decode("utf-8", "surrogatepass")
+    if word in config.stopwords:
+        return None
+    return _s_stem(word) if config.stem else word
+
+
+def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str]:
+    """Deterministic tokenization, the rule ``build_index`` applies too: lowercase
+    (``lowercase``), split on every character but ASCII letters and digits
+    (``split_non_alnum``) or else on ``str.split`` whitespace, drop stopwords, and
+    s-stem (``stem``)."""
+    terms = (_word_rule(word, config) for word in _normalise(text, config).split())
+    return [term for term in terms if term is not None]
 
 
 def _add_doc(docs, seen, path, lineno, doc_id, text) -> None:
@@ -393,8 +405,66 @@ class Index:
         return _PostingsView(self)
 
 
+TOKEN_CHUNK = 1 << 15  # bytes of normalised text per step of the tokenizer
+_KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+class _Vocabulary(dict):
+    """Normalised word -> term number, -1 for a stopword, numbered in ``terms``
+    as first seen; the word rule runs once per distinct word. A word of at most 8
+    bytes without a NUL is its bytes zero-padded to a little-endian uint64, kept in
+    the sorted ``keys`` with their ``ids``; the dict holds the other words."""
+
+    def __init__(self, config: TokenizerConfig):
+        super().__init__()
+        self.config, self.terms = config, defaultdict()
+        self.terms.default_factory = self.terms.__len__  # a new term takes the next number
+        self.keys, self.ids = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intc)
+
+    def number(self, word: bytes) -> int:
+        term = _word_rule(word, self.config)
+        return -1 if term is None else self.terms[term]
+
+    def __missing__(self, word: bytes) -> int:
+        self[word] = number = self.number(word)
+        return number
+
+    def read(self, parts: list[bytes], tokens: array) -> np.ndarray:
+        """Appends the term numbers of the kept words of the normalised documents
+        ``parts`` to ``tokens``; returns each document's kept word count."""
+        buf = b" ".join([b"", *parts, b" " * 7])  # documents between spaces, 8 after the last
+        space = np.frombuffer(buf, dtype=np.uint8) == 32
+        starts, ends = (np.flatnonzero(space[1:] != space[:-1]) + 1).reshape(-1, 2).T
+        sizes = ends - starts
+        short = sizes <= 8
+        if b"\0" in buf:  # zero padding tells "a" from "a\0" only in words without a NUL
+            nul = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0)
+            short[np.searchsorted(starts, nul, side="right") - 1] = False
+        eight = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))  # buf[i:i + 8]
+        keys, inverse = np.unique(eight[starts[short]] & _KEY_MASKS[sizes[short]],
+                                  return_inverse=True)
+        at = np.searchsorted(self.keys, keys)
+        new = at == self.keys.size
+        new[~new] = self.keys[at[~new]] != keys[~new]
+        raw = keys[new].astype("<u8").tobytes()
+        self.ids = np.insert(self.ids, at[new], [self.number(raw[i:i + 8].rstrip(b"\0"))
+                                                 for i in range(0, len(raw), 8)])
+        self.keys = np.insert(self.keys, at[new], keys[new])
+        ids = np.empty(starts.size, dtype=np.intc)
+        ids[short] = self.ids[at + np.cumsum(new) - new][inverse]  # keys' places after the inserts
+        long = np.flatnonzero(~short)
+        ids[long] = [self[buf[s:e]] for s, e in zip(starts[long].tolist(), ends[long].tolist())]
+        tokens.frombytes(memoryview(ids[ids >= 0]).cast("B"))
+        kept = np.concatenate([[0], np.cumsum(ids >= 0)])  # kept words before each word
+        offsets = np.cumsum([1] + [len(part) + 1 for part in parts])  # document starts in buf
+        return np.diff(kept[np.searchsorted(starts, offsets)])
+
+
 def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZER) -> Index:
-    """Tokenize ``docs`` and build the index; errors if every doc tokenizes empty."""
+    """Tokenize ``docs`` and build the index; errors if every doc tokenizes empty.
+
+    numpy finds the words of the normalised documents, TOKEN_CHUNK bytes at a
+    time; only a word not seen before goes through the word rule of ``tokenize``."""
     if not docs:
         raise CorpusError("cannot index an empty corpus")
     docs = sorted(docs, key=lambda d: d.doc_id)
@@ -402,18 +472,21 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     for a, b in zip(doc_ids, doc_ids[1:]):
         if a == b:
             raise CorpusError(f"duplicate doc_id {a!r}")
-    vocabulary = defaultdict()
-    vocabulary.default_factory = vocabulary.__len__  # a new term takes the next number
-    tokens, lengths = array("i"), []  # C int: 32 bits on every supported platform
-    for doc in docs:
-        words = tokenize(doc.text, config)
-        lengths.append(len(words))
-        tokens.extend(map(vocabulary.__getitem__, words))
+    vocabulary = _Vocabulary(config)
+    tokens = array("i")  # C int: 32 bits on every supported platform
+    lengths = np.empty(len(docs), dtype=np.intp)
+    parts, size = [], 0
+    for i, doc in enumerate(docs):
+        parts.append(_normalise(doc.text, config))
+        size += len(parts[-1]) + 1
+        if size >= TOKEN_CHUNK or i == len(docs) - 1:
+            lengths[i + 1 - len(parts):i + 1] = vocabulary.read(parts, tokens)
+            parts, size = [], 0
     if not tokens:
         raise CorpusError("all documents tokenized to empty")
-    terms = sorted(vocabulary)
+    terms = sorted(vocabulary.terms)
     rank = np.empty(len(terms), dtype=np.intc)  # first-seen number -> sorted number
-    rank[list(map(vocabulary.__getitem__, terms))] = np.arange(len(terms))
+    rank[list(map(vocabulary.terms.__getitem__, terms))] = np.arange(len(terms))
     del vocabulary
     term_of = np.frombuffer(tokens, dtype=np.intc)
     np.take(rank, term_of, out=term_of)

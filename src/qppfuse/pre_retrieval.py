@@ -128,13 +128,10 @@ def _exact_pstdev(values, counts) -> float:
 
 def term_weight_std(index: Index, term: str) -> float:
     """Population std of (1 + ln tf) * idf over the postings of ``term``, one
-    weight per distinct tf."""
+    weight per distinct tf: the runs of the sorted row, so memory follows the row."""
     idf = math.log(index.n_docs / index.df[term])
-    _, tfs = index.by_term.row(index.term_row[term])
-    counts = np.bincount(tfs)
-    found = np.flatnonzero(counts)
-    return _exact_pstdev([(1.0 + math.log(tf)) * idf for tf in found.tolist()],
-                         counts[found].tolist())
+    found, counts = np.unique(index.by_term.row(index.term_row[term])[1], return_counts=True)
+    return _exact_pstdev([(1.0 + math.log(tf)) * idf for tf in found.tolist()], counts.tolist())
 
 
 def var_family(index: Index, query, distinct: bool = True) -> VarFamily:

@@ -239,11 +239,20 @@ def _docs(*texts):
     return [Document(f"d{i+1}", t) for i, t in enumerate(texts)]
 
 
+def _reference_tokens(text, config):
+    # written apart from tokenize, which shares its normaliser with build_index
+    if config.split_non_alnum:
+        return _regex_tokens(text, config)
+    tokens = [t for t in (text.lower() if config.lowercase else text).split()
+              if t not in config.stopwords]
+    return [_s_stem(t) for t in tokens] if config.stem else tokens
+
+
 def _reference_build(docs, config=TokenizerConfig()):
     # the setdefault fill and sorted rebuild of the dict-of-dicts index
     doc_len, postings, total = {}, {}, 0
     for doc in sorted(docs, key=lambda d: d.doc_id):
-        tokens = tokenize(doc.text, config)
+        tokens = _reference_tokens(doc.text, config)
         doc_len[doc.doc_id] = len(tokens)
         total += len(tokens)
         for term, tf in Counter(tokens).items():
@@ -306,7 +315,7 @@ class TestBuildIndex:
         index = build_index(docs)
         expected = {}
         for doc in docs:
-            for term, tf in Counter(tokenize(doc.text)).items():
+            for term, tf in Counter(_reference_tokens(doc.text, TokenizerConfig())).items():
                 expected[(term, doc.doc_id)] = tf
         actual = {
             (term, doc_id): tf
@@ -448,6 +457,114 @@ class TestArrayIndex:
         # the largest key is n_rows * width - 1; the row bound n_rows * width must fit too
         assert key_dtype(n_rows, width) is dtype
         assert (n_rows * width <= np.iinfo(np.int32).max) == (dtype is np.int32)
+
+
+_CONFIGS = [TokenizerConfig(lowercase=lower, split_non_alnum=split, stopwords=stop, stem=stem)
+            for lower in (True, False) for split in (True, False)
+            for stop, stem in ((frozenset(), False), (frozenset({"a", "Ab", "b1", "the"}), True))]
+_CONFIG_IDS = [f"lower{c.lowercase:d}-split{c.split_non_alnum:d}-stem{c.stem:d}" for c in _CONFIGS]
+
+
+def _pool_docs(seed, n):
+    """Documents of _TOKENIZER_POOL characters and a few whole words."""
+    rng = random.Random(seed)
+    pool = _TOKENIZER_POOL + [" a ", " Ab ", " the ", " cats ", " abcdefghs ", " abcdefgh "]
+    return [Document(f"p{i:03d}", "".join(rng.choices(pool, k=rng.randint(0, 60))))
+            for i in range(n)]
+
+
+def _assert_reference_index(index, docs, config):
+    doc_len, postings, total = _reference_build(docs, config)
+    assert index.terms == tuple(postings) and index.doc_ids == tuple(doc_len)
+    term_major = _cells(index.by_term, index.terms, index.doc_ids)
+    assert term_major == [(t, d, tf) for t, plist in postings.items() for d, tf in plist.items()]
+    assert _cells(index.by_doc, index.doc_ids, index.terms) == sorted(
+        (d, t, tf) for t, d, tf in term_major)
+    assert index.by_doc.sums.tolist() == list(doc_len.values())
+    assert index.by_term.sums.tolist() == [sum(plist.values()) for plist in postings.values()]
+    assert index.total_tokens == total
+
+
+class TestChunkedBuild:
+    """build_index against a tokenizer written in the test, at every config and
+    chunk size, and across the 8-byte boundary of the integer word keys."""
+
+    @pytest.mark.parametrize("config", _CONFIGS, ids=_CONFIG_IDS)
+    def test_pool_documents_match_reference(self, config):
+        docs = _pool_docs(41, 300)
+        _assert_reference_index(build_index(docs, config), docs, config)
+
+    @pytest.mark.parametrize("config", [TokenizerConfig(), TokenizerConfig(split_non_alnum=False)],
+                             ids=["split", "whitespace"])
+    def test_words_of_seven_to_nine_bytes(self, config):
+        docs = _docs("abcdefg abcdefgh abcdefghi", "abcdefghi abcdefgh abcdefgh", "abcdefgh",
+                     "abcdefghij abcdefg", "\u00e9\u00e9\u00e9\u00e9 \u00e9\u00e9\u00e9\u00e9x")
+        index = build_index(docs, config)
+        _assert_reference_index(index, docs, config)
+        assert [index.cf[t] for t in ("abcdefg", "abcdefgh", "abcdefghi", "abcdefghij")] == [2, 4, 2, 1]
+        assert index.postings["abcdefgh"] == {"d1": 1, "d2": 2, "d3": 1}
+
+    def test_long_word_stems_onto_short_term(self):
+        config = TokenizerConfig(stem=True)
+        docs = _docs("abcdefghs abcdefgh", "abcdefgh", "abcdefghs abcdefghs")
+        index = build_index(docs, config)
+        assert index.terms == ("abcdefgh",)
+        assert index.postings["abcdefgh"] == {"d1": 2, "d2": 1, "d3": 2}
+        _assert_reference_index(index, docs, config)
+
+    def test_nul_inside_words(self):
+        # zero padding would give "a" and "a\0" one integer key
+        config = TokenizerConfig(split_non_alnum=False)
+        docs = _docs("a a\0 \0a a\0b \0", "a\0 abcdefg\0 abcdefg", "abcdefgh\0x a")
+        index = build_index(docs, config)
+        assert index.terms == ("\0", "\0a", "a", "a\0", "a\0b", "abcdefg", "abcdefg\0",
+                               "abcdefgh\0x")
+        assert index.cf["a"] == 2 and index.cf["a\0"] == 2
+        _assert_reference_index(index, docs, config)
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 16])
+    def test_empty_document_between_stopword_documents(self, monkeypatch, chunk):
+        # an empty document's count is 0, not the next word's, in one chunk or many
+        monkeypatch.setattr(corpus, "TOKEN_CHUNK", chunk)
+        config = TokenizerConfig(stopwords=frozenset({"the", "a"}))
+        docs = _docs("the a the", "", "a", "x the y")
+        index = build_index(docs, config)
+        assert index.by_doc.sums.tolist() == [0, 0, 0, 2]
+        assert [index.by_doc.row(d)[0].size for d in range(4)] == [0, 0, 0, 2]
+        _assert_reference_index(index, docs, config)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("config", [TokenizerConfig(), _CONFIGS[-1]],
+                             ids=["default", _CONFIG_IDS[-1]])
+    def test_chunk_sizes_build_the_same_index(self, monkeypatch, toy_docs, chunk, config):
+        rng = random.Random(chunk)
+        big = " ".join(rng.choices(["abcdefghi", "x", "the", "A\u00e9", "a\0"], k=500))
+        docs = toy_docs[:10] + _pool_docs(chunk, 40) + [Document("big", big)]
+        expected = build_index(docs, config)
+        monkeypatch.setattr(corpus, "TOKEN_CHUNK", chunk)
+        index = build_index(docs, config)
+        assert index == expected
+        for rows, other in ((index.by_term, expected.by_term), (index.by_doc, expected.by_doc)):
+            assert np.array_equal(rows.sums, other.sums)
+        _assert_reference_index(index, docs, config)
+
+    def test_word_rule_runs_once_per_distinct_word(self, monkeypatch):
+        calls = Counter()
+        word_rule = corpus._word_rule
+
+        def counted(word, config):
+            calls[word] += 1
+            return word_rule(word, config)
+
+        monkeypatch.setattr(corpus, "_word_rule", counted)
+        monkeypatch.setattr(corpus, "TOKEN_CHUNK", 64)  # words recur across chunks
+        rng = random.Random(3)
+        vocab = ["a", "the", "Cats", "cat", "abcdefgh", "abcdefghi", "ponies", "x" * 20]
+        docs = [Document(f"d{i:02d}", " ".join(rng.choices(vocab, k=40))) for i in range(30)]
+        index = build_index(docs, TokenizerConfig(stopwords=frozenset({"the"}), stem=True))
+        assert calls == Counter(w.lower().encode() for w in vocab)
+        assert index.terms == ("a", "abcdefgh", "abcdefghi", "cat", "pony", "x" * 20)
+        assert index.total_tokens == 1200 - sum(d.text.split().count("the") for d in docs)
 
 
 class TestPersistence:

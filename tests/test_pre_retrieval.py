@@ -2,6 +2,7 @@ import math
 import random
 import statistics
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,18 @@ class TestExactStd:
     def test_edge_rows(self, texts):
         index = build_index(_docs(*texts))
         assert term_weight_std(index, "t") == _per_posting_pstdev(index, "t")
+
+    def test_memory_follows_the_row_not_its_largest_tf(self):
+        # a histogram sized by the largest tf took 8 MB for this two-posting row
+        index = build_index(_docs("t " * 10**6, "t x", "y"))
+        index.df, index.term_row  # built and cached before the measurement
+        tracemalloc.start()
+        try:
+            term_weight_std(index, "t")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192 + 64 * index.df["t"]
 
     @needs_exact_pstdev
     def test_row_of_1e5_postings(self):
