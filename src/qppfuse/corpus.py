@@ -489,7 +489,8 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     rank[list(map(vocabulary.terms.__getitem__, terms))] = np.arange(len(terms))
     del vocabulary
     term_of = np.frombuffer(tokens, dtype=np.intc)
-    np.take(rank, term_of, out=term_of)
+    for lo in range(0, term_of.size, RUN_CHUNK):  # indices are valid; "clip" writes out unbuffered
+        np.take(rank, term_of[lo:lo + RUN_CHUNK], out=term_of[lo:lo + RUN_CHUNK], mode="clip")
     return _from_tokens(terms, doc_ids, term_of,
                         np.repeat(np.arange(len(docs), dtype=np.int32), lengths))
 

@@ -25,6 +25,7 @@ __all__ = [
     "ReportRow",
     "pearson",
     "pearson_r",
+    "mean_ssd",
     "kendall_tau_b",
     "rmse_direct",
     "rmse_single",
@@ -57,45 +58,71 @@ class CorrelationResult:
     ci_high: float | None = None
 
 
-def pearson(a, b) -> CorrelationResult:
-    """Product-moment correlation with a Fisher-z 95% confidence interval."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
+def _columns(vectors) -> list[np.ndarray]:
+    """The vectors as float arrays; all must be 1-d of one length."""
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if any(v.shape != (vectors[0].size,) for v in vectors):
         raise ValueError("inputs must be 1-d vectors of equal length")
-    n = a.size
-    if n < 3:
-        raise UndefinedMetricError(f"need n >= 3, got {n}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise UndefinedMetricError("non-finite input")
-    r = pearson_r(a.tolist(), b.tolist())
-    if r is None:
-        raise UndefinedMetricError("zero variance input")
-    r = max(-1.0, min(1.0, r))
-    low, high = fisher_ci(r, n)
-    return CorrelationResult(r, n, low, high)
+    return vectors
+
+
+def pearson(a, b) -> CorrelationResult:
+    """Product-moment correlation with a Fisher-z 95% confidence interval; needs n >= 3."""
+    r = max(-1.0, min(1.0, _pearson_columns([a, b], min_n=3)(0, 1)))
+    return CorrelationResult(r, len(a), *fisher_ci(r, len(a)))
 
 
 def pearson_r(a, b) -> float | None:
-    """Sample correlation of two equal-length sequences from plain sequential sums.
+    """Unclamped correlation of two equal-length sequences at any n; None where undefined."""
+    try:
+        return _pearson_columns([a, b])(0, 1)
+    except UndefinedMetricError:
+        return None
 
-    No n >= 3 requirement and no clamping. None when either input is exactly
-    constant, the zero-spread rule of fusion's centring: the rounded mean of
-    six 0.4s is one ulp off 0.4, and the residue would read as a correlation.
-    Also None when sqrt(Saa * Sbb) is zero.
-    """
-    if all(x == a[0] for x in a) or all(y == b[0] for y in b):
-        return None
-    n = len(a)
-    ma = sum(a) / n
-    mb = sum(b) / n
-    sab = sum((x - ma) * (y - mb) for x, y in zip(a, b))
-    saa = sum((x - ma) ** 2 for x in a)
-    sbb = sum((y - mb) ** 2 for y in b)
-    denom = math.sqrt(saa * sbb)
-    if denom == 0.0:
-        return None
-    return sab / denom
+
+def mean_ssd(values) -> tuple[float, float]:
+    """Mean and sum of squared deviations of a float list, each added in sequence; inf past
+    the float range. Squares are Python's ``** 2`` (libm pow), which ``xc * xc`` may not match."""
+    mean = sum(values) / len(values)
+    try:
+        return mean, sum((x - mean) ** 2 for x in values)
+    except OverflowError:
+        return mean, math.inf
+
+
+def _pearson_columns(vectors, min_n=2):
+    """``r(i, j)``, the unclamped Pearson coefficient of columns i < j, raising where undefined.
+
+    Each column is checked (finite, exactly constant) and centred once. Cross sums are added in
+    sequence (``np.add.accumulate``; ``+ 0.0`` as Python sums -0.0s to 0.0) in blocks of at most
+    BLOCK_CELLS cells. Sums or Saa * Sbb that are not finite and positive would read as r = 0
+    (sqrt(inf)) or zero variance (underflow): such a pair is outside the float range."""
+    vectors = _columns(vectors)
+    n = vectors[0].size
+    m = len(vectors) if n >= min_n else 0  # too short: r raises before it reads a column
+    states, ssd, centred, cross = [0] * m, [0.0] * m, np.empty((m, n)), np.zeros((m, m))
+    with np.errstate(over="ignore", invalid="ignore"):  # cells of undefined pairs go unread
+        for k, v in enumerate(vectors[:m]):  # state 0: non-finite, 1: constant, 2: live
+            values = v.tolist()
+            mean, ssd[k] = mean_ssd(values)
+            finite = math.isfinite(mean) or np.isfinite(v).all()
+            states[k] = 2 if finite and values.count(values[0]) < n else int(finite)
+            np.subtract(v, mean, out=centred[k])
+        step = max(1, BLOCK_CELLS // max(n, 1))
+        for i, lo in ((i, lo) for i in range(m - 1) for lo in range(i + 1, m, step)):
+            block = centred[i] * centred[lo:lo + step]
+            cross[i, lo:lo + step] = np.add.accumulate(block, axis=1)[:, -1]
+    cross = cross.tolist()
+
+    def r(i, j):
+        if n < min_n:
+            raise UndefinedMetricError(f"need n >= {min_n}, got {n}")
+        state, sab, saa_sbb = min(states[i], states[j]), cross[i][j] + 0.0, ssd[i] * ssd[j]
+        if state < 2 or not (math.isfinite(sab) and 0.0 < saa_sbb < math.inf):
+            raise UndefinedMetricError(
+                ("non-finite input", "zero variance input", "outside the float range")[state])
+        return sab / math.sqrt(saa_sbb)
+    return r
 
 
 def fisher_ci(r: float, n: int, z_quantile: float = Z_95) -> tuple[float, float]:
@@ -117,16 +144,14 @@ def kendall_tau_b(a, b) -> CorrelationResult:
     counts are a one-row call of the block kernel :func:`_pair_counts`, so
     O(n log n) time and O(n) memory.
     """
-    a = np.asarray(a, dtype=float)
-    return CorrelationResult(_kendall_taus([a, np.asarray(b, dtype=float)])(0, 1), a.size)
+    return CorrelationResult(_kendall_taus([a, b])(0, 1), len(a))
 
 
 def _kendall_taus(vectors):
     """``tau(i, j)``, tau-b of columns i < j, raising where undefined; each column is
     checked and ranked once, ties sharing their lowest sorted position (-0.0 ties 0.0)."""
+    vectors = _columns(vectors)
     n = vectors[0].size
-    if any(v.shape != (n,) for v in vectors):
-        raise ValueError("inputs must be 1-d vectors of equal length")
     ordered = [np.sort(v) for v in vectors]  # NaN sorts last
     finite = [n >= 2 and math.isfinite(s[0]) and math.isfinite(s[-1]) for s in ordered]
     ranks = np.array([np.searchsorted(s, v) for s, v in zip(ordered, vectors)])
@@ -188,17 +213,9 @@ def _pair_counts(ra, rb) -> np.ndarray:
     return np.array([half - ra.sum(axis=1), half - rb.sum(axis=1), n3, d]).T
 
 
-def _run_bounds(differs) -> np.ndarray:
-    """Run boundaries of a sorted sequence: 0, each i whose element differs from i - 1, n."""
-    return np.flatnonzero(np.concatenate(([True], differs, [True])))
-
-
 def rmse_direct(y_hat, y) -> float:
     """sqrt(mean squared error); zero iff the vectors are identical."""
-    y_hat = np.asarray(y_hat, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if y_hat.shape != y.shape:
-        raise ValueError("length mismatch")
+    y_hat, y = _columns([y_hat, y])
     return float(np.sqrt(np.mean((y_hat - y) ** 2)))
 
 
@@ -259,10 +276,7 @@ def smare(pred_scores, ap) -> tuple[float, np.ndarray]:
     Both vectors are ranked ascending with average ranks on ties; the
     per-query error is |rank difference| / n.
     """
-    pred_scores = np.asarray(pred_scores, dtype=float)
-    ap = np.asarray(ap, dtype=float)
-    if pred_scores.shape != ap.shape or pred_scores.ndim != 1:
-        raise ValueError("inputs must be 1-d vectors of equal length")
+    pred_scores, ap = _columns([pred_scores, ap])
     n = pred_scores.size
     if n < 2:
         raise ValueError("need at least 2 queries")
@@ -274,7 +288,7 @@ def _average_ranks(x) -> np.ndarray:
     """Ranks from 1, ties sharing the mean of their positions; all NaN if any is NaN."""
     order = np.argsort(x, kind="stable")
     ordered = x[order]
-    bounds = _run_bounds(ordered[1:] != ordered[:-1])
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))  # runs
     ranks = np.empty(x.size)
     ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2, np.diff(bounds))
     return np.full(x.size, math.nan) if np.isnan(x).any() else ranks
@@ -286,10 +300,7 @@ def paired_t_one_sided(err_a, err_b) -> float:
     Identical error vectors give t = 0, p = 0.5; any other zero-variance
     difference vector leaves the statistic undefined.
     """
-    err_a = np.asarray(err_a, dtype=float)
-    err_b = np.asarray(err_b, dtype=float)
-    if err_a.shape != err_b.shape or err_a.ndim != 1:
-        raise ValueError("inputs must be 1-d vectors of equal length")
+    err_a, err_b = _columns([err_a, err_b])
     n = err_a.size
     if n < 2:
         raise UndefinedMetricError(f"need n >= 2, got {n}")
@@ -358,19 +369,16 @@ class CorrMatrix:
 def predictor_correlation_matrix(columns: dict[str, "np.ndarray"], metric: str = "pearson") -> CorrMatrix:
     """Pairwise correlations between predictor score columns.
 
-    Pearson calls :func:`pearson` per pair; Kendall ranks each column once and
-    counts the pairs in blocks of at most BLOCK_CELLS rank cells, so memory
-    stays linear in n. Undefined cells (non-finite input, zero variance, all
-    ties) are NaN, with the reason recorded per pair.
-    """
+    Each metric's core checks and centres (Pearson) or ranks (Kendall) each column
+    once, then works on the pairs in blocks of at most BLOCK_CELLS cells. Undefined
+    cells (non-finite input, zero variance, sums outside the float range, all ties)
+    are NaN, with the reason recorded per pair."""
     if metric not in ("pearson", "kendall"):
         raise ValueError(f"metric must be 'pearson' or 'kendall', got {metric!r}")
     if len(columns) < 2:
         raise ValueError("need at least 2 predictor columns")
-    names = list(columns.keys())
-    vectors = [np.asarray(columns[n], dtype=float) for n in names]
-    corr = (_kendall_taus(vectors) if metric == "kendall"
-            else lambda i, j: pearson(vectors[i], vectors[j]).coefficient)
+    names, vectors = list(columns), list(columns.values())
+    corr = _kendall_taus(vectors) if metric == "kendall" else _pearson_columns(vectors, min_n=3)
     m = len(names)
     matrix = np.ones((m, m))
     missing: dict[tuple[str, str], str] = {}
@@ -387,9 +395,7 @@ def predictor_correlation_matrix(columns: dict[str, "np.ndarray"], metric: str =
 
 def format_metric(value) -> str:
     """4-decimal fixed notation; None and NaN print as ``nan``."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        return "nan"
-    return f"{value:.4f}"
+    return "nan" if value is None else f"{value:.4f}"
 
 
 def write_corr_matrix_tsv(path, corr: CorrMatrix) -> None:

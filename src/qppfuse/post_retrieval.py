@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Index, Query
-from .evaluation import UndefinedMetricError, kendall_tau_b, pearson_r
+from .evaluation import UndefinedMetricError, kendall_tau_b, mean_ssd, pearson_r
 from .retrieval import DegenerateQueryError, RankedList, collection_likelihood, dirichlet_sums
 
 __all__ = [
@@ -105,12 +105,6 @@ def wig(index: Index, query, ranked: RankedList, k: int = 5) -> float:
     return gap / (k_eff * math.sqrt(len(terms)))
 
 
-def _population_std(values) -> float:
-    n = len(values)
-    mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
-
-
 def nqc(index: Index, query, ranked: RankedList, k: int = 100) -> float:
     """Std of top-k log-scores over |collection likelihood|; 0 for a single doc."""
     terms = query.terms if isinstance(query, Query) else tuple(query)
@@ -120,7 +114,7 @@ def nqc(index: Index, query, ranked: RankedList, k: int = 100) -> float:
     if len(ranked) < 2:
         return 0.0
     scores = ranked.scores[: min(k, len(ranked))]
-    return _population_std(scores) / abs(cl)
+    return math.sqrt(mean_ssd(scores)[1] / len(scores)) / abs(cl)
 
 
 def rm_rerank_similarity(
@@ -134,8 +128,8 @@ def rm_rerank_similarity(
 ) -> float | None:
     """Correlation between original scores and relevance-model scores of the top-m docs.
 
-    Returns None when either score vector has zero variance (or fewer than
-    two documents are available), in which case UEF is undefined.
+    None where the correlation is undefined (fewer than two documents, a
+    constant score vector, sums outside the float range): UEF is undefined.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -175,13 +169,12 @@ def compute_post_scores(
     UEF-X is re-ranking similarity times X; None when the similarity is undefined.
     """
     model = rm1(index, ranked, k_fb=k_fb, mu=mu)
-    base_scores = {
+    scores: dict[str, float | None] = {
         "Clarity": clarity(index, ranked, k_fb=k_fb, mu=mu, model=model),
         "WIG": wig(index, query, ranked, k=wig_k),
         "NQC": nqc(index, query, ranked, k=nqc_k),
     }
     sim = rm_rerank_similarity(index, ranked, m=uef_m, k_fb=k_fb, mu=mu, metric=uef_sim, model=model)
-    scores: dict[str, float | None] = dict(base_scores)
     for base in ("NQC", "WIG", "Clarity"):
-        scores[f"UEF-{base}"] = None if sim is None else sim * base_scores[base]
+        scores[f"UEF-{base}"] = None if sim is None else sim * scores[base]
     return scores

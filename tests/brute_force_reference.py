@@ -71,20 +71,31 @@ def stats(docs):
     return n_docs, total, df, cf
 
 
+# Float sums below are explicit += loops, which add in sequence on every Python
+# (builtin sum compensates from 3.12 on); squares stay Python's ** 2.
+
 def mean(values):
-    return sum(values) / len(values)
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
 
 
 def pop_std(values):
     m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+    ss = 0.0
+    for v in values:
+        ss += (v - m) ** 2
+    return math.sqrt(ss / len(values))
 
 
 def pearson_plain(xs, ys):
     mx, my = mean(xs), mean(ys)
-    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = sum((x - mx) ** 2 for x in xs)
-    syy = sum((y - my) ** 2 for y in ys)
+    sxy = sxx = syy = 0.0
+    for x, y in zip(xs, ys):
+        sxy += (x - mx) * (y - my)
+        sxx += (x - mx) ** 2
+        syy += (y - my) ** 2
     if sxx == 0 or syy == 0:
         return None
     return sxy / math.sqrt(sxx * syy)

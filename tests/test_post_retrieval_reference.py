@@ -34,13 +34,20 @@ def _reference_smoothed_prob(index, term, tf, doc_len, mu):
 
 
 def _reference_plain_pearson(a, b):
-    """Correlation without the n >= 3 CI requirement; None on zero variance."""
+    """Correlation without the n >= 3 CI requirement; None on zero variance.
+
+    Sums are += loops, in sequence on every Python; squares are Python's ** 2."""
     n = len(a)
-    ma = sum(a) / n
-    mb = sum(b) / n
-    sab = sum((x - ma) * (y - mb) for x, y in zip(a, b))
-    saa = sum((x - ma) ** 2 for x in a)
-    sbb = sum((y - mb) ** 2 for y in b)
+    ma = mb = 0.0
+    for x, y in zip(a, b):
+        ma += x
+        mb += y
+    ma, mb = ma / n, mb / n
+    sab = saa = sbb = 0.0
+    for x, y in zip(a, b):
+        sab += (x - ma) * (y - mb)
+        saa += (x - ma) ** 2
+        sbb += (y - mb) ** 2
     if saa == 0.0 or sbb == 0.0:
         return None
     return sab / math.sqrt(saa * sbb)
