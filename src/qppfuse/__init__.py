@@ -91,6 +91,6 @@ from .retrieval import (
     retrieve,
     score_dirichlet,
 )
-from .seeding import derive_seed
+from .seeding import derive_seed, seq_sum
 
 __version__ = "0.1.0"

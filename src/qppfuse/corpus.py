@@ -625,14 +625,17 @@ def load_qrels(path) -> Qrels:
     return Qrels(grades)
 
 
+def _sense_counts(term: str, total: int, noun: int) -> tuple[int, int]:
+    if total < 0 or noun < 0 or noun > total:
+        raise CorpusError(f"bad sense counts for {term!r}: ({total}, {noun})")
+    return total, noun
+
+
 class SenseLexicon:
     """term -> (total_senses, noun_senses); noun_senses never exceeds total."""
 
     def __init__(self, senses: dict[str, tuple[int, int]]):
-        for term, (total, noun) in senses.items():
-            if total < 0 or noun < 0 or noun > total:
-                raise CorpusError(f"bad sense counts for {term!r}: ({total}, {noun})")
-        self._senses = dict(senses)
+        self._senses = {term: _sense_counts(term, *counts) for term, counts in senses.items()}
 
     def __contains__(self, term: str) -> bool:
         return term in self._senses
@@ -656,8 +659,12 @@ def load_lexicon(path) -> SenseLexicon:
             if len(parts) != 3:
                 raise CorpusError(f"{path}:{lineno}: expected 3 columns")
             term, total, noun = parts
+            if term in senses:
+                raise CorpusError(f"{path}:{lineno}: duplicate term {term!r}")
             try:
-                senses[term] = (int(total), int(noun))
+                senses[term] = _sense_counts(term, int(total), int(noun))
             except ValueError as exc:
                 raise CorpusError(f"{path}:{lineno}: non-integer sense count") from exc
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from None
     return SenseLexicon(senses)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .retrieval import BLOCK_CELLS
+from .seeding import seq_sum
 
 __all__ = [
     "UndefinedMetricError",
@@ -83,9 +84,9 @@ def pearson_r(a, b) -> float | None:
 def mean_ssd(values) -> tuple[float, float]:
     """Mean and sum of squared deviations of a float list, each added in sequence; inf past
     the float range. Squares are Python's ``** 2`` (libm pow), which ``xc * xc`` may not match."""
-    mean = sum(values) / len(values)
+    mean = seq_sum(values) / len(values)
     try:
-        return mean, sum((x - mean) ** 2 for x in values)
+        return mean, seq_sum((x - mean) ** 2 for x in values)
     except OverflowError:
         return mean, math.inf
 

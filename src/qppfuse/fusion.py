@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import derive_seed
+from .seeding import derive_seed, seq_sum
 
 __all__ = [
     "FusionError",
@@ -296,7 +296,7 @@ def _chol_row(chol, gram, active, j):
         for t in range(i):
             s -= li[t] * row[t]
         row.append(s / li[i])
-    return row, gram[j][j] - sum(v * v for v in row)
+    return row, gram[j][j] - seq_sum(v * v for v in row)
 
 
 def _cholesky(gram, active):
@@ -665,20 +665,19 @@ def lars_cv(table: ScoreTable, k_folds: int = 5, seed: int = 0) -> RegressionMod
     """Path-prefix length chosen by k-fold CV (ties favor the shorter prefix).
 
     Each fold's m+1 candidate prefixes are the rows of _lars's coefficient
-    matrix on a slice of the table's one matrix. Only the refit logs.
+    matrix on a slice of the table's one matrix; the refit reads the chosen
+    row of _lars on the whole matrix. Nothing logs.
     """
-    names = table.column_names
     x, y = table.matrix(), table.target
-    mse = np.zeros(len(names) + 1)
+    mse = np.zeros(x.shape[1] + 1)
     for val_idx, train_idx in _make_folds(table.n_rows, k_folds, seed):
         _, betas, x_mean, y_mean, _ = _lars(x[train_idx], y[train_idx])
         mse += _fold_mse(betas, x_mean, y_mean, x[val_idx], y[val_idx])
     best = int(np.argmin(mse))  # argmin takes the first = shortest prefix on ties
-    path = lars_path(table)
-    steps = min(best, len(path))
-    hyper = {"n_steps": steps, "k_folds": k_folds, "seed": seed}
-    knot = path[steps - 1] if steps else LarsKnot("", dict.fromkeys(names, 0.0), float(y.mean()))
-    return RegressionModel("LARS-CV", knot.intercept, dict(knot.coefficients), hyper)
+    entered, betas, x_mean, y_mean, _ = _lars(x, y)
+    steps = min(best, len(entered))
+    return _as_model("LARS-CV", table, betas[steps], x_mean, y_mean,
+                     n_steps=steps, k_folds=k_folds, seed=seed)
 
 
 # ---------------------------------------------------------------------------

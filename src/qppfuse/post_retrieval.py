@@ -20,6 +20,7 @@ import numpy as np
 from .corpus import Index, Query
 from .evaluation import UndefinedMetricError, kendall_tau_b, mean_ssd, pearson_r
 from .retrieval import DegenerateQueryError, RankedList, collection_likelihood, dirichlet_sums
+from .seeding import seq_sum
 
 __all__ = [
     "POST_PREDICTORS",
@@ -43,7 +44,7 @@ class RelevanceModel:
     feedback_depth: int
 
     def total_mass(self) -> float:
-        return sum(self.probs.values())
+        return seq_sum(self.probs.values())
 
 
 def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -> RelevanceModel:
@@ -62,7 +63,7 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
     scores = [s for _, s in top]
     max_score = max(scores)
     exp_scores = [math.exp(s - max_score) for s in scores]
-    z = sum(exp_scores)
+    z = seq_sum(exp_scores)
     weights = [e / z for e in exp_scores]
 
     used = np.zeros(len(index.terms), dtype=bool)  # term numbers follow the sorted terms
@@ -70,7 +71,7 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
     terms = np.flatnonzero(used)
     # per term, the weighted smoothed probabilities summed in feedback-doc order
     sums = dirichlet_sums(index, terms, docs, mu, weights, log=False, per="term")
-    mass = sum(sums.tolist())
+    mass = seq_sum(sums.tolist())
     probs = dict(zip(map(index.terms.__getitem__, terms.tolist()), (sums / mass).tolist()))
     return RelevanceModel(probs=probs, feedback_depth=len(top))
 
@@ -85,13 +86,9 @@ def clarity(
     """KL divergence (bits) of the relevance model from the collection model."""
     if model is None:
         model = rm1(index, ranked, k_fb=k_fb, mu=mu)
-    score = 0.0
-    for term, p in model.probs.items():
-        if p <= 0.0:
-            continue
-        p_coll = index.cf[term] / index.total_tokens
-        score += p * math.log2(p / p_coll)
-    return score
+    # `not p <= 0.0` keeps a NaN p in the sum
+    return seq_sum(p * math.log2(p / (index.cf[t] / index.total_tokens))
+                   for t, p in model.probs.items() if not p <= 0.0)
 
 
 def wig(index: Index, query, ranked: RankedList, k: int = 5) -> float:
@@ -101,7 +98,7 @@ def wig(index: Index, query, ranked: RankedList, k: int = 5) -> float:
         raise ValueError(f"empty ranked list for query {ranked.query_id!r}")
     cl = collection_likelihood(index, terms)
     k_eff = min(k, len(ranked))
-    gap = sum(score - cl for _, score in ranked.entries[:k_eff])
+    gap = seq_sum(score - cl for _, score in ranked.entries[:k_eff])
     return gap / (k_eff * math.sqrt(len(terms)))
 
 

@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Index, Query, SenseLexicon
+from .seeding import seq_sum
 
 __all__ = [
     "PRE_PREDICTORS",
@@ -77,32 +78,32 @@ class PolysemyScores(NamedTuple):
 
 def _query_terms(query, distinct: bool) -> list[str]:
     terms = query.terms if isinstance(query, Query) else tuple(query)
-    if distinct:
-        # sorted so that scores are exactly invariant to query-term order
-        return sorted(set(terms))
-    return list(terms)
+    # sorted so that scores are exactly invariant to query-term order
+    return sorted(set(terms)) if distinct else list(terms)
+
+
+def _scored_terms(index: Index, query, distinct: bool) -> list[str]:
+    return [t for t in _query_terms(query, distinct) if index.df.get(t, 0) >= 1]
+
+
+def _summary(values: list[float]) -> tuple[float, float, float, int]:
+    """Sum, mean, max and count of the scored terms' values; zeros for none."""
+    if not values:
+        return 0.0, 0.0, 0.0, 0
+    total = seq_sum(values)
+    return total, total / len(values), max(values), len(values)
 
 
 def idf_family(index: Index, query, distinct: bool = True) -> IdfFamily:
-    idfs = [
-        math.log(index.n_docs / index.df[t])
-        for t in _query_terms(query, distinct)
-        if index.df.get(t, 0) >= 1
-    ]
-    if not idfs:
-        return IdfFamily(0.0, 0.0, 0)
-    return IdfFamily(sum(idfs) / len(idfs), max(idfs), len(idfs))
+    _, avg, top, n = _summary([math.log(index.n_docs / index.df[t])
+                               for t in _scored_terms(index, query, distinct)])
+    return IdfFamily(avg, top, n)
 
 
 def scq_family(index: Index, query, distinct: bool = True) -> ScqFamily:
-    scqs = [
+    return ScqFamily(*_summary([
         (1.0 + math.log(index.cf[t])) * math.log(1.0 + index.n_docs / index.df[t])
-        for t in _query_terms(query, distinct)
-        if index.df.get(t, 0) >= 1
-    ]
-    if not scqs:
-        return ScqFamily(0.0, 0.0, 0.0, 0)
-    return ScqFamily(sum(scqs), sum(scqs) / len(scqs), max(scqs), len(scqs))
+        for t in _scored_terms(index, query, distinct)]))
 
 
 def _exact_pstdev(values, counts) -> float:
@@ -116,9 +117,9 @@ def _exact_pstdev(values, counts) -> float:
     ratios = [v.as_integer_ratio() for v in values]
     scale = max(d for _, d in ratios)
     nums = [p * (scale // d) for p, d in ratios]
-    n = sum(counts)
-    s1 = sum(c * p for c, p in zip(counts, nums))
-    s2 = sum(c * p * p for c, p in zip(counts, nums))
+    n = seq_sum(counts, 0)
+    s1 = seq_sum((c * p for c, p in zip(counts, nums)), 0)
+    s2 = seq_sum((c * p * p for c, p in zip(counts, nums)), 0)
     num, den = n * s2 - s1 * s1, (n * scale) ** 2
     shift = max(0, 112 - num.bit_length() + den.bit_length()) // 2
     root = math.isqrt((num << 2 * shift) // den)
@@ -135,27 +136,15 @@ def term_weight_std(index: Index, term: str) -> float:
 
 
 def var_family(index: Index, query, distinct: bool = True) -> VarFamily:
-    stds = [
-        term_weight_std(index, t)
-        for t in _query_terms(query, distinct)
-        if index.df.get(t, 0) >= 1
-    ]
-    if not stds:
-        return VarFamily(0.0, 0.0, 0.0, 0)
-    return VarFamily(sum(stds), sum(stds) / len(stds), max(stds), len(stds))
+    return VarFamily(*_summary([term_weight_std(index, t) for t in _scored_terms(index, query, distinct)]))
 
 
 def polysemy(query, lexicon: SenseLexicon, distinct: bool = True) -> PolysemyScores:
-    counts = [
-        lexicon.get(t)
-        for t in _query_terms(query, distinct)
-        if t in lexicon
-    ]
+    counts = [lexicon.get(t) for t in _query_terms(query, distinct) if t in lexicon]
     if not counts:
         return PolysemyScores(0.0, 0.0, 0)
-    totals = [c[0] for c in counts]
-    nouns = [c[1] for c in counts]
-    return PolysemyScores(sum(totals) / len(totals), sum(nouns) / len(nouns), len(counts))
+    senses, nouns = (seq_sum(column, 0) / len(counts) for column in zip(*counts))
+    return PolysemyScores(senses, nouns, len(counts))
 
 
 def compute_pre_scores(
@@ -168,10 +157,7 @@ def compute_pre_scores(
     idf = idf_family(index, query, distinct)
     scq = scq_family(index, query, distinct)
     var = var_family(index, query, distinct)
-    if lexicon is not None:
-        pol = polysemy(query, lexicon, distinct)
-    else:
-        pol = PolysemyScores(0.0, 0.0, 0)
+    pol = PolysemyScores(0.0, 0.0, 0) if lexicon is None else polysemy(query, lexicon, distinct)
     return {
         "AvgIDF": idf.avg,
         "MaxIDF": idf.max,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Index, Qrels, Query
+from .seeding import seq_sum
 
 __all__ = [
     "DegenerateQueryError",
@@ -241,10 +242,8 @@ def collection_likelihood(index: Index, terms) -> float:
     scored = scoreable_terms(index, terms)
     if not scored:
         raise DegenerateQueryError("no query term occurs in the collection")
-    return sum(
-        qtf * math.log(index.cf[t] / index.total_tokens)
-        for t, qtf in Counter(scored).items()
-    )
+    return seq_sum(qtf * math.log(index.cf[t] / index.total_tokens)
+                   for t, qtf in Counter(scored).items())
 
 
 def retrieve(index: Index, query: Query, k: int = 1000, mu: float = 1000.0) -> RankedList:

@@ -74,11 +74,15 @@ def stats(docs):
 # Float sums below are explicit += loops, which add in sequence on every Python
 # (builtin sum compensates from 3.12 on); squares stay Python's ** 2.
 
-def mean(values):
+def seq_total(values):
     total = 0.0
     for v in values:
         total += v
-    return total / len(values)
+    return total
+
+
+def mean(values):
+    return seq_total(values) / len(values)
 
 
 def pop_std(values):
@@ -127,10 +131,10 @@ def pre_values(docs, query_terms, lexicon):
     return {
         "AvgIDF": mean(idfs) if idfs else 0.0,
         "MaxIDF": max(idfs) if idfs else 0.0,
-        "SumSCQ": sum(scqs) if scqs else 0.0,
+        "SumSCQ": seq_total(scqs),
         "AvgSCQ": mean(scqs) if scqs else 0.0,
         "MaxSCQ": max(scqs) if scqs else 0.0,
-        "SumVAR": sum(variances) if variances else 0.0,
+        "SumVAR": seq_total(variances),
         "AvgVAR": mean(variances) if variances else 0.0,
         "MaxVAR": max(variances) if variances else 0.0,
         "AvP": mean([s[0] for s in senses]) if senses else 0.0,
@@ -164,7 +168,7 @@ def rank_docs(docs, cf, total, query_terms, mu, k):
 
 
 def collection_loglik(cf, total, query_terms):
-    return sum(math.log(cf[t] / total) for t in query_terms if cf.get(t, 0) > 0)
+    return seq_total(math.log(cf[t] / total) for t in query_terms if cf.get(t, 0) > 0)
 
 
 # --- post-retrieval --------------------------------------------------------
@@ -173,7 +177,7 @@ def relevance_model(docs, cf, total, ranked, k_fb, mu):
     top = ranked[:k_fb]
     max_score = max(s for _, s in top)
     exps = [math.exp(s - max_score) for _, s in top]
-    z = sum(exps)
+    z = seq_total(exps)
     weights = [e / z for e in exps]
     vocab = []
     for doc_id, _ in top:
@@ -187,7 +191,7 @@ def relevance_model(docs, cf, total, ranked, k_fb, mu):
             tokens = docs[doc_id]
             p += w * ((tokens.count(t) + mu * cf[t] / total) / (len(tokens) + mu))
         probs[t] = p
-    mass = sum(probs.values())
+    mass = seq_total(probs.values())
     return {t: p / mass for t, p in probs.items()}
 
 
@@ -196,10 +200,10 @@ def post_values(docs, query_terms, ranked, k_fb, wig_k, nqc_k, uef_m, mu):
     cl = collection_loglik(cf, total, query_terms)
 
     rm = relevance_model(docs, cf, total, ranked, k_fb, mu)
-    clarity = sum(p * math.log2(p / (cf[t] / total)) for t, p in rm.items())
+    clarity = seq_total(p * math.log2(p / (cf[t] / total)) for t, p in rm.items())
 
     k_eff = min(wig_k, len(ranked))
-    wig = sum(s - cl for _, s in ranked[:k_eff]) / (k_eff * math.sqrt(len(query_terms)))
+    wig = seq_total(s - cl for _, s in ranked[:k_eff]) / (k_eff * math.sqrt(len(query_terms)))
 
     if len(ranked) < 2:
         nqc = 0.0

@@ -706,6 +706,19 @@ class TestFileLoaders:
         assert lexicon.get("dog") == (8, 7)
         assert "cat" in lexicon and "fish" not in lexicon
 
+    @pytest.mark.parametrize("total, noun", [(-1, 0), (2, 5), (3, -1)])
+    def test_lexicon_bad_counts_rejected_at_their_line(self, tmp_path, total, noun):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"cat\t3\t1\n\ndog\t{total}\t{noun}\n")
+        with pytest.raises(CorpusError, match=rf"lex\.tsv:3: bad sense counts for 'dog': \({total}, {noun}\)$"):
+            load_lexicon(path)
+
+    def test_lexicon_repeated_term_rejected_at_its_line(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("dog\t3\t1\ncat\t3\t1\ndog\t5\t2\n")
+        with pytest.raises(CorpusError, match=r"lex\.tsv:3: duplicate term 'dog'$"):
+            load_lexicon(path)
+
     def test_lexicon_invariant(self):
         with pytest.raises(CorpusError, match="sense"):
             SenseLexicon({"dog": (2, 5)})

@@ -775,6 +775,34 @@ class TestCvMatchesPerCandidateReference:
         expected = fusion._ols_on(table, selected, "LARS-Traps", **hyper)
         assert lars_traps(table, seed=seed) == expected
 
+    @staticmethod
+    def lars_path_refit(table, k_folds, seed):
+        """LARS-CV's refit read off lars_path's knots, as it was before it read _lars's rows."""
+        path = lars_path(table)
+        steps = min(reference_lars_steps(table, k_folds, seed), len(path))
+        knot = (path[steps - 1] if steps else fusion.LarsKnot(
+            "", dict.fromkeys(table.column_names, 0.0), float(table.target.mean())))
+        hyper = {"n_steps": steps, "k_folds": k_folds, "seed": seed}
+        return RegressionModel("LARS-CV", knot.intercept, dict(knot.coefficients), hyper)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_lars_cv_refit_matches_lars_path_refit(self, seed, caplog):
+        """Bit for bit on plain, duplicated-column, constant-column and n - 1-exhausted designs,
+        and the refit logs nothing where lars_path warns."""
+        rng = np.random.default_rng(derive_seed(seed, "lars-cv-refit"))
+        n, m = (int(rng.integers(6, 9)), int(rng.integers(6, 10))) if seed % 4 == 3 else (30, 5)
+        x = rng.standard_normal((n, m))
+        y = x @ rng.standard_normal(m) + 0.3 * rng.standard_normal(n)
+        if seed % 4 == 1:
+            x[:, 2] = x[:, 0]
+        if seed % 4 == 2:
+            x[:, 1] = -1.25
+        table = make_table(x, y)
+        with caplog.at_level(logging.DEBUG, logger="qppfuse.fusion"):
+            model = lars_cv(table, k_folds=2 + seed % 2, seed=seed)
+        assert caplog.records == []
+        assert repr(model) == repr(self.lars_path_refit(table, 2 + seed % 2, seed))
+
     def test_lars_cv_fold_paths_log_nothing(self, caplog):
         rng = np.random.default_rng(31)
         table = random_table(rng, n=6, m=4)

@@ -60,7 +60,9 @@ def _reference_rm1(index, ranked, k_fb, mu):
     scores = [s for _, s in top]
     max_score = max(scores)
     exp_scores = [math.exp(s - max_score) for s in scores]
-    z = sum(exp_scores)
+    z = 0.0
+    for e in exp_scores:
+        z += e
     weights = [e / z for e in exp_scores]
 
     tfs = _reference_doc_term_freqs(index, doc_ids)
@@ -72,7 +74,9 @@ def _reference_rm1(index, ranked, k_fb, mu):
             p += w * _reference_smoothed_prob(index, term, tfs[doc_id].get(term, 0),
                                               index.doc_len[doc_id], mu)
         probs[term] = p
-    mass = sum(probs.values())
+    mass = 0.0
+    for p in probs.values():
+        mass += p
     probs = {t: p / mass for t, p in probs.items()}
     return probs, len(top)
 

@@ -66,12 +66,14 @@ class TestScoreDirichlet:
         assert double == pytest.approx(2 * single, rel=1e-12)
 
     def test_reads_term_rows_not_postings(self, monkeypatch, toy_index, toy_queries):
-        # the per-document formula over tfs read from postings dicts
+        # the per-document formula over tfs read from postings dicts, added left to right
         def by_postings(terms, doc_id, mu):
             dl = toy_index.doc_len[doc_id]
-            return sum(qtf * math.log((toy_index.postings[t].get(doc_id, 0)
-                                       + mu * (toy_index.cf[t] / toy_index.total_tokens)) / (dl + mu))
-                       for t, qtf in Counter(t for t in terms if t in toy_index.cf).items())
+            score = 0.0
+            for t, qtf in Counter(t for t in terms if t in toy_index.cf).items():
+                score += qtf * math.log((toy_index.postings[t].get(doc_id, 0)
+                                         + mu * (toy_index.cf[t] / toy_index.total_tokens)) / (dl + mu))
+            return score
 
         cases = [(q.terms, d, mu) for q in toy_queries if any(t in toy_index.cf for t in q.terms)
                  for d in toy_index.doc_ids for mu in (1000.0, 2.5)]
