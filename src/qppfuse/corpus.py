@@ -20,6 +20,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .seeding import read_lines, write_lines
+
 __all__ = [
     "CorpusError",
     "Document",
@@ -171,23 +173,22 @@ def _add_doc(docs, seen, path, lineno, doc_id, text) -> None:
 
 def _ingest_jsonl(path: Path) -> list[Document]:
     docs, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-            doc_id, text = record["id"], record["text"]
-            if not isinstance(doc_id, (str, int)) or isinstance(doc_id, bool):
-                raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
-            if not isinstance(text, str):
-                raise CorpusError(f"{path}:{lineno}: 'text' must be a string")
-            _add_doc(docs, seen, path, lineno, str(doc_id), text)
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(record, dict) or "id" not in record or "text" not in record:
+            raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
+        doc_id, text = record["id"], record["text"]
+        if not isinstance(doc_id, (str, int)) or isinstance(doc_id, bool):
+            raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
+        if not isinstance(text, str):
+            raise CorpusError(f"{path}:{lineno}: 'text' must be a string")
+        _add_doc(docs, seen, path, lineno, str(doc_id), text)
     return docs
 
 
@@ -197,7 +198,7 @@ _TREC_TEXT = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 
 
 def _ingest_trec(path: Path) -> list[Document]:
-    raw = path.read_text(encoding="utf-8")
+    raw = "\n".join(line for _, line in read_lines(path))  # <DOC> line numbers count its LFs
     docs, seen = [], set()
     lineno, counted_to = 1, 0  # newlines are counted once, from the previous <DOC> on
     for m in _TREC_DOC.finditer(raw):
@@ -216,15 +217,13 @@ def _ingest_trec(path: Path) -> list[Document]:
 
 def _ingest_tsv(path: Path) -> list[Document]:
     docs, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise CorpusError(f"{path}:{lineno}: expected 'doc_id<TAB>text'")
-            _add_doc(docs, seen, path, lineno, parts[0], parts[1])
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise CorpusError(f"{path}:{lineno}: expected 'doc_id<TAB>text'")
+        _add_doc(docs, seen, path, lineno, parts[0], parts[1])
     return docs
 
 
@@ -501,16 +500,17 @@ def dump_stats(index: Index, path) -> None:
     Format: a header line, one `doc` line per document, and one `term`
     line per term carrying its full postings list.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {SNAPSHOT_MAGIC} stats v{SNAPSHOT_VERSION}\n")
-        fh.write(f"N\t{index.n_docs}\n")
-        fh.write(f"C\t{index.total_tokens}\n")
+    def lines():
+        yield f"# {SNAPSHOT_MAGIC} stats v{SNAPSHOT_VERSION}"
+        yield f"N\t{index.n_docs}"
+        yield f"C\t{index.total_tokens}"
         for doc_id, length in index.doc_len.items():
-            fh.write(f"doc\t{doc_id}\t{length}\n")
+            yield f"doc\t{doc_id}\t{length}"
         for r, term in enumerate(index.terms):
             docs, tfs = (a.tolist() for a in index.by_term.row(r))
             cells = "\t".join(f"{index.doc_ids[d]}:{tf}" for d, tf in zip(docs, tfs))
-            fh.write(f"term\t{term}\t{cells}\n")
+            yield f"term\t{term}\t{cells}"
+    write_lines(path, lines())
 
 
 def load_stats(path) -> Index:
@@ -523,39 +523,38 @@ def load_stats(path) -> Index:
     n_docs = total = None
     doc_len: dict[str, int] = {}
     postings: dict[str, dict[str, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != header:
-            raise CorpusError(f"{path}: not an index stats dump (expected header {header!r})")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            kind = parts[0]
-            try:
-                if kind == "N":
-                    _, value = parts
-                    n_docs = int(value)
-                elif kind == "C":
-                    _, value = parts
-                    total = int(value)
-                elif kind == "doc":
-                    _, doc_id, length = parts
-                    doc_len[doc_id] = int(length)
-                elif kind == "term":
-                    plist = {}
-                    for cell in parts[2:]:
-                        doc_id, _, tf = cell.rpartition(":")
-                        if not doc_id or int(tf) < 1:
-                            raise ValueError(f"bad posting {cell!r}")
-                        if doc_id in plist:
-                            raise ValueError(f"repeated doc {doc_id!r}")
-                        plist[doc_id] = int(tf)
-                    postings[parts[1]] = plist
-                else:
-                    raise CorpusError(f"{path}:{lineno}: unknown record {kind!r}")
-            except (IndexError, ValueError) as exc:
-                raise CorpusError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
+    lines = read_lines(path)
+    if next(lines, (1, None))[1] != header:
+        raise CorpusError(f"{path}: not an index stats dump (expected header {header!r})")
+    for lineno, line in lines:
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        kind = parts[0]
+        try:
+            if kind == "N":
+                _, value = parts
+                n_docs = int(value)
+            elif kind == "C":
+                _, value = parts
+                total = int(value)
+            elif kind == "doc":
+                _, doc_id, length = parts
+                doc_len[doc_id] = int(length)
+            elif kind == "term":
+                plist = {}
+                for cell in parts[2:]:
+                    doc_id, _, tf = cell.rpartition(":")
+                    if not doc_id or int(tf) < 1:
+                        raise ValueError(f"bad posting {cell!r}")
+                    if doc_id in plist:
+                        raise ValueError(f"repeated doc {doc_id!r}")
+                    plist[doc_id] = int(tf)
+                postings[parts[1]] = plist
+            else:
+                raise CorpusError(f"{path}:{lineno}: unknown record {kind!r}")
+        except (IndexError, ValueError) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
     if n_docs is None or total is None:
         raise CorpusError(f"{path}: missing N or C header")
     if n_docs != len(doc_len):
@@ -586,42 +585,41 @@ def load_queries(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Quer
     """Read a queries file: ``query_id<TAB>text``, one query per line."""
     queries = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t", 1)
-            if len(parts) != 2:
-                raise CorpusError(f"{path}:{lineno}: expected 'query_id<TAB>text'")
-            qid, text = parts
-            if qid.split() != [qid]:  # a run line is split on whitespace
-                raise CorpusError(f"{path}:{lineno}: query_id {qid!r} is empty or has whitespace")
-            if qid in seen:
-                raise CorpusError(f"{path}:{lineno}: duplicate query_id {qid!r}")
-            seen.add(qid)
-            queries.append(Query(qid, tuple(tokenize(text, config))))
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t", 1)
+        if len(parts) != 2:
+            raise CorpusError(f"{path}:{lineno}: expected 'query_id<TAB>text'")
+        qid, text = parts
+        if qid.split() != [qid]:  # a run line is split on whitespace
+            raise CorpusError(f"{path}:{lineno}: query_id {qid!r} is empty or has whitespace")
+        if qid in seen:
+            raise CorpusError(f"{path}:{lineno}: duplicate query_id {qid!r}")
+        seen.add(qid)
+        queries.append(Query(qid, tuple(tokenize(text, config))))
     return queries
 
 
 def load_qrels(path) -> Qrels:
     """Read TREC 4-column qrels: ``qid 0 docid grade``, whitespace-separated."""
     grades: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise CorpusError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
-            qid, _, did, grade = parts
-            try:
-                g = int(grade)
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: non-integer grade {grade!r}") from exc
-            if g < 0:
-                raise CorpusError(f"{path}:{lineno}: negative grade {g}")
-            grades[(qid, did)] = g
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise CorpusError(f"{path}:{lineno}: expected 4 columns, got {len(parts)}")
+        qid, _, did, grade = parts
+        try:
+            g = int(grade)
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: non-integer grade {grade!r}") from exc
+        if g < 0:
+            raise CorpusError(f"{path}:{lineno}: negative grade {g}")
+        if (qid, did) in grades:
+            raise CorpusError(f"{path}:{lineno}: repeated judgement of {did!r} for {qid!r}")
+        grades[(qid, did)] = g
     return Qrels(grades)
 
 
@@ -650,21 +648,19 @@ class SenseLexicon:
 def load_lexicon(path) -> SenseLexicon:
     """Read a sense lexicon: ``term<TAB>total_senses<TAB>noun_senses``."""
     senses: dict[str, tuple[int, int]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusError(f"{path}:{lineno}: expected 3 columns")
-            term, total, noun = parts
-            if term in senses:
-                raise CorpusError(f"{path}:{lineno}: duplicate term {term!r}")
-            try:
-                senses[term] = _sense_counts(term, int(total), int(noun))
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{lineno}: non-integer sense count") from exc
-            except CorpusError as exc:
-                raise CorpusError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise CorpusError(f"{path}:{lineno}: expected 3 columns")
+        term, total, noun = parts
+        if term in senses:
+            raise CorpusError(f"{path}:{lineno}: duplicate term {term!r}")
+        try:
+            senses[term] = _sense_counts(term, int(total), int(noun))
+        except ValueError as exc:
+            raise CorpusError(f"{path}:{lineno}: non-integer sense count") from exc
+        except CorpusError as exc:
+            raise CorpusError(f"{path}:{lineno}: {exc}") from None
     return SenseLexicon(senses)

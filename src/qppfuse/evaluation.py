@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .retrieval import BLOCK_CELLS
-from .seeding import seq_sum
+from .seeding import seq_sum, write_lines
 
 __all__ = [
     "UndefinedMetricError",
@@ -286,13 +286,12 @@ def smare(pred_scores, ap) -> tuple[float, np.ndarray]:
 
 
 def _average_ranks(x) -> np.ndarray:
-    """Ranks from 1, ties sharing the mean of their positions; all NaN if any is NaN."""
-    order = np.argsort(x, kind="stable")
-    ordered = x[order]
-    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))  # runs
-    ranks = np.empty(x.size)
-    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2, np.diff(bounds))
-    return np.full(x.size, math.nan) if np.isnan(x).any() else ranks
+    """Ranks from 1, ties sharing the mean of their sorted positions, read off the sorted
+    column as in :func:`_kendall_taus` (-0.0 ties 0.0); all NaN if any is NaN."""
+    if np.isnan(x).any():
+        return np.full(x.size, math.nan)
+    ordered = np.sort(x)
+    return (np.searchsorted(ordered, x, "left") + np.searchsorted(ordered, x, "right") + 1) / 2
 
 
 def paired_t_one_sided(err_a, err_b) -> float:
@@ -401,11 +400,9 @@ def format_metric(value) -> str:
 
 def write_corr_matrix_tsv(path, corr: CorrMatrix) -> None:
     """Matrix TSV with a header row/column of predictor names."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("predictor\t" + "\t".join(corr.names) + "\n")
-        for i, name in enumerate(corr.names):
-            cells = "\t".join(format_metric(float(v)) for v in corr.matrix[i])
-            fh.write(f"{name}\t{cells}\n")
+    write_lines(path, ["predictor\t" + "\t".join(corr.names)] + [
+        "\t".join([name] + [format_metric(float(v)) for v in corr.matrix[i]])
+        for i, name in enumerate(corr.names)])
 
 
 @dataclass
@@ -451,16 +448,11 @@ def _report_cells(row: ReportRow) -> list[str]:
 
 def write_report_tsv(path, rows) -> None:
     """Evaluation report TSV, one row per predictor, 4-decimal fixed values."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join(REPORT_COLUMNS) + "\n")
-        for row in rows:
-            fh.write("\t".join(_report_cells(row)) + "\n")
+    write_lines(path, ["\t".join(REPORT_COLUMNS)] + ["\t".join(_report_cells(row)) for row in rows])
 
 
 def write_split_report_tsv(path, per_split) -> None:
     """Report TSV with a leading split number; one block of rows per split."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("split\t" + "\t".join(REPORT_COLUMNS) + "\n")
-        for s, rows in enumerate(per_split):
-            for row in rows:
-                fh.write("\t".join([str(s)] + _report_cells(row)) + "\n")
+    write_lines(path, ["split\t" + "\t".join(REPORT_COLUMNS)] + [
+        "\t".join([str(s)] + _report_cells(row))
+        for s, rows in enumerate(per_split) for row in rows])

@@ -45,7 +45,7 @@ from .fusion import ScoreTable, minmax_apply, minmax_fit, predict
 from .post_retrieval import POST_PREDICTORS, compute_post_scores
 from .pre_retrieval import PRE_PREDICTORS, compute_pre_scores
 from .retrieval import average_precision, retrieve, write_run_file
-from .seeding import derive_seed
+from .seeding import derive_seed, read_lines, write_lines
 
 __all__ = [
     "HarnessError",
@@ -87,12 +87,14 @@ class SplitPlan:
     pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
 
     def validate(self, query_ids) -> None:
-        """Every pair must partition the query set exactly."""
+        """Every pair must partition the query set exactly, naming each query once."""
         universe = set(query_ids)
         if len(universe) != len(list(query_ids)):
             raise HarnessError("duplicate query ids")
         for i, (train, test) in enumerate(self.pairs):
             tr, te = set(train), set(test)
+            if len(tr) != len(train) or len(te) != len(test):
+                raise HarnessError(f"split {i}: a query id is repeated in train or test")
             if tr & te:
                 raise HarnessError(f"split {i}: train and test overlap")
             if tr | te != universe:
@@ -139,8 +141,7 @@ def split_fixed(query_ids, train_ids, test_ids) -> SplitPlan:
 # configuration
 
 def _read_id_file(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [line.strip() for _, line in read_lines(path) if line.strip()]
 
 
 def _parse_bool(raw: str) -> bool:
@@ -296,30 +297,33 @@ class ExperimentConfig:
         base = Path(base_dir) if base_dir is not None else path.parent
         specs = {spec.metadata["key"]: spec for spec in fields(cls)}
         config = cls()
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise HarnessError(f"{path}:{lineno}: expected 'key = value'")
-                key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in specs:
-                    raise HarnessError(f"{path}:{lineno}: unknown config key {key!r}")
-                spec = specs[key]
-                kind = spec.metadata["kind"]
-                try:
-                    value = kind.parse(raw)
-                except ValueError as exc:
-                    raise HarnessError(f"{path}:{lineno}: config key {key}: {exc}") from exc
-                if kind is _PATH and value:
-                    value = str(base / value)
-                elif kind is _PAIRS:
-                    value = tuple((name, str(base / p)) for name, p in value)
-                problem = _problem(spec, value)
-                if problem:
-                    raise HarnessError(f"{path}:{lineno}: config key {key}: {key} {problem}")
-                setattr(config, spec.name, value)
+        assigned = set()
+        for lineno, line in read_lines(path):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise HarnessError(f"{path}:{lineno}: expected 'key = value'")
+            key, raw = (part.strip() for part in line.split("=", 1))
+            if key not in specs:
+                raise HarnessError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in assigned:
+                raise HarnessError(f"{path}:{lineno}: config key {key} is set twice")
+            assigned.add(key)
+            spec = specs[key]
+            kind = spec.metadata["kind"]
+            try:
+                value = kind.parse(raw)
+            except ValueError as exc:
+                raise HarnessError(f"{path}:{lineno}: config key {key}: {exc}") from exc
+            if kind is _PATH and value:
+                value = str(base / value)
+            elif kind is _PAIRS:
+                value = tuple((name, str(base / p)) for name, p in value)
+            problem = _problem(spec, value)
+            if problem:
+                raise HarnessError(f"{path}:{lineno}: config key {key}: {key} {problem}")
+            setattr(config, spec.name, value)
         config.validate()
         return config
 
@@ -362,23 +366,21 @@ def import_external_scores(path, expected_qids) -> dict[str, float]:
     """Load ``query_id<TAB>score`` rows; coverage of the query set must be total."""
     scores: dict[str, float] = {}
     expected = set(expected_qids)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise HarnessError(f"{path}:{lineno}: expected 'query_id<TAB>score'")
-            qid, raw = parts
-            if qid in scores:
-                raise HarnessError(f"{path}:{lineno}: duplicate query_id {qid!r}")
-            try:
-                scores[qid] = float(raw)
-            except ValueError as exc:
-                raise HarnessError(f"{path}:{lineno}: non-numeric score {raw!r}") from exc
-            if qid in expected and not math.isfinite(scores[qid]):
-                raise HarnessError(f"{path}:{lineno}: non-finite score {raw!r}")
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise HarnessError(f"{path}:{lineno}: expected 'query_id<TAB>score'")
+        qid, raw = parts
+        if qid in scores:
+            raise HarnessError(f"{path}:{lineno}: duplicate query_id {qid!r}")
+        try:
+            scores[qid] = float(raw)
+        except ValueError as exc:
+            raise HarnessError(f"{path}:{lineno}: non-numeric score {raw!r}") from exc
+        if qid in expected and not math.isfinite(scores[qid]):
+            raise HarnessError(f"{path}:{lineno}: non-finite score {raw!r}")
     missing = sorted(expected - set(scores))
     if missing:
         raise HarnessError(f"{path}: no score for query ids: {', '.join(missing)}")
@@ -742,16 +744,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def write_hypothesis_tsv(path, report: HypothesisReport) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("field\tvalue\n")
-        fh.write(f"regime\t{report.regime}\n")
-        verdict = "nan" if report.consistent is None else str(report.consistent).lower()
-        fh.write(f"consistent\t{verdict}\n")
-        for name in ("mean_rho", "min_rho", "frac_negative",
-                     "delta_rho", "delta_tau", "delta_smare", "delta_rmse"):
-            fh.write(f"{name}\t{format_metric(getattr(report, name))}\n")
-        for key, value in report.thresholds.items():
-            fh.write(f"threshold.{key}\t{value}\n")
+    verdict = "nan" if report.consistent is None else str(report.consistent).lower()
+    lines = ["field\tvalue", f"regime\t{report.regime}", f"consistent\t{verdict}"]
+    for name in ("mean_rho", "min_rho", "frac_negative",
+                 "delta_rho", "delta_tau", "delta_smare", "delta_rmse"):
+        lines.append(f"{name}\t{format_metric(getattr(report, name))}")
+    lines += (f"threshold.{key}\t{value}" for key, value in report.thresholds.items())
+    write_lines(path, lines)
 
 
 def write_artifacts(result: ExperimentResult, ranked_lists, config: ExperimentConfig) -> None:
@@ -766,10 +765,7 @@ def write_artifacts(result: ExperimentResult, ranked_lists, config: ExperimentCo
     result.table.write_tsv(out / "score_table.tsv")
     if ranked_lists is not None:  # a design table has no run and excludes nothing
         write_run_file(out / "run.txt", ranked_lists)
-        with open(out / "excluded.tsv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("query_id\treason\n")
-            for qid, reason in result.excluded.items():
-                fh.write(f"{qid}\t{reason}\n")
-    with open(out / "config_used.txt", "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in config.resolved_items():
-            fh.write(f"{key} = {value}\n")
+        write_lines(out / "excluded.tsv", ["query_id\treason"] + [
+            f"{qid}\t{reason}" for qid, reason in result.excluded.items()])
+    write_lines(out / "config_used.txt",
+                (f"{key} = {value}" for key, value in config.resolved_items()))

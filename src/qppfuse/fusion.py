@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .seeding import derive_seed, seq_sum
+from .seeding import derive_seed, read_lines, seq_sum, write_lines
 
 __all__ = [
     "FusionError",
@@ -142,39 +142,37 @@ class ScoreTable:
 
     def write_tsv(self, path) -> None:
         """Wide design-matrix TSV: query_id, predictor columns, AP."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("query_id\t" + "\t".join(self.columns) + "\tAP\n")
-            for qid, row, y in zip(self.query_ids, self._x.tolist(), self.target.tolist()):
-                fh.write(f"{qid}\t" + "\t".join(map(repr, row)) + f"\t{y!r}\n")
+        write_lines(path, ["query_id\t" + "\t".join(self.columns) + "\tAP"] + [
+            f"{qid}\t" + "\t".join(map(repr, row)) + f"\t{y!r}"
+            for qid, row, y in zip(self.query_ids, self._x.tolist(), self.target.tolist())])
 
     @classmethod
     def read_tsv(cls, path) -> "ScoreTable":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if (len(header) < 3 or header[0] != "query_id" or header[-1] != "AP"
-                    or len(set(header)) != len(header)):
-                raise FusionError(f"{path}: expected header 'query_id<TAB>...<TAB>AP' "
-                                  "with distinct column names")
-            qids, rows, seen = [], [], set()
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != len(header):
-                    raise FusionError(f"{path}:{lineno}: wrong column count")
-                if parts[0] in seen:
-                    raise FusionError(f"{path}:{lineno}: duplicate query_id {parts[0]!r}")
-                seen.add(parts[0])
-                qids.append(parts[0])
-                try:
-                    values = [float(v) for v in parts[1:]]
-                except ValueError as exc:
-                    raise FusionError(f"{path}:{lineno}: non-numeric value") from exc
-                if not all(map(math.isfinite, values)):
-                    name = next(n for n, v in zip(header[1:], values) if not math.isfinite(v))
-                    raise FusionError(f"{path}:{lineno}: non-finite value in column {name!r}")
-                rows.append(values)
+        lines = read_lines(path)
+        header = next(lines, (1, ""))[1].split("\t")
+        if (len(header) < 3 or header[0] != "query_id" or header[-1] != "AP"
+                or len(set(header)) != len(header)):
+            raise FusionError(f"{path}: expected header 'query_id<TAB>...<TAB>AP' "
+                              "with distinct column names")
+        qids, rows, seen = [], [], set()
+        for lineno, line in lines:
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != len(header):
+                raise FusionError(f"{path}:{lineno}: wrong column count")
+            if parts[0] in seen:
+                raise FusionError(f"{path}:{lineno}: duplicate query_id {parts[0]!r}")
+            seen.add(parts[0])
+            qids.append(parts[0])
+            try:
+                values = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise FusionError(f"{path}:{lineno}: non-numeric value") from exc
+            if not all(map(math.isfinite, values)):
+                name = next(n for n, v in zip(header[1:], values) if not math.isfinite(v))
+                raise FusionError(f"{path}:{lineno}: non-finite value in column {name!r}")
+            rows.append(values)
         if not rows:
             raise FusionError(f"{path}: no data rows")
         data = np.asarray(rows, dtype=float)
@@ -816,17 +814,12 @@ def predict(model: RegressionModel, table: ScoreTable, clamp: bool = False) -> n
 
 def write_model(model: RegressionModel, path) -> None:
     """Plain-text model dump: method, intercept, coefficients, hyperparameters."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(MODEL_HEADER + "\n")
-        fh.write(f"method\t{model.method}\n")
-        fh.write(f"intercept\t{model.intercept!r}\n")
-        for name, beta in model.coefficients.items():
-            fh.write(f"coef\t{name}\t{beta!r}\n")
-        for key, value in model.hyperparameters.items():
-            fh.write(f"hyper\t{key}\t{value!r}\n")
-        if model.normalization is not None:
-            for name, (lo, hi) in model.normalization.items():
-                fh.write(f"norm\t{name}\t{lo!r}\t{hi!r}\n")
+    lines = [MODEL_HEADER, f"method\t{model.method}", f"intercept\t{model.intercept!r}"]
+    lines += (f"coef\t{name}\t{beta!r}" for name, beta in model.coefficients.items())
+    lines += (f"hyper\t{key}\t{value!r}" for key, value in model.hyperparameters.items())
+    lines += (f"norm\t{name}\t{lo!r}\t{hi!r}"
+              for name, (lo, hi) in (model.normalization or {}).items())
+    write_lines(path, lines)
 
 
 def _finite(text: str) -> float:
@@ -842,40 +835,39 @@ def read_model(path) -> RegressionModel:
     coefficients: dict[str, float] = {}
     hyper: dict = {}
     norm: dict[str, tuple[float, float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        if fh.readline().rstrip("\n") != MODEL_HEADER:
-            raise FusionError(f"{path}: not a model dump (expected header {MODEL_HEADER!r})")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            kind, *fields = line.split("\t")
-            try:
-                if fields and fields[0] in {"coef": coefficients, "norm": norm}.get(kind, ()):
-                    raise ValueError(f"repeated name {fields[0]!r}")
-                if kind == "method":
-                    (method,) = fields
-                elif kind == "intercept":
-                    (intercept,) = map(_finite, fields)
-                elif kind == "coef":
-                    name, value = fields
-                    coefficients[name] = _finite(value)
-                elif kind == "hyper":
-                    key, value = fields
-                    try:
-                        hyper[key] = ast.literal_eval(value)
-                    except (ValueError, SyntaxError, TypeError):
-                        hyper[key] = value
-                elif kind == "norm":
-                    name, lo, hi = fields
-                    lo, hi = _finite(lo), _finite(hi)
-                    if lo > hi:
-                        raise ValueError(f"lo {lo!r} > hi {hi!r}")
-                    norm[name] = (lo, hi)
-                else:
-                    raise FusionError(f"{path}:{lineno}: unknown record {kind!r}")
-            except ValueError as exc:
-                raise FusionError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
+    lines = read_lines(path)
+    if next(lines, (1, None))[1] != MODEL_HEADER:
+        raise FusionError(f"{path}: not a model dump (expected header {MODEL_HEADER!r})")
+    for lineno, line in lines:
+        if not line or line.startswith("#"):
+            continue
+        kind, *fields = line.split("\t")
+        try:
+            if fields and fields[0] in {"coef": coefficients, "norm": norm}.get(kind, ()):
+                raise ValueError(f"repeated name {fields[0]!r}")
+            if kind == "method":
+                (method,) = fields
+            elif kind == "intercept":
+                (intercept,) = map(_finite, fields)
+            elif kind == "coef":
+                name, value = fields
+                coefficients[name] = _finite(value)
+            elif kind == "hyper":
+                key, value = fields
+                try:
+                    hyper[key] = ast.literal_eval(value)
+                except (ValueError, SyntaxError, TypeError):
+                    hyper[key] = value
+            elif kind == "norm":
+                name, lo, hi = fields
+                lo, hi = _finite(lo), _finite(hi)
+                if lo > hi:
+                    raise ValueError(f"lo {lo!r} > hi {hi!r}")
+                norm[name] = (lo, hi)
+            else:
+                raise FusionError(f"{path}:{lineno}: unknown record {kind!r}")
+        except ValueError as exc:
+            raise FusionError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
     if method is None:
         raise FusionError(f"{path}: missing method line")
     if norm and (uncovered := [name for name in coefficients if name not in norm]):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Index, Query, SenseLexicon
-from .seeding import seq_sum
+from .seeding import seq_sum, write_lines
 
 __all__ = [
     "PRE_PREDICTORS",
@@ -174,10 +174,8 @@ def compute_pre_scores(
 
 def write_scores_long(path, scores_by_query: dict[str, dict[str, float]]) -> None:
     """Long-format score TSV: query_id, predictor name, value."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for qid, scores in scores_by_query.items():
-            for name, value in scores.items():
-                fh.write(f"{qid}\t{name}\t{value:.6f}\n")
+    write_lines(path, (f"{qid}\t{name}\t{value:.6f}" for qid, scores in scores_by_query.items()
+                       for name, value in scores.items()))
 
 
 def write_scores_wide(path, scores_by_query: dict[str, dict[str, float]]) -> None:
@@ -185,8 +183,6 @@ def write_scores_wide(path, scores_by_query: dict[str, dict[str, float]]) -> Non
     if not scores_by_query:
         raise ValueError("no scores to write")
     names = list(next(iter(scores_by_query.values())).keys())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("query_id\t" + "\t".join(names) + "\n")
-        for qid, scores in scores_by_query.items():
-            cells = "\t".join(f"{scores[n]:.6f}" for n in names)
-            fh.write(f"{qid}\t{cells}\n")
+    write_lines(path, ["query_id\t" + "\t".join(names)] + [
+        f"{qid}\t" + "\t".join(f"{scores[n]:.6f}" for n in names)
+        for qid, scores in scores_by_query.items()])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Index, Qrels, Query
-from .seeding import seq_sum
+from .seeding import seq_sum, write_lines
 
 __all__ = [
     "DegenerateQueryError",
@@ -288,7 +288,6 @@ def average_precision(ranked: RankedList, qrels: Qrels, cutoff: int = 1000) -> f
 
 def write_run_file(path, ranked_lists, tag: str = "qppfuse") -> None:
     """Write TREC 6-column run lines: qid Q0 docid rank score tag."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ranked in ranked_lists:
-            for rank, (doc_id, score) in enumerate(ranked.entries, start=1):
-                fh.write(f"{ranked.query_id} Q0 {doc_id} {rank} {score:.6f} {tag}\n")
+    write_lines(path, (f"{ranked.query_id} Q0 {doc_id} {rank} {score:.6f} {tag}"
+                       for ranked in ranked_lists
+                       for rank, (doc_id, score) in enumerate(ranked.entries, start=1)))

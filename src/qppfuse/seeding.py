@@ -1,8 +1,9 @@
-"""Determinism helpers: per-task seeds from a root seed, and the one float sum."""
+"""Determinism helpers: per-task seeds from a root seed, the one float sum, and the one
+text-file format."""
 
 import hashlib
 
-__all__ = ["derive_seed", "seq_sum"]
+__all__ = ["derive_seed", "seq_sum", "read_lines", "write_lines"]
 
 
 def derive_seed(root_seed: int, *parts) -> int:
@@ -24,3 +25,18 @@ def seq_sum(values, start=0.0):
     for v in values:
         total += v
     return total
+
+
+def read_lines(path):
+    """Yield ``(lineno, line)`` for every line of a UTF-8 text file, counting from 1: a
+    leading byte-order mark is skipped and the line end (LF, CRLF or CR) is removed."""
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            yield lineno, line.rstrip("\n")
+
+
+def write_lines(path, lines) -> None:
+    """Write each of ``lines`` followed by an LF, as UTF-8 without a byte-order mark."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(f"{line}\n")

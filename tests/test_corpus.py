@@ -693,6 +693,15 @@ class TestFileLoaders:
         with pytest.raises(CorpusError, match="4 columns"):
             load_qrels(path)
 
+    @pytest.mark.parametrize("grade", [0, 1])
+    def test_qrels_repeated_pair_rejected_at_its_line(self, tmp_path, grade):
+        # a later line silently winning would leave q1 with no relevant document
+        path = tmp_path / "qrels.txt"
+        path.write_text(f"q1 0 d1 1\nq1 0 d2 0\n\nq1 0 d1 {grade}\n")
+        with pytest.raises(CorpusError) as err:
+            load_qrels(path)
+        assert str(err.value) == f"{path}:4: repeated judgement of 'd1' for 'q1'"
+
     def test_qrels_negative_grade(self, tmp_path):
         path = tmp_path / "qrels.txt"
         path.write_text("q1 0 d1 -1\n")

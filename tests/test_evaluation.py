@@ -19,6 +19,7 @@ from qppfuse.evaluation import (
     write_corr_matrix_tsv,
     write_report_tsv,
 )
+from qppfuse.evaluation import _average_ranks
 from tests.brute_force_reference import loo_rmse_loop
 
 
@@ -316,6 +317,26 @@ class TestSmare:
             n = int(rng.integers(2, 30))
             value, _ = smare(rng.standard_normal(n), rng.standard_normal(n))
             assert 0.0 <= value <= 0.5 + 1e-12
+
+    @staticmethod
+    def _run_ranks(x):
+        """The earlier rule: average ranks from the runs of equal values in a stable sort."""
+        order = np.argsort(x, kind="stable")
+        ordered = x[order]
+        bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
+        ranks = np.empty(x.size)
+        ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2, np.diff(bounds))
+        return np.full(x.size, math.nan) if np.isnan(x).any() else ranks
+
+    def test_average_ranks_have_the_bits_of_the_run_rule(self):
+        rng = np.random.default_rng(35)
+        specials = np.array([0.0, -0.0, 1.0, -1.0, math.nan])
+        for k in range(20_000):
+            n = int(rng.integers(1, 40))
+            x = rng.integers(-3, 4, n).astype(float) if k % 2 else rng.standard_normal(n)
+            if k % 3 == 0:
+                x[rng.integers(0, n, max(1, n // 4))] = rng.choice(specials[:4 + (k % 9 == 0)])
+            assert _average_ranks(x).tobytes() == self._run_ranks(x).tobytes(), x
 
 
 class TestPairedT:

@@ -91,6 +91,13 @@ class TestSplits:
         with pytest.raises(HarnessError):
             split_fixed(["a", "b", "c"], ["a"], ["c"])
 
+    @pytest.mark.parametrize("train, test", [(["q1", "q1", "q2"], ["q3", "q4"]),
+                                             (["q1", "q2"], ["q3", "q4", "q3"])])
+    def test_fixed_rejects_a_repeated_id(self, train, test):
+        # a repeated train id would weight that query twice in every fit
+        with pytest.raises(HarnessError, match="split 0: a query id is repeated in train or test"):
+            split_fixed(["q1", "q2", "q3", "q4"], train, test)
+
     def test_validate_rejects_overlap(self):
         plan = SplitPlan("fixed", 0, ((("a", "b"), ("b", "c")),))
         with pytest.raises(HarnessError, match="overlap"):
@@ -171,6 +178,14 @@ class TestConfig:
         path.write_text("retrieval.muu = 1000\n")
         with pytest.raises(HarnessError, match="unknown config key"):
             ExperimentConfig.from_file(path)
+
+    def test_repeated_key_rejected_at_its_line(self, tmp_path):
+        # a later line silently winning would run with seed 2
+        path = tmp_path / "twice.cfg"
+        path.write_text("seed = 1\n# comment\nseed = 2\n")
+        with pytest.raises(HarnessError) as err:
+            ExperimentConfig.from_file(path)
+        assert str(err.value) == f"{path}:3: config key seed is set twice"
 
     def test_missing_file_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
