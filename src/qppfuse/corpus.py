@@ -310,16 +310,18 @@ def _rows(keys: np.ndarray, n_rows: int, width: int) -> Rows:
                 np.diff(np.searchsorted(keys, bounds)))
 
 
-def _from_tokens(terms, doc_ids, term_of, doc_of) -> "Index":
-    """The Index of the tokens numbered ``term_of`` in the sorted ``terms`` and
-    ``doc_of`` in the sorted ``doc_ids``: the one builder of the arrays. The
-    token arrays are overwritten; pass them as temporaries, so they free early."""
+def _from_tokens(terms, doc_ids, term_of, docs, counts) -> "Index":
+    """The Index of the tokens numbered ``term_of`` in the sorted ``terms``, whose
+    numbers in the sorted ``doc_ids`` are ``docs`` repeated ``counts`` times: the one
+    builder of the arrays. That document column lives only while it is added to the
+    keys. ``term_of`` becomes the keys in place when it has their type; the caller's
+    reference keeps it alive (``build_index``'s ``tokens`` buffer, which the sorts
+    reuse while keys are int32, and which stays next to int64 keys at 10^5 documents)."""
     n_terms, n = len(terms), len(doc_ids)
     keys = term_of.astype(key_dtype(n_terms, n), copy=False)
     del term_of
     keys *= n
-    keys += doc_of
-    del doc_of
+    keys += np.repeat(docs, counts)
     by_term = _rows(keys, n_terms, n)
     term = keys // n  # to doc * n_terms + term, in place
     np.remainder(keys, n, out=keys)
@@ -357,7 +359,9 @@ class Index:
     (retrieval, VAR); ``by_doc``, its transpose, a row per document of term
     numbers and tfs (RM1, the RM re-ranking). N, |C| and the read-only
     mappings ``doc_len``, ``df`` and ``cf`` (in those orders) are derived from
-    the rows. ``postings`` is a mapping view for checks, not for scoring.
+    the rows, and so are the classes of the distinct cfs and lengths that key
+    the per-mu tf = 0 log tables ``zero_tf_logs``, a cache that scoring fills.
+    ``postings`` is a mapping view for checks, not for scoring.
     """
 
     terms: tuple[str, ...]
@@ -387,6 +391,21 @@ class Index:
     def cf(self) -> Mapping[str, int]:
         """term -> collection frequency, the tf sum of its ``by_term`` row."""
         return MappingProxyType(dict(zip(self.terms, self.by_term.sums.tolist())))
+
+    @cached_property
+    def cf_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct cfs, ascending, and each term's class: its cf's place among them."""
+        return np.unique(self.by_term.sums, return_inverse=True)
+
+    @cached_property
+    def length_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct document lengths, ascending, and each document's class."""
+        return np.unique(self.by_doc.sums, return_inverse=True)
+
+    @cached_property
+    def zero_tf_logs(self) -> dict[float, np.ndarray]:
+        """mu -> tf = 0 cell logs by (cf class, length class); 0.0 is not yet filled."""
+        return {}
 
     @cached_property
     def term_row(self) -> dict[str, int]:
@@ -490,8 +509,7 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     term_of = np.frombuffer(tokens, dtype=np.intc)
     for lo in range(0, term_of.size, RUN_CHUNK):  # indices are valid; "clip" writes out unbuffered
         np.take(rank, term_of[lo:lo + RUN_CHUNK], out=term_of[lo:lo + RUN_CHUNK], mode="clip")
-    return _from_tokens(terms, doc_ids, term_of,
-                        np.repeat(np.arange(len(docs), dtype=np.int32), lengths))
+    return _from_tokens(terms, doc_ids, term_of, np.arange(len(docs), dtype=np.int32), lengths)
 
 
 def dump_stats(index: Index, path) -> None:
@@ -578,7 +596,7 @@ def load_stats(path) -> Index:
     tfs = np.fromiter((tf for t in terms for tf in postings[t].values()), np.int64, sum(sizes))
     docs = np.fromiter((doc_row[d] for t in terms for d in postings[t]), np.int64, sum(sizes))
     return _from_tokens(terms, doc_ids, np.repeat(np.repeat(np.arange(len(terms)), sizes), tfs),
-                        np.repeat(docs, tfs))
+                        docs, tfs)
 
 
 def load_queries(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Query]:

@@ -830,11 +830,12 @@ def _finite(text: str) -> float:
 
 
 def read_model(path) -> RegressionModel:
-    """Load a :func:`write_model` dump; a bad header or record raises FusionError."""
+    """Load a :func:`write_model` dump; a bad header or a bad or repeated record raises FusionError."""
     method, intercept = None, 0.0
     coefficients: dict[str, float] = {}
     hyper: dict = {}
     norm: dict[str, tuple[float, float]] = {}
+    seen = set()  # the kinds read, and (kind, name) for coef, hyper and norm records
     lines = read_lines(path)
     if next(lines, (1, None))[1] != MODEL_HEADER:
         raise FusionError(f"{path}: not a model dump (expected header {MODEL_HEADER!r})")
@@ -843,8 +844,10 @@ def read_model(path) -> RegressionModel:
             continue
         kind, *fields = line.split("\t")
         try:
-            if fields and fields[0] in {"coef": coefficients, "norm": norm}.get(kind, ()):
-                raise ValueError(f"repeated name {fields[0]!r}")
+            key = (kind, fields[0]) if kind in ("coef", "hyper", "norm") and fields else kind
+            if key in seen:
+                raise ValueError("repeated record" if key == kind else f"repeated name {fields[0]!r}")
+            seen.add(key)
             if kind == "method":
                 (method,) = fields
             elif kind == "intercept":

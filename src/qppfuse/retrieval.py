@@ -64,57 +64,15 @@ def scoreable_terms(index: Index, terms) -> list[str]:
 
 
 BLOCK_CELLS = 16384  # cells per scoring block; no float grid of dirichlet_sums is larger
+# The tf = 0 log tables of Index.zero_tf_logs are the one array BLOCK_CELLS does not
+# bound; the data bounds them: distinct cfs, and distinct lengths, sum to at most |C|,
+# so each table side is under sqrt(2|C|) + 1.
 
 
 def _logs(values) -> np.ndarray:
     """math.log of each value; np.log differs from it in the last bit on some inputs."""
     return np.fromiter(map(math.log, values.ravel().tolist()), dtype=float,
                        count=values.size).reshape(values.shape)
-
-
-def _distinct(values):
-    """Distinct values in first-seen order and the position of each value among them.
-
-    np.unique would give the same logs, but its kernels cost RSS: it raised the
-    toy experiment's peak by about 0.4 MB (42.7 against 42.2-42.4 MB).
-    """
-    items = values.tolist()
-    pos = {v: i for i, v in enumerate(dict.fromkeys(items))}
-    inverse = np.fromiter(map(pos.__getitem__, items), np.intp, len(items))
-    return np.array(list(pos), dtype=float), inverse
-
-
-class _ZeroTfLogs:
-    """ln(prior / denom), the log of a tf = 0 cell, for one block of documents.
-
-    The input takes one value per distinct (prior, doc length) pair. The rows
-    of the most frequent priors, as many as fit in BLOCK_CELLS, are kept for
-    the whole column block and each is computed when first needed; any other
-    prior gets a grid per row block.
-    """
-
-    def __init__(self, priors, denoms):
-        self.den_unique, self.den_inverse = _distinct(denoms)
-        frequent = Counter(priors.tolist()).most_common(BLOCK_CELLS // len(self.den_unique))
-        self.kept = np.array([p for p, _ in frequent], dtype=float)
-        self.slot = dict(zip(self.kept.tolist(), range(len(frequent))))
-        self.kept_logs = np.empty((len(frequent), len(self.den_unique)))
-        self.ready = set()
-
-    def rows(self, priors) -> np.ndarray:
-        items = priors.tolist()
-        slots = np.fromiter(map(self.slot.get, items, [-1] * len(items)), np.intp, len(items))
-        kept = slots >= 0
-        fresh = list(set(slots[kept].tolist()) - self.ready)
-        if fresh:
-            self.kept_logs[fresh] = _logs(self.kept[fresh, None] / self.den_unique)
-            self.ready.update(fresh)
-        logs = np.empty((len(items), len(self.den_unique)))
-        logs[kept] = self.kept_logs[slots[kept]]
-        if not kept.all():
-            values, inverse = _distinct(priors[~kept])
-            logs[~kept] = _logs(values[:, None] / self.den_unique)[inverse]
-        return logs[:, self.den_inverse]
 
 
 def _tf_cells(index: Index, term_rows, docs, first_cols):
@@ -154,11 +112,14 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
 
     The result equals, bit for bit, a Python loop that starts each sum at 0.0
     and adds cell by cell: every cell is the same IEEE operations done
-    elementwise, logs are ``math.log`` (taken once per distinct input of a
-    column block, kept rows permitting), and the sums are sequential
-    ``np.cumsum``. The tfs come from the index's rows, read once per column
-    block for all of ``terms``; each row block takes its slice of those cells.
-    Work goes in blocks of at most ``BLOCK_CELLS`` cells, so the float
+    elementwise, logs are ``math.log``, and the sums are sequential ``np.cumsum``.
+    A tf > 0 cell's log is taken once per cell. A tf = 0 cell's log is
+    ln(prior / denom), a function of the integers cf and |d|: it is taken once per
+    index and mu for each (cf, length) pair a tf = 0 cell needs, from the same
+    prior and denominator operations, and kept in ``Index.zero_tf_logs`` (an
+    exact 0.0 is taken again). The tfs come from the index's rows, read once per
+    column block for all of ``terms``; each row block takes its slice of those
+    cells. Work goes in blocks of at most ``BLOCK_CELLS`` cells, so the float
     temporaries stay bounded on any grid.
     """
     if per not in ("doc", "term"):
@@ -172,21 +133,26 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
     n, axis = (len(docs), "documents") if per == "term" else (len(terms), "terms")
     if len(weights) != n:
         raise ValueError(f"{len(weights)} weights for {n} {axis}")
-    priors = float(mu) * index.by_term.sums[terms] / index.total_tokens  # float: no int64 wrap
-    denoms = index.by_doc.sums[docs] + float(mu)
+    cfs, cf_class = index.cf_classes
+    lengths, length_class = index.length_classes
+    prior_of = float(mu) * cfs / index.total_tokens  # float: no int64 wrap
+    denom_of = lengths + float(mu)
+    term_class, doc_class = cf_class[terms], length_class[docs]
+    priors, denoms = prior_of[term_class], denom_of[doc_class]
     out = np.zeros(len(docs) if per == "doc" else len(terms))
     if not len(terms) or not len(docs):
         return out
+    if log:
+        table = index.zero_tf_logs.get(mu)
+        if table is None:
+            table = index.zero_tf_logs[mu] = np.zeros((len(cfs), len(lengths)))
     width = min(len(docs), BLOCK_CELLS)
     height = max(1, BLOCK_CELLS // width)
     for c0 in range(0, len(docs), width):
         cols = slice(c0, c0 + width)
-        block_docs = docs[cols].tolist()
-        col_of = dict(zip(reversed(block_docs), range(len(block_docs) - 1, -1, -1)))  # first columns
-        distinct = np.fromiter(col_of, np.intp, len(col_of))
-        first_cols = np.fromiter(col_of.values(), np.intp, len(col_of))
+        distinct, first_cols, copy_of = np.unique(docs[cols], return_index=True,
+                                                  return_inverse=True)
         den = denoms[cols]
-        zero_logs = _ZeroTfLogs(priors, den) if log else None
         cell_r, cell_c, cell_tf, row_counts = _tf_cells(index, terms, distinct, first_cols)
         bounds = np.concatenate(([0], np.cumsum(row_counts)))  # row i: bounds[i]:bounds[i + 1]
         for r0 in range(0, len(terms), height):
@@ -196,16 +162,24 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
             r, c, tf = cell_r[at] - r0, cell_c[at], cell_tf[at]
             cells = (tf + pri[r]) / den[c]
             if log:
-                block = np.empty((len(pri), len(den)))
-                sparse = row_counts[rows] < len(col_of)  # rows with a tf = 0 cell
-                if sparse.any():
-                    block[sparse] = zero_logs.rows(pri[sparse])
+                keys = term_class[rows, None] * len(lengths) + doc_class[None, cols]  # in table.flat
+                block = table.take(keys)
+                fresh = block == 0.0  # cells not filled yet, and exact-zero logs
+                fresh[r, c] = False  # tf > 0 cells take their own logs
+                if len(distinct) < len(den):  # a repeated document's columns become copies
+                    fresh[:, np.setdiff1d(np.arange(len(den)), first_cols)] = False
+                if fresh.any():
+                    new = np.sort(keys[fresh])  # np.unique's hash path is slower here
+                    new = new[np.concatenate(([True], new[1:] != new[:-1]))]
+                    table.flat[new] = _logs(prior_of[new // len(lengths)]
+                                            / denom_of[new % len(lengths)])
+                    block[fresh] = table.take(keys[fresh])
                 block[r, c] = _logs(cells)
             else:
                 block = pri[:, None] / den[None, :]
                 block[r, c] = cells
-            if len(col_of) < len(den):  # a repeated document copies its first column
-                block = block[:, list(map(col_of.__getitem__, block_docs))]
+            if len(distinct) < len(den):  # a repeated document copies its first column
+                block = block[:, first_cols[copy_of]]
             if per == "doc":
                 block *= weights[rows, None]
                 block[0] += out[cols]
@@ -262,7 +236,10 @@ def retrieve(index: Index, query: Query, k: int = 1000, mu: float = 1000.0) -> R
     holds[index.by_term.take(terms)[1]] = True
     candidates = np.flatnonzero(holds)
     scores = dirichlet_sums(index, terms, candidates, mu, list(qtfs.values()), log=True, per="doc")
-    top = np.argsort(-scores, kind="stable")[:k]  # ties keep the candidates' doc_id order
+    top = np.arange(len(scores))
+    if len(scores) > k:  # the candidates at or above the k-th score
+        top = np.flatnonzero(scores >= np.partition(scores, len(scores) - k)[len(scores) - k])
+    top = top[np.argsort(-scores[top], kind="stable")[:k]]  # ties keep the doc_id order
     doc_ids = map(index.doc_ids.__getitem__, candidates[top].tolist())
     return RankedList(query.query_id, tuple(zip(doc_ids, scores[top].tolist())))
 

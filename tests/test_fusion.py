@@ -897,10 +897,16 @@ class TestModelIo:
          r":5: malformed 'norm' record: repeated name 'a'"),
         ("# qppfuse model v1\nmethod\tOLS\ncoef\ta\t1.0\nnorm\ta\t1.0\t0.0\n",
          r":4: malformed 'norm' record: lo 1.0 > hi 0.0"),
+        ("# qppfuse model v1\nmethod\tOLS\nintercept\t1.0\nmethod\tLASSO\n",
+         r":4: malformed 'method' record: repeated record"),
+        ("# qppfuse model v1\nmethod\tOLS\nintercept\t1.0\nintercept\t2.0\n",
+         r":4: malformed 'intercept' record: repeated record"),
+        ("# qppfuse model v1\nmethod\tOLS\nhyper\tlam\t0.3\nhyper\tfolds\t5\nhyper\tlam\t0.5\n",
+         r":5: malformed 'hyper' record: repeated name 'lam'"),
     ], ids=["no-header", "wrong-version", "coef-fields", "intercept-value", "method-fields",
             "norm-fields", "hyper-fields", "unknown-kind", "no-method", "norm-partial",
             "intercept-nan", "coef-inf", "norm-inf", "coef-repeated", "norm-repeated",
-            "norm-lo-above-hi"])
+            "norm-lo-above-hi", "method-repeated", "intercept-repeated", "hyper-repeated"])
     def test_rejects_bad_file(self, tmp_path, text, message):
         path = tmp_path / "model.txt"
         path.write_text(text)

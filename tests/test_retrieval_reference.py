@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from qppfuse import post_retrieval, retrieval
-from qppfuse.corpus import Document, Query, build_index
+from qppfuse.corpus import Document, Index, Query, build_index
 from qppfuse.post_retrieval import rm1, rm_rerank_similarity
 from qppfuse.retrieval import RankedList, dirichlet_sums, retrieve
 
@@ -204,6 +204,93 @@ class TestTopK:
                 assert retrieve(index, query, k=k) == _sort_selected(index, query, k, 1000.0)
 
 
+    @pytest.mark.parametrize("mu", MU_VALUES)
+    def test_tie_runs_across_rank_k_with_more_candidates_than_k(self, mu):
+        # runs of 7, 5, 9, 1 and 4 equal documents: every k below 26 leaves
+        # candidates out, and most k cut a run of tied scores
+        texts = ["alpha beta", "alpha alpha gamma", "beta gamma gamma", "alpha delta delta", "gamma"]
+        runs = [text for text, n in zip(texts, (7, 5, 9, 1, 4)) for _ in range(n)]
+        ids = np.random.default_rng(3).permutation(len(runs)).tolist()  # scrambled doc_ids
+        index = build_index([Document(f"x{i:02d}", text) for i, text in zip(ids, runs)])
+        query = Query("t", ("alpha", "gamma"))
+        full = retrieve(index, query, k=1000, mu=mu)
+        assert len(full) == 26 and len(set(full.scores)) == 5
+        for k in range(1, 28):
+            assert retrieve(index, query, k=k, mu=mu) == _sort_selected(index, query, k, mu)
+
+
+def _fresh(index):
+    """The same rows as a new Index, whose cached state, log tables included, starts empty."""
+    return Index(index.terms, index.doc_ids, index.by_term, index.by_doc)
+
+
+class TestZeroTfLogTable:
+    def test_one_log_per_zero_tf_pair_and_per_tf_cell(self, monkeypatch, random_corpus):
+        index = _fresh(random_corpus[0])
+        rng = np.random.default_rng(41)
+        queries = [Query(f"s{j}", tuple(rng.choice([f"w{i}" for i in range(60)],
+                                                   size=int(rng.integers(1, 5)))))
+                   for j in range(8)]
+        calls = []
+
+        class CountingMath:
+            @staticmethod
+            def log(x):
+                calls.append(x)
+                return math.log(x)
+
+        grids = []  # (terms, doc_ids) of every log-scored grid of the first pass
+
+        def sequence(record):
+            for query in queries:
+                ranked = retrieve(index, query, k=50)
+                model = rm1(index, ranked, k_fb=10)
+                rm_rerank_similarity(index, ranked, m=20, model=model)
+                if record:
+                    terms = {t for t in query.terms if t in index.cf}
+                    grids.append((terms, {d for t in terms for d in index.postings[t]}))
+                    grids.append((set(model.probs), set(ranked.doc_ids[:20])))
+
+        monkeypatch.setattr(retrieval, "math", CountingMath)
+        sequence(record=True)
+        first = len(calls)
+        tf_cells = sum(index.postings[t].get(d, 0) > 0 for terms, docs in grids
+                       for t in terms for d in docs)
+        zero_cells = [(index.cf[t], index.doc_len[d]) for terms, docs in grids
+                      for t in terms for d in docs if index.postings[t].get(d, 0) == 0]
+        assert len(set(zero_cells)) < len(zero_cells) // 10  # the table saves most logs
+        assert first == tf_cells + len(set(zero_cells))
+        sequence(record=False)
+        assert len(calls) - first == tf_cells
+
+    def test_interleaved_mus_match_fresh_indexes(self, random_corpus):
+        index, queries = random_corpus
+        shared = _fresh(index)
+        for query in queries + [Query("rep", ("w1", "w5", "w1", "w30"))]:
+            for mu in (1000.0, 2.5):
+                ranked = retrieve(shared, query, k=40, mu=mu)
+                assert ranked == retrieve(_fresh(index), query, k=40, mu=mu)
+                model = rm1(shared, ranked, k_fb=10, mu=mu)
+                assert (rm_rerank_similarity(shared, ranked, m=30, mu=mu, model=model)
+                        == rm_rerank_similarity(_fresh(index), ranked, m=30, mu=mu, model=model))
+        assert sorted(shared.zero_tf_logs) == [2.5, 1000.0]
+
+    @pytest.mark.parametrize("mu", [1000.0, 2.5])
+    def test_zero_log_of_an_empty_document(self, mu):
+        # one term: its prior mu * cf/|C| is mu, so the empty document's cell is
+        # ln(mu / (0 + mu)) = 0.0, the table's "not yet" value
+        index = build_index([Document("a", "t t t"), Document("b", ""), Document("c", "t")])
+        assert index.doc_len["b"] == 0
+        terms, docs = _numbered(index, ["t"], ["b", "a", "b", "c"])
+        expected = _reference_sums(index, ["t"], ["b", "a", "b", "c"], mu, [2.0], True, "doc")
+        assert expected == [0.0] * 4
+        for _ in range(3):
+            got = dirichlet_sums(index, terms, docs, mu, [2.0], log=True, per="doc")
+            assert got.tolist() == expected
+        assert retrieve(index, Query("q", ("t",)), mu=mu) == _reference_retrieve(
+            index, Query("q", ("t",)), 1000, mu)
+
+
 class TestOneCellReadPerColumnBlock:
     @pytest.mark.parametrize("cells", [None, 7, 64, 500])
     def test_retrieval_rm1_and_rerank(self, monkeypatch, request, cells):
@@ -270,8 +357,8 @@ class TestDirichletSums:
 
     @pytest.mark.parametrize("cells", [12, 24, 60])
     def test_rows_beyond_the_kept_priors(self, monkeypatch, grid, cells):
-        # six documents: blocks several terms tall, whose priors mostly fall
-        # outside the few kept rows and get a grid per block
+        # six documents: blocks several terms tall, whose tf = 0 cells span
+        # more (cf, length) pairs than a block has cells per distinct length
         index, terms, doc_ids = grid
         monkeypatch.setattr(retrieval, "BLOCK_CELLS", cells)
         doc_ids = doc_ids[:6]
