@@ -423,21 +423,24 @@ class Index:
         return _PostingsView(self)
 
 
-TOKEN_CHUNK = 1 << 15  # bytes of normalised text per step of the tokenizer
+TOKEN_CHUNK = 1 << 15  # bytes of normalised text per step; 64 KB builds faster but peaks higher
 _KEY_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_HASH = np.uint64(0x9E3779B97F4A7C15)  # odd, ~2^64 / golden ratio (Knuth, TAOCP 6.4)
+_SLOTS = 1 << 10  # the word table's starting size; it doubles to keep its load at most 1/2
 
 
 class _Vocabulary(dict):
     """Normalised word -> term number, -1 for a stopword, numbered in ``terms``
     as first seen; the word rule runs once per distinct word. A word of at most 8
-    bytes without a NUL is its bytes zero-padded to a little-endian uint64, kept in
-    the sorted ``keys`` with their ``ids``; the dict holds the other words."""
+    bytes without a NUL is its bytes zero-padded to a little-endian uint64 key, never 0,
+    kept with its id in the open-addressing table ``slot_keys`` (0: empty) and
+    ``slot_ids``; the dict holds the other words."""
 
     def __init__(self, config: TokenizerConfig):
         super().__init__()
-        self.config, self.terms = config, defaultdict()
+        self.config, self.terms, self.filled = config, defaultdict(), 0
         self.terms.default_factory = self.terms.__len__  # a new term takes the next number
-        self.keys, self.ids = np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.intc)
+        self.slot_keys, self.slot_ids = np.zeros(_SLOTS, np.uint64), np.empty(_SLOTS, np.intc)
 
     def number(self, word: bytes) -> int:
         term = _word_rule(word, self.config)
@@ -446,6 +449,18 @@ class _Vocabulary(dict):
     def __missing__(self, word: bytes) -> int:
         self[word] = number = self.number(word)
         return number
+
+    def slots(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's slot: the one holding it, else the empty one ending its linear probe
+        from its home, the top bits of key * _HASH mod 2^64."""
+        at = (keys * _HASH >> np.uint64(65 - len(self.slot_keys).bit_length())).astype(np.intp)
+        held = self.slot_keys[at]
+        probing = np.flatnonzero((held != keys) & (held != 0))
+        while probing.size:
+            at[probing] = (at[probing] + 1) % len(self.slot_keys)
+            held = self.slot_keys[at[probing]]
+            probing = probing[(held != keys[probing]) & (held != 0)]
+        return at
 
     def read(self, parts: list[bytes], tokens: array) -> np.ndarray:
         """Appends the term numbers of the kept words of the normalised documents
@@ -459,17 +474,29 @@ class _Vocabulary(dict):
             nul = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0)
             short[np.searchsorted(starts, nul, side="right") - 1] = False
         eight = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))  # buf[i:i + 8]
-        keys, inverse = np.unique(eight[starts[short]] & _KEY_MASKS[sizes[short]],
-                                  return_inverse=True)
-        at = np.searchsorted(self.keys, keys)
-        new = at == self.keys.size
-        new[~new] = self.keys[at[~new]] != keys[~new]
-        raw = keys[new].astype("<u8").tobytes()
-        self.ids = np.insert(self.ids, at[new], [self.number(raw[i:i + 8].rstrip(b"\0"))
-                                                 for i in range(0, len(raw), 8)])
-        self.keys = np.insert(self.keys, at[new], keys[new])
+        keys = eight[starts[short]] & _KEY_MASKS[sizes[short]]
+        at = self.slots(keys)
+        empty = np.flatnonzero(self.slot_keys[at] == 0)  # the new words' keys
+        if empty.size:
+            new = np.sort(keys[empty])  # np.unique's uint64 hash path imports numpy.ma
+            new = new[np.concatenate(([True], new[1:] != new[:-1]))]
+            words = new.astype("<u8", copy=False).view("S8").tolist()  # "S8" drops the padding
+            ids = np.fromiter(map(self.number, words), np.intc, new.size)
+            self.filled += new.size
+            if 2 * self.filled > len(self.slot_keys):  # double and rehash: load at most 1/2
+                full, size = np.flatnonzero(self.slot_keys), 1 << (2 * self.filled - 1).bit_length()
+                new = np.concatenate((self.slot_keys[full], new))
+                ids = np.concatenate((self.slot_ids[full], ids))
+                self.slot_keys, self.slot_ids = np.zeros(size, np.uint64), np.empty(size, np.intc)
+                empty = slice(None)  # every slot moved
+            while new.size:  # of the keys probing to one empty slot one takes it, the rest probe on
+                slot = self.slots(new)
+                self.slot_keys[slot] = new
+                won = self.slot_keys[slot] == new
+                self.slot_ids[slot[won]], new, ids = ids[won], new[~won], ids[~won]
+            at[empty] = self.slots(keys[empty])
         ids = np.empty(starts.size, dtype=np.intc)
-        ids[short] = self.ids[at + np.cumsum(new) - new][inverse]  # keys' places after the inserts
+        ids[short] = self.slot_ids[at]
         long = np.flatnonzero(~short)
         ids[long] = [self[buf[s:e]] for s, e in zip(starts[long].tolist(), ends[long].tolist())]
         tokens.frombytes(memoryview(ids[ids >= 0]).cast("B"))

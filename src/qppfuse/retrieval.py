@@ -192,23 +192,14 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
 
 
 def score_dirichlet(index: Index, terms, doc_id: str, mu: float = 1000.0) -> float:
-    """Dirichlet-smoothed query log-likelihood of ``doc_id`` for the term multiset."""
-    if not 0 < mu < np.inf:
-        raise ValueError(f"mu must be > 0 and finite, got {mu!r}")
-    if doc_id not in index.doc_len:
+    """Dirichlet query log-likelihood of ``doc_id``: ``retrieve``'s score, bit for bit."""
+    if doc_id not in index.doc_row:
         raise KeyError(f"unknown doc_id {doc_id!r}")
-    scored = scoreable_terms(index, terms)
-    if not scored:
+    qtfs = Counter(scoreable_terms(index, terms))
+    if not qtfs:
         raise DegenerateQueryError("no query term occurs in the collection")
-    dl, d = index.doc_len[doc_id], index.doc_row[doc_id]
-    score = 0.0
-    for term, qtf in Counter(scored).items():
-        docs, tfs = index.by_term.row(index.term_row[term])
-        at = np.searchsorted(docs, d)
-        tf = int(tfs[at]) if at < len(docs) and docs[at] == d else 0
-        p_c = index.cf[term] / index.total_tokens
-        score += qtf * math.log((tf + mu * p_c) / (dl + mu))
-    return score
+    return float(dirichlet_sums(index, [index.term_row[t] for t in qtfs], [index.doc_row[doc_id]],
+                                mu, list(qtfs.values()), log=True, per="doc")[0])
 
 
 def collection_likelihood(index: Index, terms) -> float:

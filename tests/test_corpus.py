@@ -2,8 +2,11 @@ import dataclasses
 import logging
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,8 @@ from qppfuse.corpus import (
 from qppfuse import corpus
 from qppfuse.corpus import _s_stem, key_dtype
 from tests import brute_force_reference
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # ASCII controls (\x1c-\x1f are str.split() whitespace), Latin-1 letters,
 # İ (lowercases to two code points), the Kelvin sign (lowercases to ASCII k),
@@ -565,6 +570,166 @@ class TestChunkedBuild:
         assert calls == Counter(w.lower().encode() for w in vocab)
         assert index.terms == ("a", "abcdefgh", "abcdefghi", "cat", "pony", "x" * 20)
         assert index.total_tokens == 1200 - sum(d.text.split().count("the") for d in docs)
+
+
+def _home(word: bytes, slots: int) -> int:
+    """The home slot of a short word, by the multiplicative hash written out in Python
+    integers: its bytes zero-padded and read little-endian, times the odd multiplier
+    mod 2^64, top log2(slots) bits."""
+    key = int.from_bytes(word.ljust(8, b"\0"), "little")
+    return (key * int(corpus._HASH) % 2**64) >> (64 - (slots.bit_length() - 1))
+
+
+def _alpha_words(n, rng, width=(1, 8)):
+    """n distinct lowercase words of ``width`` letters, in a seeded order."""
+    words = set()
+    while len(words) < n:
+        words.add("".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(*width))))
+    return rng.sample(sorted(words), n)
+
+
+def _read_sizes(monkeypatch):
+    """Patches _Vocabulary.read to record the table size after each chunk."""
+    sizes, read = [], corpus._Vocabulary.read
+
+    def recorded(self, parts, tokens):
+        lengths = read(self, parts, tokens)
+        sizes.append(len(self.slot_keys))
+        return lengths
+
+    monkeypatch.setattr(corpus._Vocabulary, "read", recorded)
+    return sizes
+
+
+class TestHashVocabulary:
+    """The open-addressing word table of build_index against the reference build:
+    probe clusters, growth inside and across chunks, and the 8-byte key boundary."""
+
+    SLOTS = corpus._SLOTS
+
+    def _colliding(self, n, slot):
+        """n words of 2-4 letters whose home slot at the starting size is ``slot``."""
+        rng, found = random.Random(slot), []
+        while len(found) < n:
+            word = "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(2, 4)))
+            if _home(word.encode(), self.SLOTS) == slot and word not in found:
+                found.append(word)
+        return found
+
+    def test_hash_matches_the_python_integer_hash(self):
+        vocabulary = corpus._Vocabulary(TokenizerConfig())
+        words = [b"a", b"zz", b"abcdefgh", b"\xff" * 8]
+        keys = np.array([int.from_bytes(w.ljust(8, b"\0"), "little") for w in words], dtype=np.uint64)
+        assert vocabulary.slots(keys).tolist() == [_home(w, self.SLOTS) for w in words]
+
+    @pytest.mark.parametrize("slot", [0, 517, SLOTS - 1])  # SLOTS - 1: probes wrap to slot 0
+    def test_words_sharing_a_home_slot(self, slot):
+        shared = self._colliding(6, slot)
+        after = self._colliding(2, (slot + 1) % self.SLOTS)  # a cluster that runs on
+        rng = random.Random(slot)
+        vocab = shared + after + ["abcdefghi", "x"]
+        docs = [Document(f"d{i:02d}", " ".join(rng.choices(vocab, k=rng.randint(0, 12))))
+                for i in range(40)]
+        for chunk in (1, 1 << 16):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(corpus, "TOKEN_CHUNK", chunk)
+                index = build_index(docs)
+            _assert_reference_index(index, docs, TokenizerConfig())
+        vocabulary = corpus._Vocabulary(TokenizerConfig())
+        tokens = corpus.array("i")
+        vocabulary.read([" ".join(vocab).encode()], tokens)
+        assert np.count_nonzero(vocabulary.slot_keys) == len(vocab) - 1  # the long word: dict
+        assert {_home(w.encode(), self.SLOTS) for w in shared} == {slot}
+        names = list(vocabulary.terms)  # by first-seen number
+        assert [names[t] for t in tokens] == vocab
+
+    def test_grows_inside_one_chunk(self, monkeypatch):
+        sizes = _read_sizes(monkeypatch)
+        monkeypatch.setattr(corpus, "TOKEN_CHUNK", 1 << 20)
+        rng = random.Random(8)
+        vocab = _alpha_words(3 * self.SLOTS, rng)  # load 3 at the starting size
+        docs = [Document("d0", " ".join(vocab[:50]))]
+        docs += [Document(f"d{i}", " ".join(rng.choices(vocab, k=30))) for i in range(1, 200)]
+        index = build_index(docs)
+        assert sizes == [8 * self.SLOTS]  # one chunk, doubled three times
+        _assert_reference_index(index, docs, TokenizerConfig())
+
+    def test_grows_across_chunks(self, monkeypatch):
+        sizes = _read_sizes(monkeypatch)
+        monkeypatch.setattr(corpus, "TOKEN_CHUNK", 512)
+        rng = random.Random(9)
+        vocab = _alpha_words(2 * self.SLOTS, rng)
+        # new words arrive a few per document, among words seen in earlier chunks
+        docs = [Document(f"d{i:03d}", " ".join(vocab[8 * i:8 * i + 8] + rng.choices(vocab[:8 * i + 8], k=40)))
+                for i in range(len(vocab) // 8)]
+        index = build_index(docs)
+        grew = [i for i in range(1, len(sizes)) if sizes[i] > sizes[i - 1]]
+        assert sizes[0] == self.SLOTS and sizes[-1] == 4 * self.SLOTS and len(grew) == 2
+        assert len(sizes) > 100
+        _assert_reference_index(index, docs, TokenizerConfig())
+
+    @pytest.mark.parametrize("text", ["a", "abcdefgh", "abcdefghi", "a a a", "Z9"])
+    def test_one_word_corpus(self, text):
+        docs = _docs(text)
+        _assert_reference_index(build_index(docs), docs, TokenizerConfig())
+
+    @pytest.mark.parametrize("chunk", [1, 24, 1 << 16])
+    def test_chunks_of_stopwords_only(self, monkeypatch, chunk):
+        monkeypatch.setattr(corpus, "TOKEN_CHUNK", chunk)
+        config = TokenizerConfig(stopwords=frozenset({"the", "a", "ofabcdefgh"}), stem=True)
+        docs = _docs("the a the", "ofabcdefgh the", "", "a a a a", "cats the dogs", "the", "x a")
+        index = build_index(docs, config)
+        assert index.terms == ("cat", "dog", "x")
+        _assert_reference_index(index, docs, config)
+
+    @pytest.mark.parametrize("config", [TokenizerConfig(), TokenizerConfig(split_non_alnum=False,
+                                                                          lowercase=False)],
+                             ids=["split", "whitespace"])
+    def test_words_of_eight_and_nine_bytes(self, monkeypatch, config):
+        monkeypatch.setattr(corpus, "TOKEN_CHUNK", 40)
+        rng = random.Random(89)
+        eight = _alpha_words(40, rng, (8, 8))
+        vocab = eight + [w + "s" for w in eight[:20]] + [w + "z" for w in eight[20:]] + ["éééé"]
+        docs = [Document(f"d{i:02d}", " ".join(rng.choices(vocab, k=rng.randint(1, 20)))) for i in range(60)]
+        index = build_index(docs, config)
+        assert sum(len(t.encode()) == 9 for t in index.terms) > 30
+        _assert_reference_index(index, docs, config)
+
+    def test_word_rule_runs_once_per_distinct_word_across_growths(self, monkeypatch):
+        calls = Counter()
+        word_rule = corpus._word_rule
+
+        def counted(word, config):
+            calls[word] += 1
+            return word_rule(word, config)
+
+        monkeypatch.setattr(corpus, "_word_rule", counted)
+        sizes = _read_sizes(monkeypatch)
+        monkeypatch.setattr(corpus, "TOKEN_CHUNK", 2048)
+        rng = random.Random(10)
+        vocab = _alpha_words(3 * self.SLOTS, rng, (2, 12))
+        docs = [Document(f"d{i:03d}", " ".join(rng.choices(vocab[:16 * i + 16], k=30)))
+                for i in range(len(vocab) // 16)]
+        config = TokenizerConfig(stopwords=frozenset(vocab[:5]), stem=True)
+        index = build_index(docs, config)
+        assert len(set(sizes)) >= 3  # grew at least twice
+        seen = {w for d in docs for w in d.text.split()}
+        assert calls == Counter(w.encode() for w in seen)
+        _assert_reference_index(index, docs, config)
+
+
+def test_build_and_toy_experiment_leave_numpy_ma_unimported(toy_dir, tmp_path):
+    # np.unique on uint64 without return_inverse takes a hash path that imports numpy.ma,
+    # 1.5-1.9 MB of peak RSS in a run that never needs it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from qppfuse.corpus import build_index, ingest; from qppfuse.cli import main; "
+            "build_index(ingest(sys.argv[2] + '/docs.jsonl', 'jsonl')); "
+            "print('numpy.ma' in sys.modules); "
+            "main(['experiment', '--config', sys.argv[2] + '/experiment.cfg', '--out', sys.argv[3]]); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(SRC), str(toy_dir), str(tmp_path)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split("\n")[0] == "False" and out.split("\n")[-2] == "False", out
 
 
 class TestPersistence:
