@@ -12,7 +12,7 @@ import logging
 import re
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -160,7 +160,7 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
     return [term for term in terms if term is not None]
 
 
-def _add_doc(docs, seen, path, lineno, doc_id, text) -> None:
+def _add_doc(seen, path, lineno, doc_id, text) -> Document:
     if not doc_id:
         raise CorpusError(f"{path}:{lineno}: empty doc_id")
     if doc_id.split() != [doc_id]:  # a run line is split on whitespace
@@ -168,11 +168,14 @@ def _add_doc(docs, seen, path, lineno, doc_id, text) -> None:
     if doc_id in seen:
         raise CorpusError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
     seen.add(doc_id)
-    docs.append(Document(doc_id, text))
+    return Document(doc_id, text)
 
 
-def _ingest_jsonl(path: Path) -> list[Document]:
-    docs, seen = [], set()
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a lone one: a JSON escape can decode to it
+
+
+def _ingest_jsonl(path: Path) -> Iterator[Document]:
+    seen = set()
     for lineno, line in read_lines(path):
         line = line.strip()
         if not line:
@@ -188,8 +191,10 @@ def _ingest_jsonl(path: Path) -> list[Document]:
             raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
         if not isinstance(text, str):
             raise CorpusError(f"{path}:{lineno}: 'text' must be a string")
-        _add_doc(docs, seen, path, lineno, str(doc_id), text)
-    return docs
+        doc_id = str(doc_id)
+        if any(not value.isascii() and _SURROGATE.search(value) for value in (doc_id, text)):
+            raise CorpusError(f"{path}:{lineno}: 'id' or 'text' holds a lone surrogate")
+        yield _add_doc(seen, path, lineno, doc_id, text)
 
 
 _TREC_DOC = re.compile(r"<DOC>(.*?)</DOC>", re.DOTALL)
@@ -197,9 +202,9 @@ _TREC_DOCNO = re.compile(r"<DOCNO>\s*(.*?)\s*</DOCNO>", re.DOTALL)
 _TREC_TEXT = re.compile(r"<TEXT>(.*?)</TEXT>", re.DOTALL)
 
 
-def _ingest_trec(path: Path) -> list[Document]:
+def _ingest_trec(path: Path) -> Iterator[Document]:
     raw = "\n".join(line for _, line in read_lines(path))  # <DOC> line numbers count its LFs
-    docs, seen = [], set()
+    seen = set()
     lineno, counted_to = 1, 0  # newlines are counted once, from the previous <DOC> on
     for m in _TREC_DOC.finditer(raw):
         block = m.group(1)
@@ -211,33 +216,32 @@ def _ingest_trec(path: Path) -> list[Document]:
         text = _TREC_TEXT.search(block)
         if text is None:
             raise CorpusError(f"{path}:{lineno}: <DOC> without <TEXT>")
-        _add_doc(docs, seen, path, lineno, docno.group(1), text.group(1).strip())
-    return docs
+        yield _add_doc(seen, path, lineno, docno.group(1), text.group(1).strip())
 
 
-def _ingest_tsv(path: Path) -> list[Document]:
-    docs, seen = [], set()
+def _ingest_tsv(path: Path) -> Iterator[Document]:
+    seen = set()
     for lineno, line in read_lines(path):
         if not line:
             continue
         parts = line.split("\t", 1)
         if len(parts) != 2:
             raise CorpusError(f"{path}:{lineno}: expected 'doc_id<TAB>text'")
-        _add_doc(docs, seen, path, lineno, parts[0], parts[1])
-    return docs
+        yield _add_doc(seen, path, lineno, parts[0], parts[1])
 
 
-def ingest(path, format: str) -> list[Document]:
-    """Read documents from ``path`` in one of: jsonl, trec, tsv.
+def ingest(path, format: str) -> Iterator[Document]:
+    """Yield the documents of ``path``, in one of: jsonl, trec, tsv, as they are read.
 
-    Order is preserved; an empty or duplicate doc_id is an error that names
-    its line.
+    Order is preserved. An unknown format raises here; a missing file, and an empty,
+    duplicate or whitespace-holding doc_id or any other malformed record, raise while
+    the documents are iterated, the latter naming its line after the documents before
+    it. jsonl and tsv are read a line at a time; trec reads its file whole.
     """
-    path = Path(path)
     readers = {"jsonl": _ingest_jsonl, "trec": _ingest_trec, "tsv": _ingest_tsv}
     if format not in readers:
         raise CorpusError(f"unknown corpus format: {format!r}")
-    return readers[format](path)
+    return readers[format](Path(path))
 
 
 def key_dtype(n_rows: int, width: int):
@@ -282,26 +286,28 @@ class Rows:
 RUN_CHUNK = 1 << 18  # tokens per step of the run-length count
 
 
+def _run_starts(keys: np.ndarray):
+    """Yields, RUN_CHUNK sorted ``keys`` at a time, the positions past 0 where they change."""
+    for lo in range(0, keys.size, RUN_CHUNK):
+        at, hi = max(lo, 1), min(lo + RUN_CHUNK, keys.size)
+        yield np.flatnonzero(keys[at:hi] != keys[at - 1:hi - 1]) + at
+
+
 def _rows(keys: np.ndarray, n_rows: int, width: int) -> Rows:
     """Sorts the token keys ``row * width + col`` in place; returns their rows,
     a key's repeats being its tf and a row's token count its sum."""
     keys.sort()
-    first = np.empty(keys.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    cells = keys[first]
-    # tfs holds the run starts, then in place their differences; chunks keep
-    # int64 positions from being the build's largest array
-    tfs = np.empty(cells.size + 1, dtype=np.int32)
-    tfs[-1] = keys.size
-    n = 0
-    for lo in range(0, keys.size, RUN_CHUNK):
-        starts = np.flatnonzero(first[lo:lo + RUN_CHUNK]) + lo
-        tfs[n:n + starts.size] = starts
+    # one pass counts the runs, one copies their keys and starts: no mask or int64
+    # positions as long as the keys; tfs holds the starts, then their differences
+    n = min(keys.size, 1)  # position 0 starts a run
+    size = n + sum(starts.size for starts in _run_starts(keys))
+    cells, tfs = np.empty(size, dtype=keys.dtype), np.empty(size + 1, dtype=np.int32)
+    cells[:n], tfs[:n], tfs[-1] = keys[:n], 0, keys.size
+    for starts in _run_starts(keys):
+        cells[n:n + starts.size], tfs[n:n + starts.size] = keys[starts], starts
         n += starts.size
-    del first
-    for lo in range(0, cells.size, RUN_CHUNK):
-        hi = min(lo + RUN_CHUNK, cells.size)
+    for lo in range(0, size, RUN_CHUNK):
+        hi = min(lo + RUN_CHUNK, size)
         tfs[lo:hi] = tfs[lo + 1:hi + 1] - tfs[lo:hi]
     bounds = np.arange(n_rows + 1, dtype=keys.dtype) * keys.dtype.type(width)
     ptr = np.searchsorted(cells, bounds)
@@ -505,30 +511,38 @@ class _Vocabulary(dict):
         return np.diff(kept[np.searchsorted(starts, offsets)])
 
 
-def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZER) -> Index:
-    """Tokenize ``docs`` and build the index; errors if every doc tokenizes empty.
+def build_index(docs: Iterable[Document], config: TokenizerConfig = DEFAULT_TOKENIZER) -> Index:
+    """Tokenize ``docs``, any iterable, in its order, and build the index; errors on
+    no documents, a repeated doc_id, or every document tokenizing empty.
 
     numpy finds the words of the normalised documents, TOKEN_CHUNK bytes at a
-    time; only a word not seen before goes through the word rule of ``tokenize``."""
-    if not docs:
+    time; only a word not seen before goes through the word rule of ``tokenize``.
+    A document's text is held only until its chunk is read."""
+    vocabulary = _Vocabulary(config)
+    tokens = array("i")  # C int: 32 bits on every supported platform
+    doc_ids, lengths, parts, size = [], [], [], 0
+    for doc in docs:
+        doc_ids.append(doc.doc_id)
+        parts.append(_normalise(doc.text, config))
+        size += len(parts[-1]) + 1
+        if size >= TOKEN_CHUNK:
+            lengths.append(vocabulary.read(parts, tokens))
+            parts, size = [], 0
+    if parts:
+        lengths.append(vocabulary.read(parts, tokens))
+    doc = parts = None  # the last document and chunk are not held through the sorts
+    if not doc_ids:
         raise CorpusError("cannot index an empty corpus")
-    docs = sorted(docs, key=lambda d: d.doc_id)
-    doc_ids = [d.doc_id for d in docs]
+    order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+    doc_ids = [doc_ids[i] for i in order]
     for a, b in zip(doc_ids, doc_ids[1:]):
         if a == b:
             raise CorpusError(f"duplicate doc_id {a!r}")
-    vocabulary = _Vocabulary(config)
-    tokens = array("i")  # C int: 32 bits on every supported platform
-    lengths = np.empty(len(docs), dtype=np.intp)
-    parts, size = [], 0
-    for i, doc in enumerate(docs):
-        parts.append(_normalise(doc.text, config))
-        size += len(parts[-1]) + 1
-        if size >= TOKEN_CHUNK or i == len(docs) - 1:
-            lengths[i + 1 - len(parts):i + 1] = vocabulary.read(parts, tokens)
-            parts, size = [], 0
     if not tokens:
         raise CorpusError("all documents tokenized to empty")
+    doc_of = np.empty(len(order), dtype=np.int32)  # input position -> sorted number
+    doc_of[order] = np.arange(len(order), dtype=np.int32)
+    del order
     terms = sorted(vocabulary.terms)
     rank = np.empty(len(terms), dtype=np.intc)  # first-seen number -> sorted number
     rank[list(map(vocabulary.terms.__getitem__, terms))] = np.arange(len(terms))
@@ -536,7 +550,7 @@ def build_index(docs: list[Document], config: TokenizerConfig = DEFAULT_TOKENIZE
     term_of = np.frombuffer(tokens, dtype=np.intc)
     for lo in range(0, term_of.size, RUN_CHUNK):  # indices are valid; "clip" writes out unbuffered
         np.take(rank, term_of[lo:lo + RUN_CHUNK], out=term_of[lo:lo + RUN_CHUNK], mode="clip")
-    return _from_tokens(terms, doc_ids, term_of, np.arange(len(docs), dtype=np.int32), lengths)
+    return _from_tokens(terms, doc_ids, term_of, doc_of, np.concatenate(lengths))
 
 
 def dump_stats(index: Index, path) -> None:

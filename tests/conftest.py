@@ -20,7 +20,7 @@ def toy_dir():
 
 @pytest.fixture(scope="session")
 def toy_docs():
-    return ingest(TOY_DIR / "docs.jsonl", "jsonl")
+    return list(ingest(TOY_DIR / "docs.jsonl", "jsonl"))
 
 
 @pytest.fixture(scope="session")

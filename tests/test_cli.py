@@ -61,6 +61,17 @@ class TestSubcommands:
         assert run_cli("index", "--config", str(config), "--out", str(tmp_path)) == 0
         assert load_stats(tmp_path / "index_stats.txt") == toy_index
 
+    def test_index_rejects_a_lone_surrogate_before_writing(self, tmp_path, capsys):
+        # a "\ud800" escape decodes to a string UTF-8 cannot encode, so no dump could hold it
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text('{"id": "d1", "text": "a b"}\n{"id": "d2", "text": "caf\\ud800 x"}\n')
+        config = tmp_path / "index.cfg"
+        config.write_text(f"corpus.docs = {docs}\ntokenize.split_non_alnum = false\n")
+        out = tmp_path / "out"
+        assert run_cli("index", "--config", str(config), "--out", str(out)) == 1
+        assert f"error: {docs}:2: 'id' or 'text' holds a lone surrogate" in capsys.readouterr().err
+        assert not (out / "index_stats.txt").exists()
+
     def test_retrieve(self, toy_cfg, tmp_path):
         out = tmp_path / "run"
         assert run_cli("retrieve", "--config", toy_cfg, "--out", str(out)) == 0

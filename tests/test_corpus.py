@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import logging
 import random
 import re
@@ -123,19 +124,19 @@ class TestIngest:
     def test_jsonl(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id":"d1","text":"a b"}\n')
-        docs = ingest(path, "jsonl")
+        docs = list(ingest(path, "jsonl"))
         assert docs == [Document("d1", "a b")]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text("")
-        assert ingest(path, "jsonl") == []
+        assert list(ingest(path, "jsonl")) == []
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id":"d1","text":"a"}\n{"id":"d1","text":"b"}\n')
         with pytest.raises(CorpusError, match="duplicate"):
-            ingest(path, "jsonl")
+            list(ingest(path, "jsonl"))
 
     _TREC_DOC = "<DOC>\n<DOCNO>{}</DOCNO>\n<TEXT>{}</TEXT>\n</DOC>\n"
 
@@ -148,7 +149,7 @@ class TestIngest:
         path = tmp_path / f"docs.{fmt}"
         path.write_text(text)
         with pytest.raises(CorpusError, match=rf"docs\.{fmt}:{line}: duplicate doc_id 'd1'$"):
-            ingest(path, fmt)
+            list(ingest(path, fmt))
 
     @pytest.mark.parametrize("fmt, text, line", [
         ("jsonl", '{"id":"d1","text":"a"}\n{"id":"","text":"b"}\n', 2),
@@ -159,7 +160,7 @@ class TestIngest:
         path = tmp_path / f"docs.{fmt}"
         path.write_text(text)
         with pytest.raises(CorpusError, match=rf"docs\.{fmt}:{line}: empty doc_id$"):
-            ingest(path, fmt)
+            list(ingest(path, fmt))
 
     @pytest.mark.parametrize("fmt, text, line, doc_id", [
         ("jsonl", '{"id":"d1","text":"a"}\n{"id":"doc 1","text":"b"}\n', 2, "doc 1"),
@@ -172,7 +173,7 @@ class TestIngest:
         path = tmp_path / f"docs.{fmt}"
         path.write_text(text)
         with pytest.raises(CorpusError) as err:
-            ingest(path, fmt)
+            list(ingest(path, fmt))
         assert str(err.value) == f"{path}:{line}: doc_id {doc_id!r} contains whitespace"
 
     @pytest.mark.parametrize("bad, message", [
@@ -189,14 +190,14 @@ class TestIngest:
         path = tmp_path / "docs.trec"
         path.write_text(good + bad + self._TREC_DOC.format("d9999", "tail"))
         with pytest.raises(CorpusError) as err:
-            ingest(path, "trec")
+            list(ingest(path, "trec"))
         assert str(err.value) == f"{path}:{line}: {message}"
 
     def test_malformed_reports_line(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id":"d1","text":"a"}\nnot json\n')
         with pytest.raises(CorpusError, match=":2:"):
-            ingest(path, "jsonl")
+            list(ingest(path, "jsonl"))
 
     def test_trec(self, tmp_path):
         path = tmp_path / "docs.trec"
@@ -204,14 +205,14 @@ class TestIngest:
             "<DOC>\n<DOCNO>d1</DOCNO>\n<TEXT>hello world</TEXT>\n</DOC>\n"
             "<DOC>\n<DOCNO>d2</DOCNO>\n<TEXT>more text</TEXT>\n</DOC>\n"
         )
-        docs = ingest(path, "trec")
+        docs = list(ingest(path, "trec"))
         assert [d.doc_id for d in docs] == ["d1", "d2"]
         assert docs[0].text == "hello world"
 
     def test_tsv(self, tmp_path):
         path = tmp_path / "docs.tsv"
         path.write_text("d1\tsome text\nd2\tmore text\n")
-        docs = ingest(path, "tsv")
+        docs = list(ingest(path, "tsv"))
         assert docs == [Document("d1", "some text"), Document("d2", "more text")]
 
     @pytest.mark.parametrize("line", [
@@ -221,23 +222,56 @@ class TestIngest:
         '{"id": "d3", "text": null}',
         '{"id": true, "text": "a b"}',
         '{"id": "d3", "text": 7}',
-    ], ids=["string", "number", "null-id", "null-text", "bool-id", "number-text"])
+        '{"id": "d3", "text": "caf\\ud800 x"}',  # lone surrogates, which UTF-8 cannot encode
+        '{"id": "d\\udfff", "text": "x"}',
+        '{"id": "d3", "text": "\u00e9\\udc00"}',
+    ], ids=["string", "number", "null-id", "null-text", "bool-id", "number-text",
+            "surrogate-text", "surrogate-id", "surrogate-after-non-ascii"])
     def test_bad_record_reports_line(self, tmp_path, line):
         path = tmp_path / "docs.jsonl"
-        path.write_text('{"id":"d1","text":"a"}\n' + line + "\n")
+        path.write_text('{"id":"d1","text":"a"}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(CorpusError, match=":2: "):
-            ingest(path, "jsonl")
+            list(ingest(path, "jsonl"))
 
     def test_integer_id_becomes_string(self, tmp_path):
         path = tmp_path / "docs.jsonl"
         path.write_text('{"id": 7, "text": "a b"}\n')
-        assert ingest(path, "jsonl") == [Document("7", "a b")]
+        assert list(ingest(path, "jsonl")) == [Document("7", "a b")]
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x"
         path.write_text("")
         with pytest.raises(CorpusError, match="format"):
-            ingest(path, "xml")
+            ingest(path, "xml")  # when called, not when iterated
+        with pytest.raises(CorpusError, match="format"):
+            ingest(tmp_path / "missing", "xml")
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv", "trec"])
+    def test_missing_file_raises_on_iteration(self, tmp_path, fmt):
+        docs = ingest(tmp_path / "missing", fmt)
+        with pytest.raises(FileNotFoundError):
+            next(docs)
+
+    @pytest.mark.parametrize("fmt, good, bad, line", [
+        ("jsonl", '{{"id": "d{}", "text": "a b"}}\n', "not json\n", 5),
+        ("tsv", "d{}\ta b\n", "no tab\n", 5),
+        ("trec", _TREC_DOC.format("d{}", "a b"), "<DOC>\n<TEXT>x</TEXT>\n</DOC>\n", 17),
+    ], ids=["jsonl", "tsv", "trec"])
+    def test_documents_before_a_malformed_record_are_yielded(self, tmp_path, fmt, good, bad, line):
+        # the malformed record is the fifth: four documents come first, then path:line
+        path = tmp_path / f"docs.{fmt}"
+        path.write_text("".join(good.format(i) for i in range(4)) + bad + good.format(9))
+        docs, read = ingest(path, fmt), []
+        with pytest.raises(CorpusError) as err:
+            for doc in docs:
+                read.append(doc)
+        assert read == [Document(f"d{i}", "a b") for i in range(4)]
+        assert str(err.value).startswith(f"{path}:{line}: ")
+
+    def test_surrogate_pair_escape_is_one_character(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "d1", "text": "a \\ud83d\\ude00 b"}\n')
+        assert list(ingest(path, "jsonl")) == [Document("d1", "a \U0001f600 b")]
 
 
 def _docs(*texts):
@@ -445,13 +479,29 @@ class TestArrayIndex:
         plist.clear()  # a fresh dict per access: the index is untouched
         assert toy_index.postings["comet"] and toy_index.df["comet"] == len(toy_index.postings["comet"])
 
-    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     def test_run_chunks_and_int64_keys_build_the_same_index(self, monkeypatch, toy_docs, chunk):
         expected = build_index(toy_docs)
         monkeypatch.setattr(corpus, "RUN_CHUNK", chunk)
-        assert build_index(toy_docs) == expected
+        index = build_index(toy_docs)
+        _assert_identical(index, expected)
+        _assert_reference_index(index, toy_docs, TokenizerConfig())
         monkeypatch.setattr(corpus, "key_dtype", lambda n_rows, width: np.int64)
         assert build_index(toy_docs) == expected
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_run_starts_match_unique(self, monkeypatch, chunk):
+        # runs that start at, just after and across the RUN_CHUNK boundaries, and no keys
+        monkeypatch.setattr(corpus, "RUN_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for size in (0, 1, 2, 7, 8, 15, 60):
+            keys = rng.integers(0, 12, size).astype(np.int32)  # 3 rows of width 4
+            cells, counts = np.unique(keys, return_counts=True)
+            rows = corpus._rows(keys.copy(), 3, 4)
+            assert rows.cols.tolist() == (cells % 4).tolist()
+            assert rows.tfs.tolist() == counts.tolist()
+            assert rows.ptr.tolist() == np.searchsorted(cells, [0, 4, 8, 12]).tolist()
+            assert rows.sums.tolist() == np.bincount(keys // 4, minlength=3).tolist()
 
     @pytest.mark.parametrize("n_rows, width, dtype", [
         (1, 2**31 - 1, np.int32), (2**31 - 1, 1, np.int32), (46_337, 46_337, np.int32),
@@ -478,6 +528,15 @@ def _pool_docs(seed, n):
             for i in range(n)]
 
 
+def _assert_identical(index, other):
+    """Same terms, doc_ids and row arrays, dtypes included."""
+    assert index.terms == other.terms and index.doc_ids == other.doc_ids
+    for rows, other_rows in ((index.by_term, other.by_term), (index.by_doc, other.by_doc)):
+        for name in ("ptr", "cols", "tfs", "sums"):
+            a, b = getattr(rows, name), getattr(other_rows, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def _assert_reference_index(index, docs, config):
     doc_len, postings, total = _reference_build(docs, config)
     assert index.terms == tuple(postings) and index.doc_ids == tuple(doc_len)
@@ -497,7 +556,12 @@ class TestChunkedBuild:
     @pytest.mark.parametrize("config", _CONFIGS, ids=_CONFIG_IDS)
     def test_pool_documents_match_reference(self, config):
         docs = _pool_docs(41, 300)
-        _assert_reference_index(build_index(docs, config), docs, config)
+        index = build_index(docs, config)
+        _assert_reference_index(index, docs, config)
+        # the documents are tokenized in input order, and numbered by doc_id at the end
+        shuffled = random.Random(5).sample(docs, len(docs))
+        _assert_identical(build_index((doc for doc in docs), config), index)
+        _assert_identical(build_index(shuffled, config), index)
 
     @pytest.mark.parametrize("config", [TokenizerConfig(), TokenizerConfig(split_non_alnum=False)],
                              ids=["split", "whitespace"])
@@ -548,9 +612,7 @@ class TestChunkedBuild:
         expected = build_index(docs, config)
         monkeypatch.setattr(corpus, "TOKEN_CHUNK", chunk)
         index = build_index(docs, config)
-        assert index == expected
-        for rows, other in ((index.by_term, expected.by_term), (index.by_doc, expected.by_doc)):
-            assert np.array_equal(rows.sums, other.sums)
+        _assert_identical(index, expected)
         _assert_reference_index(index, docs, config)
 
     def test_word_rule_runs_once_per_distinct_word(self, monkeypatch):
@@ -730,6 +792,24 @@ def test_build_and_toy_experiment_leave_numpy_ma_unimported(toy_dir, tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(SRC), str(toy_dir), str(tmp_path)],
                          capture_output=True, text=True, check=True).stdout
     assert out.split("\n")[0] == "False" and out.split("\n")[-2] == "False", out
+
+
+def test_streamed_build_holds_no_document_while_sorting(monkeypatch, tmp_path):
+    # build_index(ingest(...)) reads the documents as the file is read: none is alive,
+    # in a list or a loop variable, when the rows are sorted
+    path = tmp_path / "docs.jsonl"
+    path.write_text("".join(f'{{"id": "stream{i}", "text": "w{i % 7} x"}}\n' for i in range(200)))
+    live, from_tokens = [], corpus._from_tokens
+
+    def counted(*args):
+        gc.collect()
+        live.append(sum(isinstance(o, Document) and o.doc_id.startswith("stream")
+                        for o in gc.get_objects()))
+        return from_tokens(*args)
+
+    monkeypatch.setattr(corpus, "_from_tokens", counted)
+    index = build_index(ingest(path, "jsonl"))
+    assert live == [0] and index.n_docs == 200
 
 
 class TestPersistence:

@@ -104,10 +104,10 @@ _MODEL = RegressionModel("LASSO", 0.25, {"a": 0.5, "b": -1.0}, {"lam": 0.1, "fol
 # (file name, plain text, loader returning a comparable value)
 _LOADERS = [
     ("docs.jsonl", '{"id": "d1", "text": "a b"}\n\n{"id": 2, "text": "c"}\n',
-     lambda p: ingest(p, "jsonl")),
-    ("docs.tsv", "d1\ta b\nd2\tc\n", lambda p: ingest(p, "tsv")),
+     lambda p: list(ingest(p, "jsonl"))),
+    ("docs.tsv", "d1\ta b\nd2\tc\n", lambda p: list(ingest(p, "tsv"))),
     ("docs.trec", _TREC_DOC.format("d1", "a\nb") + _TREC_DOC.format("d2", "c"),
-     lambda p: ingest(p, "trec")),
+     lambda p: list(ingest(p, "trec"))),
     ("queries.tsv", "q1\tThe dog\nq2\tcats\n", load_queries),
     ("qrels.txt", "q1 0 d1 1\nq1 0 d2 0\nq2 0 d2 2\n",
      lambda p: (load_qrels(p).relevant_docs("q1"), load_qrels(p).grade("q2", "d2"))),
@@ -148,14 +148,14 @@ def test_jsonl_with_a_bom_loads(tmp_path):
     # read with a BOM, json.loads rejects the record: "Unexpected UTF-8 BOM"
     path = tmp_path / "docs.jsonl"
     path.write_bytes(b'\xef\xbb\xbf{"id": "d1", "text": "a"}\n')
-    assert ingest(path, "jsonl") == [Document("d1", "a")]
+    assert list(ingest(path, "jsonl")) == [Document("d1", "a")]
 
 
 @pytest.mark.parametrize("name, text, load, message", [
     ("docs.jsonl", '{"id": "d1", "text": "a"}\n\n{"id": "d1", "text": "b"}\n',
-     lambda p: ingest(p, "jsonl"), ":3: duplicate doc_id 'd1'"),
+     lambda p: list(ingest(p, "jsonl")), ":3: duplicate doc_id 'd1'"),
     ("docs.trec", _TREC_DOC.format("d1", "a\nb") + _TREC_DOC.format("d1", "c"),
-     lambda p: ingest(p, "trec"), ":6: duplicate doc_id 'd1'"),
+     lambda p: list(ingest(p, "trec")), ":6: duplicate doc_id 'd1'"),
     ("queries.tsv", "q1\ta\n\nq1\tb\n", load_queries, ":3: duplicate query_id 'q1'"),
     ("qrels.txt", "q1 0 d1 1\nq1 d1 1\n", load_qrels, ":2: expected 4 columns, got 3"),
 ], ids=["jsonl", "trec", "queries", "qrels"])
