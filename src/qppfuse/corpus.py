@@ -15,6 +15,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -119,6 +120,7 @@ class TokenizerConfig:
 DEFAULT_TOKENIZER = TokenizerConfig()
 
 _ALNUM_BYTES = bytes(b if chr(b).isascii() and chr(b).isalnum() else ord(" ") for b in range(256))
+_LOWER_ALNUM_BYTES = _ALNUM_BYTES.lower()
 
 
 def _s_stem(token: str) -> str:
@@ -133,14 +135,28 @@ def _s_stem(token: str) -> str:
     return token
 
 
-def _normalise(text: str, config: TokenizerConfig) -> bytes:
-    """``text`` as bytes whose words are its runs of bytes other than b" "."""
+def _encode(text: str, config: TokenizerConfig) -> bytes:
+    """``text`` as the bytes that ``_byte_table(config)`` translates to its normalised form,
+    whose words are its runs of bytes other than b" "; under ``split_non_alnum`` an ASCII
+    text is only encoded, as the table lowercases it."""
+    if config.split_non_alnum:
+        if text.isascii():
+            return text.encode("ascii")
+        if config.lowercase:
+            text = text.lower()  # Unicode's rule: the Kelvin sign lowercases to "k"
+        # a non-ASCII code point encodes as "?", which the table makes a space
+        return text.encode("ascii", "replace")
     if config.lowercase:
         text = text.lower()
-    if config.split_non_alnum:
-        # a non-ASCII code point encodes as "?", which the table makes a space
-        return text.encode("ascii", "replace").translate(_ALNUM_BYTES)
     return " ".join(text.split()).encode("utf-8", "surrogatepass")
+
+
+def _byte_table(config: TokenizerConfig) -> bytes | None:
+    """Under ``split_non_alnum``, the table taking every byte but ASCII letters and digits to
+    b" " and, with ``lowercase``, A-Z to a-z; else None, which translates nothing."""
+    if not config.split_non_alnum:
+        return None
+    return _LOWER_ALNUM_BYTES if config.lowercase else _ALNUM_BYTES
 
 
 def _word_rule(word: bytes, config: TokenizerConfig) -> str | None:
@@ -156,15 +172,17 @@ def tokenize(text: str, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[str
     (``lowercase``), split on every character but ASCII letters and digits
     (``split_non_alnum``) or else on ``str.split`` whitespace, drop stopwords, and
     s-stem (``stem``)."""
-    terms = (_word_rule(word, config) for word in _normalise(text, config).split())
+    words = _encode(text, config).translate(_byte_table(config)).split()
+    terms = (_word_rule(word, config) for word in words)
     return [term for term in terms if term is not None]
 
 
 def _add_doc(seen, path, lineno, doc_id, text) -> Document:
-    if not doc_id:
-        raise CorpusError(f"{path}:{lineno}: empty doc_id")
-    if doc_id.split() != [doc_id]:  # a run line is split on whitespace
-        raise CorpusError(f"{path}:{lineno}: doc_id {doc_id!r} contains whitespace")
+    if not doc_id.isalnum():  # an alphanumeric doc_id is neither empty nor holds whitespace
+        if not doc_id:
+            raise CorpusError(f"{path}:{lineno}: empty doc_id")
+        if doc_id.split() != [doc_id]:  # a run line is split on whitespace
+            raise CorpusError(f"{path}:{lineno}: doc_id {doc_id!r} contains whitespace")
     if doc_id in seen:
         raise CorpusError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
     seen.add(doc_id)
@@ -172,27 +190,43 @@ def _add_doc(seen, path, lineno, doc_id, text) -> Document:
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")  # a lone one: a JSON escape can decode to it
+_RAW_DECODE = json.JSONDecoder().raw_decode
 
 
 def _ingest_jsonl(path: Path) -> Iterator[Document]:
+    """The documents of a JSON Lines file: per non-blank line, stripped, one object with
+    an "id" (string or integer) and a "text" string, neither holding a lone surrogate.
+
+    A line is decoded by one ``raw_decode`` call whose value must end the line; a line
+    that fails it is decoded again by ``json.loads``, so an invalid line raises with
+    ``json.loads``'s words and its own line number. Lines are never joined: a record
+    that spills onto the next line is invalid."""
     seen = set()
     for lineno, line in read_lines(path):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict) or "id" not in record or "text" not in record:
-            raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields")
-        doc_id, text = record["id"], record["text"]
-        if not isinstance(doc_id, (str, int)) or isinstance(doc_id, bool):
-            raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
-        if not isinstance(text, str):
+            record, end = _RAW_DECODE(line)
+        except json.JSONDecodeError:
+            end = None
+        if end != len(line):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:
+            doc_id, text = record["id"], record["text"]
+        except (KeyError, TypeError):  # not an object, or an object without the fields
+            raise CorpusError(f"{path}:{lineno}: record needs 'id' and 'text' fields") from None
+        if type(doc_id) is not str:
+            if type(doc_id) is not int:  # nor a bool
+                raise CorpusError(f"{path}:{lineno}: 'id' must be a string or an integer")
+            doc_id = str(doc_id)
+        if type(text) is not str:
             raise CorpusError(f"{path}:{lineno}: 'text' must be a string")
-        doc_id = str(doc_id)
-        if any(not value.isascii() and _SURROGATE.search(value) for value in (doc_id, text)):
+        if not (doc_id.isascii() and text.isascii()) and (_SURROGATE.search(doc_id)
+                                                          or _SURROGATE.search(text)):
             raise CorpusError(f"{path}:{lineno}: 'id' or 'text' holds a lone surrogate")
         yield _add_doc(seen, path, lineno, doc_id, text)
 
@@ -283,14 +317,34 @@ class Rows:
         return owner, self.cols[at], self.tfs[at]
 
 
-RUN_CHUNK = 1 << 18  # tokens per step of the run-length count
+RUN_CHUNK = 1 << 18  # tokens per step of the passes over the keys
 
 
-def _run_starts(keys: np.ndarray):
-    """Yields, RUN_CHUNK sorted ``keys`` at a time, the positions past 0 where they change."""
+def _run_starts(keys: np.ndarray, count: bool = False):
+    """Yields, RUN_CHUNK sorted ``keys`` at a time, the positions past 0 where they change,
+    or with ``count`` how many they are. A chunk's mask dies before the yield: one held
+    across it raised the build's VmHWM by 1.6 MB at 10^4 documents."""
     for lo in range(0, keys.size, RUN_CHUNK):
         at, hi = max(lo, 1), min(lo + RUN_CHUNK, keys.size)
-        yield np.flatnonzero(keys[at:hi] != keys[at - 1:hi - 1]) + at
+        if count:
+            yield np.count_nonzero(keys[at:hi] != keys[at - 1:hi - 1])
+        else:
+            yield np.flatnonzero(keys[at:hi] != keys[at - 1:hi - 1]) + at
+
+
+def _split_keys(keys: np.ndarray, width: int, new_width: int = 0) -> None:
+    """Turns each ``row * width + col`` of ``keys`` in place into its col or, given
+    ``new_width``, into ``col * new_width + row``, RUN_CHUNK keys at a time (numpy
+    divides by a scalar several times faster than it takes a remainder)."""
+    for lo in range(0, keys.size, RUN_CHUNK):
+        cols = keys[lo:lo + RUN_CHUNK]
+        rows = cols // width
+        rows *= width
+        cols -= rows
+        if new_width:
+            rows //= width
+            cols *= new_width
+            cols += rows
 
 
 def _rows(keys: np.ndarray, n_rows: int, width: int) -> Rows:
@@ -299,21 +353,22 @@ def _rows(keys: np.ndarray, n_rows: int, width: int) -> Rows:
     keys.sort()
     # one pass counts the runs, one copies their keys and starts: no mask or int64
     # positions as long as the keys; tfs holds the starts, then their differences
-    n = min(keys.size, 1)  # position 0 starts a run
-    size = n + sum(starts.size for starts in _run_starts(keys))
+    size = min(keys.size, 1) + sum(_run_starts(keys, count=True))  # position 0 starts a run
     cells, tfs = np.empty(size, dtype=keys.dtype), np.empty(size + 1, dtype=np.int32)
+    n = min(size, 1)
     cells[:n], tfs[:n], tfs[-1] = keys[:n], 0, keys.size
     for starts in _run_starts(keys):
-        cells[n:n + starts.size], tfs[n:n + starts.size] = keys[starts], starts
+        np.take(keys, starts, out=cells[n:n + starts.size], mode="clip")  # valid: unbuffered
+        tfs[n:n + starts.size] = starts
         n += starts.size
+    bounds = np.arange(n_rows + 1, dtype=keys.dtype) * keys.dtype.type(width)
+    ptr = np.searchsorted(cells, bounds)
+    sums = np.diff(tfs[ptr].astype(np.intp))  # a row's tokens start at its first run
     for lo in range(0, size, RUN_CHUNK):
         hi = min(lo + RUN_CHUNK, size)
         tfs[lo:hi] = tfs[lo + 1:hi + 1] - tfs[lo:hi]
-    bounds = np.arange(n_rows + 1, dtype=keys.dtype) * keys.dtype.type(width)
-    ptr = np.searchsorted(cells, bounds)
-    np.remainder(cells, width, out=cells)
-    return Rows(ptr, cells.astype(np.int32, copy=False), tfs[:-1],
-                np.diff(np.searchsorted(keys, bounds)))
+    _split_keys(cells, width)
+    return Rows(ptr, cells.astype(np.int32, copy=False), tfs[:-1], sums)
 
 
 def _from_tokens(terms, doc_ids, term_of, docs, counts) -> "Index":
@@ -329,11 +384,7 @@ def _from_tokens(terms, doc_ids, term_of, docs, counts) -> "Index":
     keys *= n
     keys += np.repeat(docs, counts)
     by_term = _rows(keys, n_terms, n)
-    term = keys // n  # to doc * n_terms + term, in place
-    np.remainder(keys, n, out=keys)
-    keys *= n_terms
-    keys += term
-    del term
+    _split_keys(keys, n, n_terms)  # to doc * n_terms + term
     by_doc = _rows(keys, n, n_terms)
     del keys
     return Index(tuple(terms), tuple(doc_ids), by_term, by_doc)
@@ -440,97 +491,142 @@ class _Vocabulary(dict):
     as first seen; the word rule runs once per distinct word. A word of at most 8
     bytes without a NUL is its bytes zero-padded to a little-endian uint64 key, never 0,
     kept with its id in the open-addressing table ``slot_keys`` (0: empty) and
-    ``slot_ids``; the dict holds the other words."""
+    ``slot_ids``; the dict holds the other words. ``read`` normalises a chunk of
+    ``_encode``d documents with the config's byte ``table``."""
 
     def __init__(self, config: TokenizerConfig):
         super().__init__()
-        self.config, self.terms, self.filled = config, defaultdict(), 0
-        self.terms.default_factory = self.terms.__len__  # a new term takes the next number
+        self.config, self.table, self.terms, self.filled = config, _byte_table(config), {}, 0
         self.slot_keys, self.slot_ids = np.zeros(_SLOTS, np.uint64), np.empty(_SLOTS, np.intc)
 
-    def number(self, word: bytes) -> int:
-        term = _word_rule(word, self.config)
-        return -1 if term is None else self.terms[term]
+    def numbers(self, words: list[bytes]) -> list[int]:
+        """The term numbers of new ``words``, -1 for a stopword; a new term takes the next."""
+        terms, numbers = self.terms, []
+        for term in map(_word_rule, words, repeat(self.config)):
+            number = -1 if term is None else terms.get(term)
+            if number is None:
+                number = terms[term] = len(terms)
+            numbers.append(number)
+        return numbers
 
     def __missing__(self, word: bytes) -> int:
-        self[word] = number = self.number(word)
+        self[word] = number = self.numbers([word])[0]
         return number
 
-    def slots(self, keys: np.ndarray) -> np.ndarray:
+    def slots(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each key's slot: the one holding it, else the empty one ending its linear probe
-        from its home, the top bits of key * _HASH mod 2^64."""
-        at = (keys * _HASH >> np.uint64(65 - len(self.slot_keys).bit_length())).astype(np.intp)
-        held = self.slot_keys[at]
-        probing = np.flatnonzero((held != keys) & (held != 0))
-        while probing.size:
-            at[probing] = (at[probing] + 1) % len(self.slot_keys)
-            held = self.slot_keys[at[probing]]
-            probing = probing[(held != keys[probing]) & (held != 0)]
-        return at
+        from its home, the top bits of key * _HASH mod 2^64; and the positions of the keys
+        the table does not hold. The keys not at their home slot probe on together, a step
+        a round, until the last one stops."""
+        at = keys * _HASH
+        at >>= np.uint64(65 - len(self.slot_keys).bit_length())
+        at = at.view(np.int64)
+        probing = np.flatnonzero(self.slot_keys.take(at) != keys)  # held further on, or absent
+        slot, key = at[probing], keys[probing]
+        while True:
+            held = self.slot_keys.take(slot, mode="wrap")  # past the end: from slot 0 on
+            on = np.logical_and(held != key, held)  # another key: step on; 0 or the key: stop
+            if not on.any():
+                break
+            slot += on
+        at[probing] = slot & (len(self.slot_keys) - 1)
+        return at, probing[held == 0]
+
+    def put(self, new: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Puts the distinct keys ``new``, none in the table yet, in it with their ``ids``;
+        returns their slots."""
+        slots, waiting = np.empty(new.size, np.int64), np.arange(new.size)
+        while waiting.size:  # of the keys probing to one empty slot one takes it, the rest probe on
+            keys = new[waiting]
+            slot = self.slots(keys)[0]
+            self.slot_keys[slot] = keys
+            won = self.slot_keys[slot] == keys
+            slots[waiting[won]] = slot[won]
+            self.slot_ids[slot[won]] = ids[waiting[won]]
+            waiting = waiting[~won]
+        return slots
 
     def read(self, parts: list[bytes], tokens: array) -> np.ndarray:
-        """Appends the term numbers of the kept words of the normalised documents
-        ``parts`` to ``tokens``; returns each document's kept word count."""
+        """Appends the term numbers of the kept words of the documents ``parts``, as
+        ``_encode`` gives them, to ``tokens``; returns each document's kept word count."""
         buf = b" ".join([b"", *parts, b" " * 7])  # documents between spaces, 8 after the last
+        buf = buf.translate(self.table)  # normalised: a space stays a space
         space = np.frombuffer(buf, dtype=np.uint8) == 32
-        starts, ends = (np.flatnonzero(space[1:] != space[:-1]) + 1).reshape(-1, 2).T
+        edges = np.flatnonzero(space[1:] != space[:-1])
+        edges += 1
+        starts, ends = edges[0::2], edges[1::2]
         sizes = ends - starts
-        short = sizes <= 8
-        if b"\0" in buf:  # zero padding tells "a" from "a\0" only in words without a NUL
-            nul = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0)
-            short[np.searchsorted(starts, nul, side="right") - 1] = False
+        short = slice(None)  # the words in the table: all, unless a chunk has a long word or a NUL
+        if sizes.size and (sizes.max() > 8 or b"\0" in buf):
+            short = sizes <= 8
+            if b"\0" in buf:  # zero padding tells "a" from "a\0" only in words without a NUL
+                nul = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == 0)
+                short[np.searchsorted(starts, nul, side="right") - 1] = False
         eight = np.ndarray(len(buf) - 7, dtype="<u8", buffer=buf, strides=(1,))  # buf[i:i + 8]
-        keys = eight[starts[short]] & _KEY_MASKS[sizes[short]]
-        at = self.slots(keys)
-        empty = np.flatnonzero(self.slot_keys[at] == 0)  # the new words' keys
-        if empty.size:
-            new = np.sort(keys[empty])  # np.unique's uint64 hash path imports numpy.ma
+        keys = eight.take(starts[short]) & _KEY_MASKS.take(sizes[short])
+        at, absent = self.slots(keys)
+        if absent.size:
+            new = np.sort(keys[absent])  # np.unique's uint64 hash path imports numpy.ma
             new = new[np.concatenate(([True], new[1:] != new[:-1]))]
             words = new.astype("<u8", copy=False).view("S8").tolist()  # "S8" drops the padding
-            ids = np.fromiter(map(self.number, words), np.intc, new.size)
+            ids = np.array(self.numbers(words), dtype=np.intc)
             self.filled += new.size
             if 2 * self.filled > len(self.slot_keys):  # double and rehash: load at most 1/2
                 full, size = np.flatnonzero(self.slot_keys), 1 << (2 * self.filled - 1).bit_length()
-                new = np.concatenate((self.slot_keys[full], new))
-                ids = np.concatenate((self.slot_ids[full], ids))
+                held = self.slot_keys[full], self.slot_ids[full]
                 self.slot_keys, self.slot_ids = np.zeros(size, np.uint64), np.empty(size, np.intc)
-                empty = slice(None)  # every slot moved
-            while new.size:  # of the keys probing to one empty slot one takes it, the rest probe on
-                slot = self.slots(new)
-                self.slot_keys[slot] = new
-                won = self.slot_keys[slot] == new
-                self.slot_ids[slot[won]], new, ids = ids[won], new[~won], ids[~won]
-            at[empty] = self.slots(keys[empty])
-        ids = np.empty(starts.size, dtype=np.intc)
-        ids[short] = self.slot_ids[at]
-        long = np.flatnonzero(~short)
-        ids[long] = [self[buf[s:e]] for s, e in zip(starts[long].tolist(), ends[long].tolist())]
-        tokens.frombytes(memoryview(ids[ids >= 0]).cast("B"))
-        kept = np.concatenate([[0], np.cumsum(ids >= 0)])  # kept words before each word
-        offsets = np.cumsum([1] + [len(part) + 1 for part in parts])  # document starts in buf
-        return np.diff(kept[np.searchsorted(starts, offsets)])
+                self.put(*held)
+                self.put(new, ids)
+                at = self.slots(keys)[0]  # every slot moved
+            else:
+                at[absent] = self.put(new, ids)[np.searchsorted(new, keys[absent])]
+        ids = self.slot_ids.take(at)
+        if isinstance(short, np.ndarray):  # the other words go through the dict
+            ids, short_ids = np.empty(starts.size, dtype=np.intc), ids
+            ids[short] = short_ids
+            long = np.flatnonzero(~short)
+            ids[long] = [self[buf[s:e]] for s, e in zip(starts[long].tolist(), ends[long].tolist())]
+        doc_ends = np.cumsum(np.fromiter(map(len, parts), np.intp, len(parts)) + 1)  # in buf
+        last = np.searchsorted(starts, doc_ends)  # the words up to each document's end
+        if ids.size and ids.min() < 0:  # stopwords: count the kept words
+            keep = ids >= 0
+            ids = ids[keep]
+            kept = np.zeros(keep.size + 1, dtype=np.intp)  # kept words before each word
+            np.cumsum(keep, out=kept[1:])
+            last = kept[last]
+        tokens.frombytes(memoryview(ids).cast("B"))
+        return np.diff(last, prepend=0)
 
 
 def build_index(docs: Iterable[Document], config: TokenizerConfig = DEFAULT_TOKENIZER) -> Index:
     """Tokenize ``docs``, any iterable, in its order, and build the index; errors on
-    no documents, a repeated doc_id, or every document tokenizing empty.
+    no documents, a repeated doc_id, every document tokenizing empty, or a lone
+    surrogate (which UTF-8 cannot write) in a doc_id or, under ``split_non_alnum=False``,
+    in a text (a split text turns it into a separator).
 
     numpy finds the words of the normalised documents, TOKEN_CHUNK bytes at a
     time; only a word not seen before goes through the word rule of ``tokenize``.
-    A document's text is held only until its chunk is read."""
+    A chunk whose words are all of at most 8 bytes without a NUL skips the dict
+    lookups, and one without a stopword the kept-word count. A document's text is
+    held only until its chunk is read."""
     vocabulary = _Vocabulary(config)
     tokens = array("i")  # C int: 32 bits on every supported platform
     doc_ids, lengths, parts, size = [], [], [], 0
     for doc in docs:
-        doc_ids.append(doc.doc_id)
-        parts.append(_normalise(doc.text, config))
-        size += len(parts[-1]) + 1
+        doc_id, text = doc.doc_id, doc.text
+        if not doc_id.isascii() and _SURROGATE.search(doc_id) or (
+                not config.split_non_alnum and not text.isascii() and _SURROGATE.search(text)):
+            raise CorpusError(f"document {doc_id!r}: doc_id or text holds a lone surrogate")
+        doc_ids.append(doc_id)
+        part = _encode(text, config)
+        parts.append(part)
+        size += len(part) + 1
         if size >= TOKEN_CHUNK:
             lengths.append(vocabulary.read(parts, tokens))
             parts, size = [], 0
     if parts:
         lengths.append(vocabulary.read(parts, tokens))
-    doc = parts = None  # the last document and chunk are not held through the sorts
+    doc = text = part = parts = None  # the last document and chunk are not held through the sorts
     if not doc_ids:
         raise CorpusError("cannot index an empty corpus")
     order = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)

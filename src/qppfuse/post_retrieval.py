@@ -86,9 +86,16 @@ def clarity(
     """KL divergence (bits) of the relevance model from the collection model."""
     if model is None:
         model = rm1(index, ranked, k_fb=k_fb, mu=mu)
-    # `not p <= 0.0` keeps a NaN p in the sum
-    return seq_sum(p * math.log2(p / (index.cf[t] / index.total_tokens))
-                   for t, p in model.probs.items() if not p <= 0.0)
+    n = len(model.probs)
+    probs = np.fromiter(model.probs.values(), float, n)
+    rows = np.fromiter(map(index.term_row.__getitem__, model.probs), np.intp, n)
+    kept = ~(probs <= 0.0)  # keeps a NaN p in the sum
+    probs = probs[kept]
+    # per term, p * log2(p / (cf / |C|)) in the IEEE operations of Python floats (a cf
+    # below 2^53 is exact as a float), added in order from 0.0 as seq_sum adds
+    ratios = probs / (index.by_term.sums[rows[kept]] / index.total_tokens)
+    logs = np.fromiter(map(math.log2, ratios.tolist()), float, ratios.size)
+    return float(np.add.accumulate(np.concatenate(([0.0], probs * logs)))[-1])
 
 
 def wig(index: Index, query, ranked: RankedList, k: int = 5) -> float:

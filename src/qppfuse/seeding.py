@@ -1,7 +1,9 @@
 """Determinism helpers: per-task seeds from a root seed, the one float sum, and the one
 text-file format."""
 
+import contextlib
 import hashlib
+import os
 
 __all__ = ["derive_seed", "seq_sum", "read_lines", "write_lines"]
 
@@ -36,7 +38,21 @@ def read_lines(path):
 
 
 def write_lines(path, lines) -> None:
-    """Write each of ``lines`` followed by an LF, as UTF-8 without a byte-order mark."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(f"{line}\n")
+    """Write each of ``lines`` followed by an LF, as UTF-8 without a byte-order mark.
+
+    The lines go to a sibling ``<name>.<pid>.tmp``, which then replaces ``path``: a write
+    that fails part-way (a line UTF-8 cannot encode, a generator that raises, a full disk)
+    leaves no partial file, and a file already at ``path`` as it was. An OSError from
+    opening or replacing names ``path``."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for line in lines:
+                fh.write(f"{line}\n")
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+        raise

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import logging
 import random
 import re
@@ -273,6 +274,50 @@ class TestIngest:
         path.write_text('{"id": "d1", "text": "a \\ud83d\\ude00 b"}\n')
         assert list(ingest(path, "jsonl")) == [Document("d1", "a \U0001f600 b")]
 
+    # lines the one-call decoder must not read differently from json.loads: its error
+    # text and line for a bad one, its record for a good one
+    _PARITY_LINES = {
+        "extra-object": '{"id": "d2", "text": "x"} {"id": "d3", "text": "y"}',
+        "extra-after-space": '{"id": "d2", "text": "x"}   junk',
+        "extra-bracket": '{"id": "d2", "text": "x"}]',
+        "extra-number": '1 2',
+        "mid-file-bom": '\ufeff{"id": "d2", "text": "x"}',
+        "truncated": '{"id": "d2", "text": "x"',
+        "not-json": "not json",
+        "padded-extra": '\t {"id": "d2", "text": "x"} x \t',
+    }
+
+    @pytest.mark.parametrize("line", _PARITY_LINES.values(), ids=_PARITY_LINES.keys())
+    def test_invalid_line_reads_as_json_loads_words_it(self, tmp_path, line):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "d1", "text": "a"}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line.strip())
+        with pytest.raises(CorpusError) as err:
+            list(ingest(path, "jsonl"))
+        assert str(err.value) == f"{path}:2: invalid JSON: {expected.value}"
+
+    def test_record_split_over_two_lines_is_invalid_at_its_first(self, tmp_path):
+        # decoded as one array of lines, the two would read as two valid records
+        first = '{"id": "a", "text": "x"}, {"id": "b", "text": "y", "z": [1'
+        assert len(json.loads("[" + ",".join([first, "2]}"]) + "]")) == 2
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "d1", "text": "a"}\n' + first + "\n2]}\n")
+        with pytest.raises(CorpusError) as err:
+            list(ingest(path, "jsonl"))
+        with pytest.raises(json.JSONDecodeError, match="Extra data") as expected:
+            json.loads(first)
+        assert str(err.value) == f"{path}:2: invalid JSON: {expected.value}"
+
+    @pytest.mark.parametrize("pad", [" ", "\t", "  \t ", "\u3000", "\x1c", "\r"],
+                             ids=["space", "tab", "mixed", "ideographic-space", "file-separator",
+                                  "carriage-return"])
+    def test_whitespace_around_a_record_is_stripped(self, tmp_path, pad):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(f'{pad}{{"id": "d1", "text": "a b"}}{pad}\n{pad}\n'
+                        f'{{"id": 2, "text": " c "}}{pad}\n', encoding="utf-8", newline="")
+        assert list(ingest(path, "jsonl")) == [Document("d1", "a b"), Document("2", " c ")]
+
 
 def _docs(*texts):
     return [Document(f"d{i+1}", t) for i, t in enumerate(texts)]
@@ -406,6 +451,25 @@ class TestBuildIndex:
         with pytest.raises(CorpusError, match="duplicate doc_id 'd1'"):
             build_index([Document("d1", "a b"), Document("d1", "c")])
 
+    @pytest.mark.parametrize("doc, split", [
+        (Document("d\ud800", "a b"), True),
+        (Document("d\udfff", "a b"), False),
+        (Document("\u00e9\udc00", "a b"), True),
+        (Document("d2", "a \ud800b"), False),
+        (Document("d2", "\u00e9 b\udfff"), False),
+    ], ids=["id-split", "id-whitespace", "id-after-non-ascii", "text", "text-after-non-ascii"])
+    def test_lone_surrogate_is_rejected(self, doc, split):
+        # UTF-8 cannot write one: dump_stats would fail part-way through its file
+        config = TokenizerConfig(split_non_alnum=split)
+        with pytest.raises(CorpusError, match=re.escape(f"document {doc.doc_id!r}: ")):
+            build_index([Document("d1", "a"), doc], config)
+
+    def test_lone_surrogate_in_split_text_is_a_separator(self, tmp_path):
+        index = build_index([Document("d1", "a\ud800b \udfff")])
+        assert index.terms == ("a", "b")
+        dump_stats(index, tmp_path / "stats.txt")
+        assert load_stats(tmp_path / "stats.txt") == index
+
     def test_build_memory_per_posting(self):
         # one postings structure only: a second copy of every posting (a
         # tuple list beside the dicts, a forward doc -> term index) would
@@ -520,10 +584,13 @@ _CONFIGS = [TokenizerConfig(lowercase=lower, split_non_alnum=split, stopwords=st
 _CONFIG_IDS = [f"lower{c.lowercase:d}-split{c.split_non_alnum:d}-stem{c.stem:d}" for c in _CONFIGS]
 
 
-def _pool_docs(seed, n):
-    """Documents of _TOKENIZER_POOL characters and a few whole words."""
+def _pool_docs(seed, n, config):
+    """Documents of _TOKENIZER_POOL characters and a few whole words, for ``config``: the
+    lone surrogate only where it splits on non-alphanumerics, since a build that keeps
+    it in a term rejects it (TestBuildIndex.test_lone_surrogate_is_rejected)."""
     rng = random.Random(seed)
-    pool = _TOKENIZER_POOL + [" a ", " Ab ", " the ", " cats ", " abcdefghs ", " abcdefgh "]
+    pool = [c for c in _TOKENIZER_POOL if config.split_non_alnum or c != "\ud800"]
+    pool += [" a ", " Ab ", " the ", " cats ", " abcdefghs ", " abcdefgh "]
     return [Document(f"p{i:03d}", "".join(rng.choices(pool, k=rng.randint(0, 60))))
             for i in range(n)]
 
@@ -555,7 +622,7 @@ class TestChunkedBuild:
 
     @pytest.mark.parametrize("config", _CONFIGS, ids=_CONFIG_IDS)
     def test_pool_documents_match_reference(self, config):
-        docs = _pool_docs(41, 300)
+        docs = _pool_docs(41, 300, config)
         index = build_index(docs, config)
         _assert_reference_index(index, docs, config)
         # the documents are tokenized in input order, and numbered by doc_id at the end
@@ -608,7 +675,7 @@ class TestChunkedBuild:
     def test_chunk_sizes_build_the_same_index(self, monkeypatch, toy_docs, chunk, config):
         rng = random.Random(chunk)
         big = " ".join(rng.choices(["abcdefghi", "x", "the", "A\u00e9", "a\0"], k=500))
-        docs = toy_docs[:10] + _pool_docs(chunk, 40) + [Document("big", big)]
+        docs = toy_docs[:10] + _pool_docs(chunk, 40, config) + [Document("big", big)]
         expected = build_index(docs, config)
         monkeypatch.setattr(corpus, "TOKEN_CHUNK", chunk)
         index = build_index(docs, config)
@@ -682,7 +749,7 @@ class TestHashVocabulary:
         vocabulary = corpus._Vocabulary(TokenizerConfig())
         words = [b"a", b"zz", b"abcdefgh", b"\xff" * 8]
         keys = np.array([int.from_bytes(w.ljust(8, b"\0"), "little") for w in words], dtype=np.uint64)
-        assert vocabulary.slots(keys).tolist() == [_home(w, self.SLOTS) for w in words]
+        assert vocabulary.slots(keys)[0].tolist() == [_home(w, self.SLOTS) for w in words]
 
     @pytest.mark.parametrize("slot", [0, 517, SLOTS - 1])  # SLOTS - 1: probes wrap to slot 0
     def test_words_sharing_a_home_slot(self, slot):
@@ -778,6 +845,54 @@ class TestHashVocabulary:
         seen = {w for d in docs for w in d.text.split()}
         assert calls == Counter(w.encode() for w in seen)
         _assert_reference_index(index, docs, config)
+
+
+class TestChunkPaths:
+    """build_index against the reference build on chunks that take each path of
+    _Vocabulary.read: words all of at most 8 bytes without a NUL (no dict lookup),
+    long or NUL words (the dict beside the table), chunks of stopwords only (the
+    kept-word count) and chunks without one, alone and in one build."""
+
+    SHORT = ["a", "ab", "Cats", "cat", "abcdefgh", "Zz9", "x1y2", "\u00e9t\u00e9"]
+    LONG = ["abcdefghi", "a\0", "\0", "abcdefgh\0", "qwertyuiopasdf", "\u00e9" * 5]
+    STOP = ["the", "of", "abcdefghij"]
+    CONFIG = TokenizerConfig(split_non_alnum=False, stopwords=frozenset(STOP), stem=True)
+    GROUPS = {"short": [SHORT], "long": [LONG, SHORT + LONG], "stopwords": [STOP, SHORT],
+              "mixed": [SHORT, LONG, STOP, SHORT + STOP, SHORT]}
+
+    @staticmethod
+    def _kinds(monkeypatch):
+        """Patches _Vocabulary.read to record each chunk's (has a long or NUL word,
+        has a stopword)."""
+        kinds, read = Counter(), corpus._Vocabulary.read
+
+        def recorded(self, parts, tokens):
+            words = b" ".join(parts).split()
+            kinds[any(len(w) > 8 or b"\0" in w for w in words),
+                  any(corpus._word_rule(w, self.config) is None for w in words)] += 1
+            return read(self, parts, tokens)
+
+        monkeypatch.setattr(corpus._Vocabulary, "read", recorded)
+        return kinds
+
+    @pytest.mark.parametrize("chunk", [1, 64, corpus.TOKEN_CHUNK])
+    @pytest.mark.parametrize("kind", GROUPS)
+    def test_matches_reference(self, monkeypatch, kind, chunk):
+        rng = random.Random(f"{kind}{chunk}")
+        n = 30 if chunk < 1024 else 3000  # a group of 3,000 documents fills whole chunks
+        docs = [Document(f"g{g}-{i:04d}", " ".join(rng.choices(vocab, k=rng.randint(0, 12))))
+                for g, vocab in enumerate(self.GROUPS[kind]) for i in range(n)]
+        kinds = self._kinds(monkeypatch)
+        monkeypatch.setattr(corpus, "TOKEN_CHUNK", chunk)
+        index = build_index(docs, self.CONFIG)
+        _assert_reference_index(index, docs, self.CONFIG)
+        monkeypatch.undo()
+        _assert_identical(build_index(docs, self.CONFIG), index)
+        long, stop = {k[0] for k in kinds}, {k[1] for k in kinds}
+        ran = {"short": set(kinds) == {(False, False)}, "long": True in long,
+               "stopwords": stop == {True, False},
+               "mixed": (False, False) in kinds and True in long and True in stop}[kind]
+        assert ran, kinds  # the chunks took the paths the group is for
 
 
 def test_build_and_toy_experiment_leave_numpy_ma_unimported(toy_dir, tmp_path):

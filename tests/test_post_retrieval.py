@@ -1,8 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from qppfuse.corpus import Document, Query, build_index
+from qppfuse.corpus import Document, Query, build_index, ingest, load_queries
 from qppfuse.post_retrieval import (
     POST_PREDICTORS,
     RelevanceModel,
@@ -14,6 +15,7 @@ from qppfuse.post_retrieval import (
     wig,
 )
 from qppfuse.retrieval import DegenerateQueryError, RankedList, retrieve
+from qppfuse.seeding import seq_sum
 
 TOY_PARAMS = dict(k_fb=10, wig_k=5, nqc_k=10, uef_m=10)
 
@@ -85,6 +87,47 @@ class TestClarity:
         score = clarity(index, ranked, model=model)
         assert score == pytest.approx(math.log2(100), abs=1e-12)
         assert score == pytest.approx(6.6439, abs=1e-4)
+
+    @staticmethod
+    def _per_term(index, model):
+        # the per-term generator clarity summed before its numpy form
+        return seq_sum(p * math.log2(p / (index.cf[t] / index.total_tokens))
+                       for t, p in model.probs.items() if not p <= 0.0)
+
+    @pytest.mark.parametrize("k_fb", [1, 10, 100])
+    def test_bits_of_the_per_term_formula(self, toy_index, ranked_lists, random_corpus, k_fb):
+        index, queries = random_corpus
+        cases = [(toy_index, ranked) for ranked in ranked_lists.values()]
+        cases += [(index, retrieve(index, query, k=1000)) for query in queries]
+        for index, ranked in cases:
+            model = rm1(index, ranked, k_fb=k_fb)
+            assert clarity(index, ranked, model=model).hex() == self._per_term(index, model).hex()
+
+    def test_bits_of_the_per_term_formula_on_a_synth_corpus(self, monkeypatch, tmp_path):
+        # the benchmark's Zipf-Mandelbrot generator, at 1,500 documents
+        monkeypatch.syspath_prepend(Path(__file__).resolve().parents[1] / "perfbench")
+        import gen
+        monkeypatch.setattr(gen, "N_DOCS", 1_500)
+        gen.make_corpus(tmp_path, 1, 12, 0)
+        index = build_index(ingest(tmp_path / "docs.jsonl", "jsonl"))
+        for query in load_queries(tmp_path / "queries.tsv"):
+            ranked = retrieve(index, query, k=1000)
+            model = rm1(index, ranked)
+            assert clarity(index, ranked, model=model).hex() == self._per_term(index, model).hex()
+
+    @pytest.mark.parametrize("probs", [
+        {"t": 0.0, "x": -0.5},
+        {"t": -0.0, "x": 0.25},
+        {"x": math.nan, "t": 0.5},
+        {"t": 1e-300, "x": 5e-324},
+        {"t": 0.9775786952206656},  # np.log2 rounds its log one ulp off math.log2 (numpy 2.4, x86-64)
+        {},
+    ], ids=["none-kept", "negative-zero-skipped", "nan-kept", "subnormal", "log2-rounding", "empty"])
+    def test_bits_on_edge_models(self, probs):
+        index = build_index(_docs("t " + " ".join(["x"] * 99)))
+        model = RelevanceModel(probs, 1)
+        value = clarity(index, RankedList("q", (("d1", -1.0),)), model=model)
+        assert repr(value) == repr(self._per_term(index, model))  # nan and the sign of 0 too
 
     def test_nonnegative_on_toy(self, toy_index, ranked_lists):
         for ranked in ranked_lists.values():

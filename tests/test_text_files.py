@@ -86,6 +86,42 @@ class TestWriteLines:
         write_lines(path, lines)
         assert [line for _, line in read_lines(path)] == lines
 
+    @staticmethod
+    def _raising_lines():
+        yield "first"
+        yield "second"
+        raise RuntimeError("generator failed")
+
+    @pytest.mark.parametrize("lines, error", [
+        (_raising_lines, RuntimeError),
+        (lambda: ["ok", "lone \ud800 surrogate", "never"], UnicodeEncodeError),
+    ], ids=["raising-generator", "surrogate"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, lines, error, existing):
+        path = tmp_path / "f.txt"
+        if existing:
+            write_lines(path, ["earlier", "file"])
+        with pytest.raises(error):
+            write_lines(path, lines())
+        assert [p.name for p in tmp_path.iterdir()] == (["f.txt"] if existing else [])
+        if existing:
+            assert path.read_bytes() == b"earlier\nfile\n"
+
+    def test_replaces_an_existing_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_lines(path, ["a", "b", "c"])
+        write_lines(str(path), ["d"])
+        assert path.read_bytes() == b"d\n" and [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
+    @pytest.mark.parametrize("target", ["missing-dir/f.txt", "is-a-dir"])
+    def test_os_error_names_the_target(self, tmp_path, target):
+        (tmp_path / "is-a-dir").mkdir()
+        path = tmp_path / target
+        with pytest.raises(OSError) as err:
+            write_lines(path, ["a"])
+        assert err.value.filename == str(path) and str(path) in str(err.value)
+        assert not list(tmp_path.glob("**/*.tmp"))
+
 
 def _table_bytes(path):
     table = ScoreTable.read_tsv(path)
