@@ -8,6 +8,8 @@ Run from the repository root:  python3 demos/03_post_retrieval_predictors.py
 
 from pathlib import Path
 
+import numpy as np
+
 from qppfuse import build_index, ingest, load_queries, retrieve, rm1
 from qppfuse.post_retrieval import POST_PREDICTORS, compute_post_scores
 
@@ -23,11 +25,11 @@ queries = load_queries(TOY / "queries.tsv")
 query = queries[0]
 ranked = retrieve(index, query, k=1000, mu=1000.0)
 model = rm1(index, ranked, k_fb=10, mu=1000.0)
-top_terms = sorted(model.probs.items(), key=lambda kv: -kv[1])[:8]
+top = np.argsort(-model.probs, kind="stable")[:8]  # model.terms are index term numbers
 print(f"relevance model for {query.query_id} ({' '.join(query.terms)}):")
-for term, p in top_terms:
+for t, p in zip(model.terms[top].tolist(), model.probs[top].tolist()):
     bar = "#" * int(400 * p)
-    print(f"  {term:<12} {p:.4f} {bar}")
+    print(f"  {index.terms[t]:<12} {p:.4f} {bar}")
 print(f"  total mass = {model.total_mass():.12f}")
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,22 @@ POST_PREDICTORS = ("Clarity", "WIG", "NQC", "UEF-NQC", "UEF-WIG", "UEF-Clarity")
 
 @dataclass(frozen=True)
 class RelevanceModel:
-    """Term distribution over the terms of the feedback documents."""
+    """Term distribution over the terms of the feedback documents: ``probs[i]`` is
+    the probability of the index term number ``terms[i]``, the numbers ascending."""
 
-    probs: dict[str, float]
+    terms: np.ndarray
+    probs: np.ndarray
     feedback_depth: int
 
+    def __post_init__(self):
+        if np.ndim(self.terms) != 1 or np.shape(self.probs) != np.shape(self.terms):
+            raise ValueError("terms and probs must be 1-d arrays of one length")
+        # a negative number would read from the end; dirichlet_sums would drop a repeat's cells
+        if np.any(np.less(self.terms, 0)) or np.any(np.diff(self.terms) <= 0):
+            raise ValueError("term numbers must be >= 0 and strictly ascending")
+
     def total_mass(self) -> float:
-        return seq_sum(self.probs.values())
+        return seq_sum(self.probs.tolist())
 
 
 def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -> RelevanceModel:
@@ -71,46 +80,36 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
     terms = np.flatnonzero(used)
     # per term, the weighted smoothed probabilities summed in feedback-doc order
     sums = dirichlet_sums(index, terms, docs, mu, weights, log=False, per="term")
-    mass = seq_sum(sums.tolist())
-    probs = dict(zip(map(index.terms.__getitem__, terms.tolist()), (sums / mass).tolist()))
-    return RelevanceModel(probs=probs, feedback_depth=len(top))
+    return RelevanceModel(terms, sums / seq_sum(sums.tolist()), len(top))
 
 
-def clarity(
-    index: Index,
-    ranked: RankedList,
-    k_fb: int = 100,
-    mu: float = 1000.0,
-    model: RelevanceModel | None = None,
-) -> float:
+def clarity(index: Index, model: RelevanceModel) -> float:
     """KL divergence (bits) of the relevance model from the collection model."""
-    if model is None:
-        model = rm1(index, ranked, k_fb=k_fb, mu=mu)
-    n = len(model.probs)
-    probs = np.fromiter(model.probs.values(), float, n)
-    rows = np.fromiter(map(index.term_row.__getitem__, model.probs), np.intp, n)
-    kept = ~(probs <= 0.0)  # keeps a NaN p in the sum
-    probs = probs[kept]
+    kept = ~(model.probs <= 0.0)  # keeps a NaN p in the sum
+    probs = model.probs[kept]
     # per term, p * log2(p / (cf / |C|)) in the IEEE operations of Python floats (a cf
     # below 2^53 is exact as a float), added in order from 0.0 as seq_sum adds
-    ratios = probs / (index.by_term.sums[rows[kept]] / index.total_tokens)
+    ratios = probs / (index.by_term.sums[model.terms[kept]] / index.total_tokens)
     logs = np.fromiter(map(math.log2, ratios.tolist()), float, ratios.size)
     return float(np.add.accumulate(np.concatenate(([0.0], probs * logs)))[-1])
 
 
 def wig(index: Index, query, ranked: RankedList, k: int = 5) -> float:
     """Mean top-k score gap over the collection likelihood, scaled by 1/sqrt(|q|)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     terms = query.terms if isinstance(query, Query) else tuple(query)
     if len(ranked) == 0:
         raise ValueError(f"empty ranked list for query {ranked.query_id!r}")
     cl = collection_likelihood(index, terms)
-    k_eff = min(k, len(ranked))
-    gap = seq_sum(score - cl for _, score in ranked.entries[:k_eff])
-    return gap / (k_eff * math.sqrt(len(terms)))
+    top = ranked.scores[:k]
+    return seq_sum(s - cl for s in top) / (len(top) * math.sqrt(len(terms)))
 
 
 def nqc(index: Index, query, ranked: RankedList, k: int = 100) -> float:
     """Std of top-k log-scores over |collection likelihood|; 0 for a single doc."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     terms = query.terms if isinstance(query, Query) else tuple(query)
     cl = collection_likelihood(index, terms)
     if cl == 0.0:
@@ -124,11 +123,10 @@ def nqc(index: Index, query, ranked: RankedList, k: int = 100) -> float:
 def rm_rerank_similarity(
     index: Index,
     ranked: RankedList,
+    model: RelevanceModel,
     m: int = 100,
-    k_fb: int = 100,
     mu: float = 1000.0,
     metric: str = "pearson",
-    model: RelevanceModel | None = None,
 ) -> float | None:
     """Correlation between original scores and relevance-model scores of the top-m docs.
 
@@ -137,24 +135,22 @@ def rm_rerank_similarity(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if metric not in ("pearson", "kendall"):
+        raise ValueError(f"unknown similarity metric {metric!r}")
     top = ranked.entries[:m]
+    # each document's sum runs over the model's terms in order; dirichlet_sums
+    # checks mu before the length test, so a short list rejects a bad mu too
+    rm_scores = dirichlet_sums(index, model.terms, [index.doc_row[d] for d, _ in top], mu,
+                               model.probs, log=True, per="doc").tolist()
     if len(top) < 2:
         return None
-    if model is None:
-        model = rm1(index, ranked, k_fb=k_fb, mu=mu)
-    docs = [index.doc_row[d] for d, _ in top]
     original = [s for _, s in top]
-    # each document's sum runs over the terms in model.probs order
-    rm_scores = dirichlet_sums(index, [index.term_row[t] for t in model.probs], docs, mu,
-                               list(model.probs.values()), log=True, per="doc").tolist()
     if metric == "pearson":
         return pearson_r(original, rm_scores)
-    if metric == "kendall":
-        try:
-            return kendall_tau_b(original, rm_scores).coefficient
-        except UndefinedMetricError:
-            return None
-    raise ValueError(f"unknown similarity metric {metric!r}")
+    try:
+        return kendall_tau_b(original, rm_scores).coefficient
+    except UndefinedMetricError:
+        return None
 
 
 def compute_post_scores(
@@ -174,11 +170,11 @@ def compute_post_scores(
     """
     model = rm1(index, ranked, k_fb=k_fb, mu=mu)
     scores: dict[str, float | None] = {
-        "Clarity": clarity(index, ranked, k_fb=k_fb, mu=mu, model=model),
+        "Clarity": clarity(index, model),
         "WIG": wig(index, query, ranked, k=wig_k),
         "NQC": nqc(index, query, ranked, k=nqc_k),
     }
-    sim = rm_rerank_similarity(index, ranked, m=uef_m, k_fb=k_fb, mu=mu, metric=uef_sim, model=model)
+    sim = rm_rerank_similarity(index, ranked, model, m=uef_m, mu=mu, metric=uef_sim)
     for base in ("NQC", "WIG", "Clarity"):
         scores[f"UEF-{base}"] = None if sim is None else sim * scores[base]
     return scores

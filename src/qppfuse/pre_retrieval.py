@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Index, Query, SenseLexicon
+from .retrieval import scoreable_terms
 from .seeding import seq_sum, write_lines
 
 __all__ = [
@@ -83,7 +84,7 @@ def _query_terms(query, distinct: bool) -> list[str]:
 
 
 def _scored_terms(index: Index, query, distinct: bool) -> list[str]:
-    return [t for t in _query_terms(query, distinct) if index.df.get(t, 0) >= 1]
+    return scoreable_terms(index, _query_terms(query, distinct))
 
 
 def _summary(values: list[float]) -> tuple[float, float, float, int]:

@@ -242,6 +242,8 @@ def average_precision(ranked: RankedList, qrels: Qrels, cutoff: int = 1000) -> f
     not). Returns None when the query has no relevant documents, in which
     case AP is undefined and the query is excluded from experiments.
     """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     relevant = qrels.relevant_docs(ranked.query_id)
     if not relevant:
         return None

@@ -51,6 +51,24 @@ def test_traced_argument_names_exist(func, params):
     assert set(params) <= set(signature.parameters)
 
 
+def test_rm1_result_has_what_the_benchmark_reads(toy_index, toy_queries, tracer):
+    # the rm1 and rerank span counters read len(model.probs) and feedback_depth,
+    # and the synth-corpus check reads total_mass()
+    post = qppfuse.post_retrieval
+    query = toy_queries[0]
+    ranked = qppfuse.retrieve(toy_index, query, k=1000)
+    model = post.rm1(toy_index, ranked, k_fb=10)
+    post.compute_post_scores(toy_index, query, ranked, k_fb=10, uef_m=10)
+    v, depth = len(model.probs), model.feedback_depth
+    assert v == len(model.terms) > 0 and depth == min(10, len(ranked)) > 1
+    assert isinstance(model.total_mass(), float) and abs(model.total_mass() - 1.0) < 1e-9
+    counts = [(s[0], s[5]) for s in tracer.export() if s[0].startswith("post_retrieval.")]
+    rm1_counts = {"fb_terms": v, "doc_term_evals": v * depth}
+    assert counts == [("post_retrieval.rm1", rm1_counts), ("post_retrieval.compute", None),
+                      ("post_retrieval.rm1", rm1_counts),
+                      ("post_retrieval.rerank", {"doc_term_evals": v * min(10, len(ranked))})]
+
+
 def _package_imports(path):
     """(module, name or None) for every ``qppfuse`` import in a script, at any nesting."""
     found = []

@@ -1,9 +1,10 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qppfuse.corpus import Document, Query, build_index, ingest, load_queries
+from qppfuse.corpus import Document, Index, Query, build_index, ingest, load_queries
 from qppfuse.post_retrieval import (
     POST_PREDICTORS,
     RelevanceModel,
@@ -22,6 +23,18 @@ TOY_PARAMS = dict(k_fb=10, wig_k=5, nqc_k=10, uef_m=10)
 
 def _docs(*texts):
     return [Document(f"d{i+1}", t) for i, t in enumerate(texts)]
+
+
+def _named(index, model):
+    """The model's probabilities keyed by term, in its term-number order."""
+    return dict(zip(map(index.terms.__getitem__, model.terms.tolist()), model.probs.tolist()))
+
+
+def _hand_model(index, probs):
+    """A one-document model of the probabilities ``probs`` ({term: p})."""
+    rows = sorted((index.term_row[t], p) for t, p in probs.items())
+    return RelevanceModel(np.array([r for r, _ in rows], dtype=np.intp),
+                          np.array([p for _, p in rows], dtype=float), 1)
 
 
 def _toy_ranked(index, queries):
@@ -44,22 +57,22 @@ class TestRelevanceModel:
         # restricted to its vocabulary and renormalized
         index = build_index(_docs("a a b", "c c c c"))
         ranked = retrieve(index, Query("q", ("a",)), mu=1.0)
-        model = rm1(index, ranked, k_fb=1, mu=1.0)
-        assert set(model.probs) == {"a", "b"}
+        probs = _named(index, rm1(index, ranked, k_fb=1, mu=1.0))
+        assert set(probs) == {"a", "b"}
         p = {t: (tf + 1.0 * index.cf[t] / 7) / (3 + 1.0) for t, tf in [("a", 2), ("b", 1)]}
         z = sum(p.values())
-        assert model.probs["a"] == pytest.approx(p["a"] / z, abs=1e-12)
-        assert model.probs["b"] == pytest.approx(p["b"] / z, abs=1e-12)
+        assert probs["a"] == pytest.approx(p["a"] / z, abs=1e-12)
+        assert probs["b"] == pytest.approx(p["b"] / z, abs=1e-12)
 
     def test_duplicate_docs_match_single_doc_model(self):
         index = build_index(_docs("a a b", "a a b", "c c"))
         ranked = retrieve(index, Query("q", ("a",)))
         assert len(ranked) == 2
-        two = rm1(index, ranked, k_fb=2)
-        one = rm1(index, ranked, k_fb=1)
-        assert set(two.probs) == set(one.probs)
-        for term in two.probs:
-            assert two.probs[term] == pytest.approx(one.probs[term], abs=1e-12)
+        two = _named(index, rm1(index, ranked, k_fb=2))
+        one = _named(index, rm1(index, ranked, k_fb=1))
+        assert set(two) == set(one)
+        for term in two:
+            assert two[term] == pytest.approx(one[term], abs=1e-12)
 
     def test_empty_ranked_list_rejected(self, toy_index):
         with pytest.raises(ValueError):
@@ -70,6 +83,28 @@ class TestRelevanceModel:
         with pytest.raises(ValueError, match="mu must be > 0 and finite"):
             rm1(toy_index, ranked_lists["q01"], mu=mu)
 
+    def test_arrays_in_term_number_order(self, toy_index, ranked_lists):
+        for ranked in ranked_lists.values():
+            model = rm1(toy_index, ranked, k_fb=10)
+            assert model.terms.dtype == np.intp and model.probs.dtype == float
+            assert model.terms.tolist() == sorted(set(model.terms.tolist()))
+            assert len(model.probs) == len(model.terms)
+
+    @pytest.mark.parametrize("terms,probs", [
+        ([[0, 1]], [[0.5, 0.5]]),
+        ([0, 1], [1.0]),
+        ([0], [[1.0]]),
+        (0, 1.0),
+        ([-1, 0], [0.5, 0.5]),
+        ([1, 0], [0.5, 0.5]),
+        ([2, 2], [0.5, 0.5]),
+    ], ids=["2-d", "unequal-lengths", "2-d-probs", "scalars", "negative", "descending", "repeated"])
+    def test_malformed_model_rejected(self, terms, probs):
+        # as arrays a negative number would wrap to the last term, where the
+        # model's old term dict raised KeyError
+        with pytest.raises(ValueError, match="term numbers|1-d arrays"):
+            RelevanceModel(np.array(terms), np.array(probs, dtype=float), 1)
+
 
 class TestClarity:
     def test_zero_when_model_equals_collection(self):
@@ -77,14 +112,12 @@ class TestClarity:
         # its smoothed model equals the collection model and the KL is 0
         index = build_index(_docs("a a b c"))
         ranked = retrieve(index, Query("q", ("a",)))
-        assert clarity(index, ranked, k_fb=5) == pytest.approx(0.0, abs=1e-12)
+        assert clarity(index, rm1(index, ranked, k_fb=5)) == pytest.approx(0.0, abs=1e-12)
 
     def test_concentrated_model_hand_value(self, toy_index):
         # engineered model: all mass on one term with cf/|C| = 1/100
         index = build_index(_docs("t " + " ".join(["x"] * 99)))
-        model = RelevanceModel({"t": 1.0}, 1)
-        ranked = RankedList("q", (("d1", -1.0),))
-        score = clarity(index, ranked, model=model)
+        score = clarity(index, _hand_model(index, {"t": 1.0}))
         assert score == pytest.approx(math.log2(100), abs=1e-12)
         assert score == pytest.approx(6.6439, abs=1e-4)
 
@@ -92,7 +125,7 @@ class TestClarity:
     def _per_term(index, model):
         # the per-term generator clarity summed before its numpy form
         return seq_sum(p * math.log2(p / (index.cf[t] / index.total_tokens))
-                       for t, p in model.probs.items() if not p <= 0.0)
+                       for t, p in _named(index, model).items() if not p <= 0.0)
 
     @pytest.mark.parametrize("k_fb", [1, 10, 100])
     def test_bits_of_the_per_term_formula(self, toy_index, ranked_lists, random_corpus, k_fb):
@@ -101,7 +134,7 @@ class TestClarity:
         cases += [(index, retrieve(index, query, k=1000)) for query in queries]
         for index, ranked in cases:
             model = rm1(index, ranked, k_fb=k_fb)
-            assert clarity(index, ranked, model=model).hex() == self._per_term(index, model).hex()
+            assert clarity(index, model).hex() == self._per_term(index, model).hex()
 
     def test_bits_of_the_per_term_formula_on_a_synth_corpus(self, monkeypatch, tmp_path):
         # the benchmark's Zipf-Mandelbrot generator, at 1,500 documents
@@ -113,7 +146,7 @@ class TestClarity:
         for query in load_queries(tmp_path / "queries.tsv"):
             ranked = retrieve(index, query, k=1000)
             model = rm1(index, ranked)
-            assert clarity(index, ranked, model=model).hex() == self._per_term(index, model).hex()
+            assert clarity(index, model).hex() == self._per_term(index, model).hex()
 
     @pytest.mark.parametrize("probs", [
         {"t": 0.0, "x": -0.5},
@@ -125,20 +158,20 @@ class TestClarity:
     ], ids=["none-kept", "negative-zero-skipped", "nan-kept", "subnormal", "log2-rounding", "empty"])
     def test_bits_on_edge_models(self, probs):
         index = build_index(_docs("t " + " ".join(["x"] * 99)))
-        model = RelevanceModel(probs, 1)
-        value = clarity(index, RankedList("q", (("d1", -1.0),)), model=model)
+        model = _hand_model(index, probs)
+        value = clarity(index, model)
         assert repr(value) == repr(self._per_term(index, model))  # nan and the sign of 0 too
 
     def test_nonnegative_on_toy(self, toy_index, ranked_lists):
         for ranked in ranked_lists.values():
-            assert clarity(toy_index, ranked, k_fb=10) >= -1e-9
+            assert clarity(toy_index, rm1(toy_index, ranked, k_fb=10)) >= -1e-9
 
     def test_invariant_under_corpus_duplication(self, toy_docs, toy_queries):
         index = build_index(toy_docs)
         doubled = build_index(toy_docs + [Document(d.doc_id + "_copy", d.text) for d in toy_docs])
         for query in toy_queries[:4]:
-            a = clarity(index, retrieve(index, query, k=1000), k_fb=10_000)
-            b = clarity(doubled, retrieve(doubled, query, k=1000), k_fb=10_000)
+            a = clarity(index, rm1(index, retrieve(index, query, k=1000), k_fb=10_000))
+            b = clarity(doubled, rm1(doubled, retrieve(doubled, query, k=1000), k_fb=10_000))
             assert b == pytest.approx(a, abs=1e-9)
 
 
@@ -177,6 +210,13 @@ class TestWig:
             b = wig(doubled, query, retrieve(doubled, query, k=1000), k=10_000)
             assert b == pytest.approx(a, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_depth_rejected(self, toy_index, toy_queries, ranked_lists, k):
+        # k = 0 divided by zero, and a negative k sliced from the end of the list
+        query = toy_queries[0]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            wig(toy_index, query, ranked_lists[query.query_id], k=k)
+
 
 class TestNqc:
     def test_identical_scores_zero(self, toy_index):
@@ -210,6 +250,13 @@ class TestNqc:
             b = nqc(doubled, query, retrieve(doubled, query, k=1000), k=10_000)
             assert b == pytest.approx(a, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_nonpositive_depth_rejected(self, toy_index, toy_queries, ranked_lists, k):
+        # k = 0 divided by zero, and a negative k sliced from the end of the list
+        query = toy_queries[0]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            nqc(toy_index, query, ranked_lists[query.query_id], k=k)
+
 
 class TestUef:
     """UEF-X = similarity x X, as composed by compute_post_scores."""
@@ -220,7 +267,7 @@ class TestUef:
         query = Query("q", ("a",))
         ranked = retrieve(index, query)
         assert len(ranked) == 2
-        sim = rm_rerank_similarity(index, ranked, m=10, k_fb=10)
+        sim = rm_rerank_similarity(index, ranked, rm1(index, ranked, k_fb=10), m=10)
         assert abs(sim) == pytest.approx(1.0, abs=1e-12)
         scores = compute_post_scores(index, query, ranked, **TOY_PARAMS)
         for base, base_value in (("NQC", nqc(index, query, ranked, k=10)),
@@ -231,7 +278,7 @@ class TestUef:
         index = build_index(_docs("a b", "a b", "z z"))
         query = Query("q", ("a",))
         ranked = retrieve(index, query)
-        assert rm_rerank_similarity(index, ranked, m=10, k_fb=10) is None
+        assert rm_rerank_similarity(index, ranked, rm1(index, ranked, k_fb=10), m=10) is None
         scores = compute_post_scores(index, query, ranked, **TOY_PARAMS)
         assert [scores[f"UEF-{b}"] for b in ("NQC", "WIG", "Clarity")] == [None] * 3
 
@@ -240,45 +287,64 @@ class TestUef:
         # relevance model scores differently
         index = build_index(_docs("a b", "a c c", "a d", "a b e", "a f f f", "a g"))
         ranked = RankedList("q", tuple((f"d{i + 1}", 0.4) for i in range(6)))
-        assert rm_rerank_similarity(index, ranked, m=10, k_fb=6, metric="pearson") is None
+        model = rm1(index, ranked, k_fb=6)
+        assert rm_rerank_similarity(index, ranked, model, m=10, metric="pearson") is None
 
     def test_recomposition_on_toy(self, toy_index, toy_queries, ranked_lists):
         for query in toy_queries:
             ranked = ranked_lists[query.query_id]
             model = rm1(toy_index, ranked, k_fb=10, mu=1000)
-            sim = rm_rerank_similarity(toy_index, ranked, m=10, k_fb=10, model=model)
+            sim = rm_rerank_similarity(toy_index, ranked, model, m=10)
             scores = compute_post_scores(toy_index, query, ranked, **TOY_PARAMS)
             for base, base_value in (
                 ("NQC", nqc(toy_index, query, ranked, k=10)),
                 ("WIG", wig(toy_index, query, ranked, k=5)),
-                ("Clarity", clarity(toy_index, ranked, k_fb=10, model=model)),
+                ("Clarity", clarity(toy_index, model)),
             ):
                 assert scores[f"UEF-{base}"] == pytest.approx(sim * base_value, rel=1e-12)
 
     def test_kendall_similarity_option(self, toy_index, toy_queries, ranked_lists):
         query = toy_queries[0]
         ranked = ranked_lists[query.query_id]
-        sim = rm_rerank_similarity(toy_index, ranked, m=10, k_fb=10, metric="kendall")
+        sim = rm_rerank_similarity(toy_index, ranked, rm1(toy_index, ranked, k_fb=10), m=10,
+                                   metric="kendall")
         assert sim is not None and -1.0 <= sim <= 1.0
         scores = compute_post_scores(toy_index, query, ranked, **TOY_PARAMS, uef_sim="kendall")
         assert scores["UEF-NQC"] == pytest.approx(sim * nqc(toy_index, query, ranked, k=10),
                                                   rel=1e-12)
 
     def test_unknown_similarity_metric_rejected(self, toy_index, ranked_lists):
+        model = rm1(toy_index, ranked_lists["q01"])
         with pytest.raises(ValueError):
-            rm_rerank_similarity(toy_index, ranked_lists["q01"], metric="cosine")
+            rm_rerank_similarity(toy_index, ranked_lists["q01"], model, metric="cosine")
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_nonpositive_depth_rejected(self, toy_index, ranked_lists, m):
         # a negative m would slice from the end of the list instead
+        model = rm1(toy_index, ranked_lists["q01"])
         with pytest.raises(ValueError, match="m must be >= 1"):
-            rm_rerank_similarity(toy_index, ranked_lists["q01"], m=m)
+            rm_rerank_similarity(toy_index, ranked_lists["q01"], model, m=m)
 
     @pytest.mark.parametrize("mu", [0, math.inf])
     def test_bad_mu_rejected(self, toy_index, ranked_lists, mu):
         model = rm1(toy_index, ranked_lists["q01"], k_fb=10)
         with pytest.raises(ValueError, match="mu must be > 0 and finite"):
             rm_rerank_similarity(toy_index, ranked_lists["q01"], mu=mu, model=model)
+
+    @pytest.mark.parametrize("option,match", [
+        (dict(metric="cosine"), "unknown similarity metric"),
+        (dict(mu=-5.0), "mu must be > 0 and finite"),
+    ], ids=["metric", "mu"])
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_bad_options_rejected_on_a_short_list(self, toy_index, ranked_lists, option, match,
+                                                  length):
+        # a list of fewer than two documents has no similarity, but its options are checked
+        ranked = ranked_lists["q01"]
+        model = rm1(toy_index, ranked, k_fb=10)
+        short = RankedList("q01", ranked.entries[:length])
+        assert rm_rerank_similarity(toy_index, short, model, m=10) is None
+        with pytest.raises(ValueError, match=match):
+            rm_rerank_similarity(toy_index, short, model, m=10, **option)
 
 
 class TestComputePostScores:
@@ -294,4 +360,24 @@ class TestComputePostScores:
         assert scores["NQC"] == nqc(toy_index, query, ranked, k=10)
         assert scores["WIG"] == wig(toy_index, query, ranked, k=5)
         assert scores["Clarity"] == pytest.approx(
-            clarity(toy_index, ranked, k_fb=10), abs=1e-12)
+            clarity(toy_index, rm1(toy_index, ranked, k_fb=10)), abs=1e-12)
+
+    @pytest.mark.parametrize("params", [{}, dict(TOY_PARAMS, mu=37.5)], ids=["defaults", "toy-mu37.5"])
+    def test_bits_independent_of_query_order(self, random_corpus, params):
+        # the index's tf = 0 log tables fill query by query; a table whose contents
+        # followed the order would change a value's last bits here
+        index, queries = random_corpus
+
+        def hexes(order):
+            fresh = Index(index.terms, index.doc_ids, index.by_term, index.by_doc)
+            found = {}
+            for query in order:
+                ranked = retrieve(fresh, query, k=1000, mu=params.get("mu", 1000.0))
+                scores = compute_post_scores(fresh, query, ranked, **params)
+                found[query.query_id] = {name: None if value is None else value.hex()
+                                         for name, value in scores.items()}
+            return found
+
+        forward = hexes(queries)
+        assert any(v is not None for scores in forward.values() for v in scores.values())
+        assert forward == hexes(queries[::-1])

@@ -108,14 +108,13 @@ def _assert_matches_reference(index, ranked, k_fb, m, mu):
     model = rm1(index, ranked, k_fb=k_fb, mu=mu)
     probs, depth = _reference_rm1(index, ranked, k_fb, mu)
     assert model.feedback_depth == depth
-    assert list(model.probs) == list(probs)
-    assert model.probs == probs
+    named = dict(zip(map(index.terms.__getitem__, model.terms.tolist()), model.probs.tolist()))
+    assert list(named) == list(probs)
+    assert named == probs
     for metric in ("pearson", "kendall"):
         expected = _reference_rerank(index, ranked, m, mu, metric, probs)
-        for given in (model, None):
-            got = rm_rerank_similarity(index, ranked, m=m, k_fb=k_fb, mu=mu,
-                                       metric=metric, model=given)
-            assert got == expected, (metric, got, expected)
+        got = rm_rerank_similarity(index, ranked, model, m=m, mu=mu, metric=metric)
+        assert got == expected, (metric, got, expected)
 
 
 class TestAgainstReference:
@@ -158,7 +157,7 @@ class TestSharedBlocksAgainstReference:
         for terms in (("c0",), ("c1", "c2"), ("c3", "c0", "c3")):
             ranked = retrieve(index, Query("s", terms), k=1000)
             model = rm1(index, ranked, k_fb=30)
-            cfs = Counter(index.cf[t] for t in model.probs)
+            cfs = Counter(index.cf[index.terms[t]] for t in model.terms.tolist())
             assert cfs[1] >= 100 and cfs[2] >= 40
             _assert_matches_reference(index, ranked, k_fb=30, m=25, mu=1000.0)
 

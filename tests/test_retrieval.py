@@ -211,6 +211,14 @@ class TestAveragePrecision:
         qrels = Qrels({("q", "d3"): 1})
         assert average_precision(_ranked("q", "d1", "d2", "d3"), qrels, cutoff=2) == 0.0
 
+    @pytest.mark.parametrize("cutoff", [0, -1])
+    @pytest.mark.parametrize("qrels", [Qrels({("q", "d2"): 1}), Qrels({("q", "d1"): 0})],
+                             ids=["relevant", "none-relevant"])
+    def test_nonpositive_cutoff_rejected(self, qrels, cutoff):
+        # a negative cutoff would slice from the end of the list
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            average_precision(_ranked("q", "d1", "d2", "d3"), qrels, cutoff=cutoff)
+
     def test_one_iff_relevant_prefix(self):
         rng = random.Random(11)
         for _ in range(30):

@@ -249,7 +249,8 @@ class TestZeroTfLogTable:
                 if record:
                     terms = {t for t in query.terms if t in index.cf}
                     grids.append((terms, {d for t in terms for d in index.postings[t]}))
-                    grids.append((set(model.probs), set(ranked.doc_ids[:20])))
+                    grids.append(({index.terms[t] for t in model.terms.tolist()},
+                                  set(ranked.doc_ids[:20])))
 
         monkeypatch.setattr(retrieval, "math", CountingMath)
         sequence(record=True)
