@@ -4,6 +4,9 @@ Subcommands: index, retrieve, predict-pre, predict-post, fuse, evaluate,
 heatmap, experiment. Every subcommand reads the flat key-value config file
 given with --config; --seed and --out override the config's seed and
 output directory. All outputs are TSV (UTF-8, LF), written under --out.
+The corpus layers (corpus, retrieval, pre- and post-retrieval) are imported
+only when a command runs on a corpus, so fuse, evaluate, heatmap and
+experiment on a design start without them.
 """
 
 import argparse
@@ -12,18 +15,17 @@ import sys
 from pathlib import Path
 
 from . import fusion
-from .corpus import build_index, dump_stats, ingest, load_lexicon
 from .evaluation import (
     predictor_correlation_matrix,
     report_row,
     rmse_single,
     write_corr_matrix_tsv,
     write_report_tsv,
+    write_scores_long,
+    write_scores_wide,
 )
 from .experiment import (ExperimentConfig, HarnessError, fit_combiner, load_corpus,
                          load_design, post_scores, run_experiment)
-from .pre_retrieval import compute_pre_scores, write_scores_long, write_scores_wide
-from .retrieval import retrieve, write_run_file
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +45,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_index(config: ExperimentConfig) -> None:
+    from .corpus import build_index, dump_stats, ingest
     # not load_corpus: a config without corpus.queries can still be indexed
     index = build_index(ingest(config.docs, config.corpus_format), config.tokenizer_config())
     out = Path(config.out)
@@ -52,6 +55,7 @@ def cmd_index(config: ExperimentConfig) -> None:
 
 
 def cmd_retrieve(config: ExperimentConfig) -> None:
+    from .retrieval import retrieve, write_run_file
     index, queries = load_corpus(config)
     ranked = [retrieve(index, q, k=config.k, mu=config.mu) for q in queries]
     path = Path(config.out) / "run.txt"
@@ -61,6 +65,8 @@ def cmd_retrieve(config: ExperimentConfig) -> None:
 
 
 def cmd_predict_pre(config: ExperimentConfig) -> None:
+    from .corpus import load_lexicon
+    from .pre_retrieval import compute_pre_scores
     index, queries = load_corpus(config)
     lexicon = load_lexicon(config.lexicon) if config.lexicon else None
     scores = {
@@ -74,6 +80,7 @@ def cmd_predict_pre(config: ExperimentConfig) -> None:
 
 
 def cmd_predict_post(config: ExperimentConfig) -> None:
+    from .retrieval import retrieve
     index, queries = load_corpus(config)
     scores = {}
     skipped = []

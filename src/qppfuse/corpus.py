@@ -299,6 +299,9 @@ class Rows:
         for values in (self.ptr, self.cols, self.tfs, self.sums):
             values.flags.writeable = False
 
+    def __reduce__(self):  # through __init__, so a copy's arrays are read-only too
+        return type(self), (self.ptr, self.cols, self.tfs, self.sums)
+
     def __eq__(self, other):
         return isinstance(other, Rows) and all(map(np.array_equal, (self.ptr, self.cols, self.tfs),
                                                    (other.ptr, other.cols, other.tfs)))
@@ -425,6 +428,9 @@ class Index:
     doc_ids: tuple[str, ...]
     by_term: Rows
     by_doc: Rows
+
+    def __reduce__(self):  # the rows only: a copy or an unpickled index fills its own caches
+        return type(self), (self.terms, self.doc_ids, self.by_term, self.by_doc)
 
     @property
     def n_docs(self) -> int:

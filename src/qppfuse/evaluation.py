@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .retrieval import BLOCK_CELLS
-from .seeding import seq_sum, write_lines
+from .seeding import BLOCK_CELLS, seq_sum, write_lines
 
 __all__ = [
     "UndefinedMetricError",
@@ -40,6 +39,8 @@ __all__ = [
     "write_corr_matrix_tsv",
     "write_report_tsv",
     "write_split_report_tsv",
+    "write_scores_long",
+    "write_scores_wide",
 ]
 
 logger = logging.getLogger(__name__)
@@ -456,3 +457,19 @@ def write_split_report_tsv(path, per_split) -> None:
     write_lines(path, ["split\t" + "\t".join(REPORT_COLUMNS)] + [
         "\t".join([str(s)] + _report_cells(row))
         for s, rows in enumerate(per_split) for row in rows])
+
+
+def write_scores_long(path, scores_by_query: dict[str, dict[str, float]]) -> None:
+    """Long-format score TSV: query_id, predictor name, value."""
+    write_lines(path, (f"{qid}\t{name}\t{value:.6f}" for qid, scores in scores_by_query.items()
+                       for name, value in scores.items()))
+
+
+def write_scores_wide(path, scores_by_query: dict[str, dict[str, float]]) -> None:
+    """Wide-format score TSV: header row of predictor names, one row per query."""
+    if not scores_by_query:
+        raise ValueError("no scores to write")
+    names = list(next(iter(scores_by_query.values())).keys())
+    write_lines(path, ["query_id\t" + "\t".join(names)] + [
+        f"{qid}\t" + "\t".join(f"{scores[n]:.6f}" for n in names)
+        for qid, scores in scores_by_query.items()])

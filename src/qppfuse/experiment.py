@@ -19,14 +19,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import fusion
-from .corpus import (
-    TokenizerConfig,
-    build_index,
-    ingest,
-    load_lexicon,
-    load_qrels,
-    load_queries,
-)
 from .evaluation import (
     REPORT_COLUMNS,
     CorrMatrix,
@@ -42,9 +34,6 @@ from .evaluation import (
     write_split_report_tsv,
 )
 from .fusion import ScoreTable, minmax_apply, minmax_fit, predict
-from .post_retrieval import POST_PREDICTORS, compute_post_scores
-from .pre_retrieval import PRE_PREDICTORS, compute_pre_scores
-from .retrieval import average_precision, retrieve, write_run_file
 from .seeding import derive_seed, read_lines, write_lines
 
 __all__ = [
@@ -54,6 +43,8 @@ __all__ = [
     "ExperimentResult",
     "HypothesisReport",
     "COMBINERS",
+    "PRE_PREDICTORS",
+    "POST_PREDICTORS",
     "split_random_halves",
     "split_leave_one_out",
     "split_fixed",
@@ -71,6 +62,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 COMBINERS = ("OLS", "LASSO-CV", "Ridge-CV", "LARS-Traps", "LARS-CV", "BOLASSO", "E-Net")
+# The predictor names a config may list, in the order of compute_pre_scores' and
+# compute_post_scores' values.
+PRE_PREDICTORS = ("AvgIDF", "MaxIDF", "SumSCQ", "AvgSCQ", "MaxSCQ", "SumVAR", "AvgVAR",
+                  "MaxVAR", "AvP", "AvNP")
+POST_PREDICTORS = ("Clarity", "WIG", "NQC", "UEF-NQC", "UEF-WIG", "UEF-Clarity")
 
 
 class HarnessError(Exception):
@@ -342,7 +338,9 @@ class ExperimentConfig:
         if self.protocol == "fixed" and not (self.train_file and self.test_file):
             raise HarnessError("fixed protocol needs split.train_file and split.test_file")
 
-    def tokenizer_config(self) -> TokenizerConfig:
+    def tokenizer_config(self):
+        """The ``corpus.TokenizerConfig`` of the ``tokenize.*`` keys."""
+        from .corpus import TokenizerConfig
         stopwords = frozenset()
         if self.stopwords_path:
             stopwords = frozenset(_read_id_file(self.stopwords_path))
@@ -393,6 +391,7 @@ def import_external_scores(path, expected_qids) -> dict[str, float]:
 
 def load_corpus(config: ExperimentConfig):
     """The index and the tokenized queries, under one reading of the tokenizer settings."""
+    from .corpus import build_index, ingest, load_queries
     tok = config.tokenizer_config()
     index = build_index(ingest(config.docs, config.corpus_format), tok)
     return index, load_queries(config.queries, tok)
@@ -400,6 +399,7 @@ def load_corpus(config: ExperimentConfig):
 
 def post_scores(config: ExperimentConfig, index, query, ranked) -> dict[str, float | None]:
     """The six post-retrieval values of one query under the config's settings."""
+    from .post_retrieval import compute_post_scores
     return compute_post_scores(
         index, query, ranked, k_fb=config.k_fb, wig_k=config.wig_k, nqc_k=config.nqc_k,
         uef_m=config.uef_m, mu=config.mu, uef_sim=config.uef_sim)
@@ -411,6 +411,9 @@ def build_score_table(config: ExperimentConfig):
     Queries that are degenerate, lack relevant documents, or have an
     undefined predictor value are excluded (with reasons).
     """
+    from .corpus import load_lexicon, load_qrels
+    from .pre_retrieval import compute_pre_scores
+    from .retrieval import average_precision, retrieve
     if not config.lexicon and any(p in ("AvP", "AvNP") for p in config.pre_predictors):
         raise HarnessError("AvP/AvNP require corpus.lexicon")
     if not (config.pre_predictors or config.post_predictors or config.external_scores):
@@ -764,6 +767,7 @@ def write_artifacts(result: ExperimentResult, ranked_lists, config: ExperimentCo
         write_hypothesis_tsv(out / "hypothesis.tsv", result.hypothesis)
     result.table.write_tsv(out / "score_table.tsv")
     if ranked_lists is not None:  # a design table has no run and excludes nothing
+        from .retrieval import write_run_file
         write_run_file(out / "run.txt", ranked_lists)
         write_lines(out / "excluded.tsv", ["query_id\treason"] + [
             f"{qid}\t{reason}" for qid, reason in result.excluded.items()])

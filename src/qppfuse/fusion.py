@@ -117,6 +117,9 @@ class ScoreTable:
     def _derived(cls, query_ids, names, x, target) -> "ScoreTable":
         return cls.__new__(cls)._store(query_ids, names, x, target)
 
+    def __reduce__(self):  # the stored arrays and names; the columns are rebuilt as views
+        return type(self)._derived, (self.query_ids, self.column_names, self._x, self.target)
+
     @property
     def n_rows(self) -> int:
         return len(self.query_ids)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .corpus import Index, Query
 from .evaluation import UndefinedMetricError, kendall_tau_b, mean_ssd, pearson_r
+from .experiment import POST_PREDICTORS
 from .retrieval import DegenerateQueryError, RankedList, collection_likelihood, dirichlet_sums
 from .seeding import seq_sum
 
@@ -32,8 +33,6 @@ __all__ = [
     "rm_rerank_similarity",
     "compute_post_scores",
 ]
-
-POST_PREDICTORS = ("Clarity", "WIG", "NQC", "UEF-NQC", "UEF-WIG", "UEF-Clarity")
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .corpus import Index, Query, SenseLexicon
+from .evaluation import write_scores_long, write_scores_wide
+from .experiment import PRE_PREDICTORS
 from .retrieval import scoreable_terms
-from .seeding import seq_sum, write_lines
+from .seeding import seq_sum
 
 __all__ = [
     "PRE_PREDICTORS",
@@ -36,19 +38,6 @@ __all__ = [
     "write_scores_long",
     "write_scores_wide",
 ]
-
-PRE_PREDICTORS = (
-    "AvgIDF",
-    "MaxIDF",
-    "SumSCQ",
-    "AvgSCQ",
-    "MaxSCQ",
-    "SumVAR",
-    "AvgVAR",
-    "MaxVAR",
-    "AvP",
-    "AvNP",
-)
 
 
 class IdfFamily(NamedTuple):
@@ -171,19 +160,3 @@ def compute_pre_scores(
         "AvP": pol.avg_senses,
         "AvNP": pol.avg_noun_senses,
     }
-
-
-def write_scores_long(path, scores_by_query: dict[str, dict[str, float]]) -> None:
-    """Long-format score TSV: query_id, predictor name, value."""
-    write_lines(path, (f"{qid}\t{name}\t{value:.6f}" for qid, scores in scores_by_query.items()
-                       for name, value in scores.items()))
-
-
-def write_scores_wide(path, scores_by_query: dict[str, dict[str, float]]) -> None:
-    """Wide-format score TSV: header row of predictor names, one row per query."""
-    if not scores_by_query:
-        raise ValueError("no scores to write")
-    names = list(next(iter(scores_by_query.values())).keys())
-    write_lines(path, ["query_id\t" + "\t".join(names)] + [
-        f"{qid}\t" + "\t".join(f"{scores[n]:.6f}" for n in names)
-        for qid, scores in scores_by_query.items()])

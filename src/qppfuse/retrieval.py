@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Index, Qrels, Query
-from .seeding import seq_sum, write_lines
+from .seeding import BLOCK_CELLS, seq_sum, write_lines
 
 __all__ = [
     "DegenerateQueryError",
@@ -63,10 +63,10 @@ def scoreable_terms(index: Index, terms) -> list[str]:
     return [t for t in terms if index.cf.get(t, 0) > 0]
 
 
-BLOCK_CELLS = 16384  # cells per scoring block; no float grid of dirichlet_sums is larger
-# The tf = 0 log tables of Index.zero_tf_logs are the one array BLOCK_CELLS does not
-# bound; the data bounds them: distinct cfs, and distinct lengths, sum to at most |C|,
-# so each table side is under sqrt(2|C|) + 1.
+# No float grid of dirichlet_sums is larger than BLOCK_CELLS. The tf = 0 log tables of
+# Index.zero_tf_logs are the one array BLOCK_CELLS does not bound; the data bounds them:
+# distinct cfs, and distinct lengths, sum to at most |C|, so each table side is under
+# sqrt(2|C|) + 1.
 
 
 def _logs(values) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Determinism helpers: per-task seeds from a root seed, the one float sum, and the one
-text-file format."""
+"""Determinism helpers: per-task seeds from a root seed, the one float sum and the block
+size of the blocked sums, and the one text-file format."""
 
 import contextlib
 import hashlib
 import os
 
-__all__ = ["derive_seed", "seq_sum", "read_lines", "write_lines"]
+__all__ = ["derive_seed", "seq_sum", "BLOCK_CELLS", "read_lines", "write_lines"]
 
 
 def derive_seed(root_seed: int, *parts) -> int:
@@ -27,6 +27,9 @@ def seq_sum(values, start=0.0):
     for v in values:
         total += v
     return total
+
+
+BLOCK_CELLS = 16384  # cells per block of the blocked numpy sums; no float temporary is larger
 
 
 def read_lines(path):

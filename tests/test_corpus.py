@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import gc
 import json
 import logging
+import pickle
 import random
 import re
 import subprocess
@@ -31,6 +33,7 @@ from qppfuse.corpus import (
 )
 from qppfuse import corpus
 from qppfuse.corpus import _s_stem, key_dtype
+from qppfuse.retrieval import retrieve
 from tests import brute_force_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -932,6 +935,24 @@ class TestPersistence:
         path = tmp_path / "stats.txt"
         dump_stats(toy_index, path)
         assert load_stats(path) == toy_index
+
+    @pytest.mark.parametrize("clone", [lambda index: pickle.loads(pickle.dumps(index)),
+                                       copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copy_after_the_caches_fill(self, toy_docs, toy_queries, clone):
+        index = build_index(toy_docs)  # not the shared fixture: its caches stay as they are
+        ranked = retrieve(index, toy_queries[0])  # fills zero_tf_logs and the classes
+        index.df, index.cf, index.doc_len, index.term_row, index.doc_row, index.total_tokens
+        copied = clone(index)
+        assert copied == index and copied.terms == index.terms
+        for side in ("by_term", "by_doc"):
+            for name in ("ptr", "cols", "tfs", "sums"):
+                a, b = getattr(getattr(index, side), name), getattr(getattr(copied, side), name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (side, name)
+                assert not b.flags.writeable, (side, name)
+        assert not {"df", "cf", "doc_len", "term_row", "zero_tf_logs"} & set(vars(copied))
+        assert (copied.df, copied.cf, copied.doc_len) == (index.df, index.cf, index.doc_len)
+        assert retrieve(copied, toy_queries[0]) == ranked
 
     def test_stats_dump_is_text(self, toy_index, tmp_path):
         path = tmp_path / "stats.txt"

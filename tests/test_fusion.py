@@ -1,5 +1,7 @@
+import copy
 import logging
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -1003,6 +1005,20 @@ class TestStoredMatrix:
         path = tmp_path / "design.tsv"
         self.table().write_tsv(path)
         self.assert_stacked(ScoreTable.read_tsv(path))
+
+    @pytest.mark.parametrize("clone", [lambda table: pickle.loads(pickle.dumps(table)),
+                                       copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_keep_the_bits_and_the_read_only_matrix(self, clone):
+        table = self.table().subset([4, 1, 1, 7])
+        copied = clone(table)
+        self.assert_stacked(copied)
+        assert (copied.query_ids, copied.column_names) == (table.query_ids, table.column_names)
+        assert copied.matrix().tobytes() == table.matrix().tobytes()
+        assert copied.target.tobytes() == table.target.tobytes()
+        assert not copied.matrix().flags.writeable
+        for values in copied.columns.values():
+            assert np.shares_memory(values, copied.matrix()) and not values.flags.writeable
 
     def test_writes_raise(self):
         table = self.table()

@@ -13,7 +13,11 @@ on every call, even when the key is already there. No module but ``seeding``
 opens a file (builtin or ``io`` ``open``, or a path's ``open``, ``read_text``,
 ``write_text``, ``read_bytes`` or ``write_bytes``): every text file is read
 and written through ``seeding.read_lines`` and ``seeding.write_lines``, so
-there is one text-file format.
+there is one text-file format. The design side (``seeding``, ``fusion``,
+``evaluation``, ``experiment`` and ``cli``) imports only design-side modules
+outside function bodies, so no import chain from it reaches a corpus-side module
+(``corpus``, ``retrieval``, ``pre_retrieval``, ``post_retrieval``): commands on a
+design table start without them, and a corpus command imports them where it runs.
 """
 
 import ast
@@ -30,6 +34,8 @@ CODE_RUNNERS = {"exec", "eval", "compile"}
 FRESH_DEFAULTS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp, ast.Call)
 FILE_OPENERS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
 FILE_MODULE = "seeding.py"  # the one module that opens files
+DESIGN_SIDE = {"seeding", "fusion", "evaluation", "experiment", "cli"}
+CORPUS_SIDE = {"corpus", "retrieval", "pre_retrieval", "post_retrieval"}
 
 
 def _private(name: str) -> bool:
@@ -86,6 +92,33 @@ def violations(source: str, opens_files: bool = False) -> list[str]:
     return found
 
 
+def _module_level(tree):
+    """The statements that run when the module is imported: all but function bodies."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            yield from _module_level(node)
+
+
+def module_level_imports(source: str) -> set[str]:
+    """The package modules that the module-level imports of ``source`` name, by file stem:
+    ``corpus`` for ``from .corpus import Index``, ``from . import corpus`` or ``import
+    qppfuse.corpus``; a name taken from the package namespace itself reads ``__init__``."""
+    found = set()
+    for node in _module_level(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[1] for alias in node.names
+                      if alias.name.startswith(PACKAGE.name + ".")}
+        elif isinstance(node, ast.ImportFrom) and _package_module(node):
+            module = node.module if node.level else node.module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import name: a submodule, or a name of the package namespace
+                found |= {alias.name if (PACKAGE / f"{alias.name}.py").exists() else "__init__"
+                          for alias in node.names}
+    return found
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_respects_layering(path):
     assert violations(path.read_text(encoding="utf-8"), path.name == FILE_MODULE) == []
@@ -138,3 +171,40 @@ def test_checker_allows_public_and_own_private_names():
 def test_checker_lets_the_file_module_open_files():
     source = "def read(path):\n    with open(path, encoding='utf-8') as fh:\n        return fh.read()\n"
     assert violations(source) and violations(source, opens_files=True) == []
+
+
+@pytest.mark.parametrize("name", sorted(DESIGN_SIDE))
+def test_design_side_imports_only_the_design_side(name):
+    source = (PACKAGE / f"{name}.py").read_text(encoding="utf-8")
+    assert module_level_imports(source) - DESIGN_SIDE == set()
+
+
+def test_the_two_sides_cover_the_package():
+    assert DESIGN_SIDE | CORPUS_SIDE | {"__init__"} == {path.stem for path in MODULES}
+
+
+@pytest.mark.parametrize("source", [
+    "from .corpus import Index",
+    "from . import retrieval",
+    "from . import fusion, pre_retrieval as pre",
+    "import qppfuse.post_retrieval",
+    "from qppfuse.corpus import build_index",
+    "from qppfuse import retrieval",
+    "from . import Index",
+    "if True:\n    from .corpus import Index",
+    "try:\n    from .retrieval import retrieve\nexcept ImportError:\n    pass",
+    "class Config:\n    from .corpus import TokenizerConfig",
+])
+def test_module_level_checker_flags(source):
+    assert module_level_imports(source) - DESIGN_SIDE
+
+
+@pytest.mark.parametrize("source", [
+    "import numpy as np\nfrom . import fusion\nfrom .evaluation import pearson",
+    "import qppfuse.fusion\nfrom qppfuse.seeding import derive_seed",
+    "def load():\n    from .corpus import build_index\n    return build_index",
+    "class Config:\n    def tokenizer(self):\n        from .corpus import TokenizerConfig",
+    "async def run():\n    from . import retrieval",
+])
+def test_module_level_checker_allows(source):
+    assert module_level_imports(source) <= DESIGN_SIDE
