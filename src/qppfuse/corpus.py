@@ -11,7 +11,7 @@ import json
 import logging
 import re
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,16 +37,12 @@ __all__ = [
     "ingest",
     "build_index",
     "dump_stats",
-    "load_stats",
     "load_queries",
     "load_qrels",
     "load_lexicon",
 ]
 
 logger = logging.getLogger(__name__)
-
-SNAPSHOT_MAGIC = "qppfuse-index"
-SNAPSHOT_VERSION = 1
 
 
 class CorpusError(Exception):
@@ -393,23 +389,6 @@ def _from_tokens(terms, doc_ids, term_of, docs, counts) -> "Index":
     return Index(tuple(terms), tuple(doc_ids), by_term, by_doc)
 
 
-class _PostingsView(Mapping):
-    """term -> {doc_id: tf} in ascending doc_id order, a new dict on each access."""
-
-    def __init__(self, index: "Index"):
-        self._index = index
-
-    def __getitem__(self, term: str) -> dict[str, int]:
-        docs, tfs = self._index.by_term.row(self._index.term_row[term])
-        return dict(zip(map(self._index.doc_ids.__getitem__, docs.tolist()), tfs.tolist()))
-
-    def __iter__(self):
-        return iter(self._index.terms)
-
-    def __len__(self) -> int:
-        return len(self._index.terms)
-
-
 @dataclass(frozen=True, repr=False)
 class Index:
     """Immutable inverted index; its rows are its only stored state.
@@ -421,7 +400,6 @@ class Index:
     mappings ``doc_len``, ``df`` and ``cf`` (in those orders) are derived from
     the rows, and so are the classes of the distinct cfs and lengths that key
     the per-mu tf = 0 log tables ``zero_tf_logs``, a cache that scoring fills.
-    ``postings`` is a mapping view for checks, not for scoring.
     """
 
     terms: tuple[str, ...]
@@ -479,11 +457,6 @@ class Index:
     def doc_row(self) -> dict[str, int]:
         """doc_id -> its number, the row of ``by_doc``."""
         return dict(zip(self.doc_ids, range(len(self.doc_ids))))
-
-    @property
-    def postings(self) -> Mapping[str, dict[str, int]]:
-        """term -> {doc_id: tf}, ascending doc_id; each access builds a new dict."""
-        return _PostingsView(self)
 
 
 TOKEN_CHUNK = 1 << 15  # bytes of normalised text per step; 64 KB builds faster but peaks higher
@@ -662,7 +635,7 @@ def dump_stats(index: Index, path) -> None:
     line per term carrying its full postings list.
     """
     def lines():
-        yield f"# {SNAPSHOT_MAGIC} stats v{SNAPSHOT_VERSION}"
+        yield "# qppfuse-index stats v1"
         yield f"N\t{index.n_docs}"
         yield f"C\t{index.total_tokens}"
         for doc_id, length in index.doc_len.items():
@@ -672,74 +645,6 @@ def dump_stats(index: Index, path) -> None:
             cells = "\t".join(f"{index.doc_ids[d]}:{tf}" for d, tf in zip(docs, tfs))
             yield f"term\t{term}\t{cells}"
     write_lines(path, lines())
-
-
-def load_stats(path) -> Index:
-    """Rebuild an Index from a stats dump written by :func:`dump_stats`.
-
-    The dump is the index snapshot format. A wrong header, a malformed
-    record or statistics that break an index invariant raise CorpusError.
-    """
-    header = f"# {SNAPSHOT_MAGIC} stats v{SNAPSHOT_VERSION}"
-    n_docs = total = None
-    doc_len: dict[str, int] = {}
-    postings: dict[str, dict[str, int]] = {}
-    lines = read_lines(path)
-    if next(lines, (1, None))[1] != header:
-        raise CorpusError(f"{path}: not an index stats dump (expected header {header!r})")
-    for lineno, line in lines:
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        kind = parts[0]
-        try:
-            if kind == "N":
-                _, value = parts
-                n_docs = int(value)
-            elif kind == "C":
-                _, value = parts
-                total = int(value)
-            elif kind == "doc":
-                _, doc_id, length = parts
-                doc_len[doc_id] = int(length)
-            elif kind == "term":
-                plist = {}
-                for cell in parts[2:]:
-                    doc_id, _, tf = cell.rpartition(":")
-                    if not doc_id or int(tf) < 1:
-                        raise ValueError(f"bad posting {cell!r}")
-                    if doc_id in plist:
-                        raise ValueError(f"repeated doc {doc_id!r}")
-                    plist[doc_id] = int(tf)
-                postings[parts[1]] = plist
-            else:
-                raise CorpusError(f"{path}:{lineno}: unknown record {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise CorpusError(f"{path}:{lineno}: malformed {kind!r} record: {exc}") from exc
-    if n_docs is None or total is None:
-        raise CorpusError(f"{path}: missing N or C header")
-    if n_docs != len(doc_len):
-        raise CorpusError(f"{path}: N = {n_docs} but {len(doc_len)} documents")
-    if sum(doc_len.values()) != total:
-        raise CorpusError(f"{path}: sum of doc lengths != total_tokens")
-    tf_sums = Counter()
-    for term, plist in postings.items():
-        if not plist:
-            raise CorpusError(f"{path}: df out of range for {term!r}")
-        unknown = [d for d in plist if d not in doc_len]
-        if unknown:
-            raise CorpusError(f"{path}: postings of {term!r} name unknown documents {unknown}")
-        tf_sums.update(plist)
-    bad = sorted(d for d, n in doc_len.items() if tf_sums[d] != n)
-    if bad:
-        raise CorpusError(f"{path}: sum of tf != doc length for documents {bad}")
-    terms, doc_ids = sorted(postings), sorted(doc_len)
-    doc_row = dict(zip(doc_ids, range(len(doc_ids))))
-    sizes = [len(postings[t]) for t in terms]
-    tfs = np.fromiter((tf for t in terms for tf in postings[t].values()), np.int64, sum(sizes))
-    docs = np.fromiter((doc_row[d] for t in terms for d in postings[t]), np.int64, sum(sizes))
-    return _from_tokens(terms, doc_ids, np.repeat(np.repeat(np.arange(len(terms)), sizes), tfs),
-                        docs, tfs)
 
 
 def load_queries(path, config: TokenizerConfig = DEFAULT_TOKENIZER) -> list[Query]:

@@ -6,7 +6,8 @@ suite can compare the two code paths value by value. Two exceptions reuse
 package fits in a loop the package no longer runs: ``bolasso_full_b`` runs
 all b resamples, as an oracle for BOLASSO's early stop, and
 ``loo_rmse_loop`` makes the n leave-one-out fits that ``rmse_single``
-replaces by its closed form.
+replaces by its closed form. ``postings`` reads a package index, through its
+attributes only, into the term -> {doc_id: tf} dicts the reference loops use.
 Run as a script to print the full table:
 
     python3 tests/brute_force_reference.py data/toy
@@ -69,6 +70,32 @@ def stats(docs):
                 df[t] = df.get(t, 0) + 1
                 seen.add(t)
     return n_docs, total, df, cf
+
+
+def stats_dump(docs):
+    """The text of ``qppfuse.corpus.dump_stats`` for ``docs`` (doc_id -> tokens): a header,
+    N and |C|, a line per document (length) and per term (doc:tf cells), both ascending."""
+    doc_ids = sorted(docs)
+    tfs = {}
+    for doc_id in doc_ids:
+        for t in docs[doc_id]:
+            cells = tfs.setdefault(t, {})
+            cells[doc_id] = cells.get(doc_id, 0) + 1
+    lines = ["# qppfuse-index stats v1", f"N\t{len(docs)}",
+             f"C\t{sum(len(tokens) for tokens in docs.values())}"]
+    lines += [f"doc\t{doc_id}\t{len(docs[doc_id])}" for doc_id in doc_ids]
+    for t in sorted(tfs):
+        lines.append("\t".join(["term", t] + [f"{d}:{tf}" for d, tf in tfs[t].items()]))
+    return "".join(line + "\n" for line in lines)
+
+
+def postings(index):
+    """term -> {doc_id: tf}, ascending doc_id, read from a package index's ``by_term`` rows."""
+    plists = {}
+    for r, term in enumerate(index.terms):
+        docs, tfs = index.by_term.row(r)
+        plists[term] = {index.doc_ids[d]: tf for d, tf in zip(docs.tolist(), tfs.tolist())}
+    return plists
 
 
 # Float sums below are explicit += loops, which add in sequence on every Python

@@ -17,12 +17,13 @@ from qppfuse.corpus import Document, Query, build_index
 from qppfuse.evaluation import UndefinedMetricError, kendall_tau_b, pearson, pearson_r
 from qppfuse.post_retrieval import rm1, rm_rerank_similarity
 from qppfuse.retrieval import retrieve
+from tests.brute_force_reference import postings
 
 
 def _reference_doc_term_freqs(index, doc_ids):
     wanted = set(doc_ids)
     tfs = {d: {} for d in wanted}
-    for term, plist in index.postings.items():
+    for term, plist in postings(index).items():
         for doc_id, tf in plist.items():
             if doc_id in wanted:
                 tfs[doc_id][term] = tf

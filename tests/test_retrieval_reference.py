@@ -18,6 +18,7 @@ from qppfuse import post_retrieval, retrieval
 from qppfuse.corpus import Document, Index, Query, build_index
 from qppfuse.post_retrieval import rm1, rm_rerank_similarity
 from qppfuse.retrieval import RankedList, dirichlet_sums, retrieve
+from tests.brute_force_reference import postings
 
 MU_VALUES = (1000.0, 37.5)
 SMALL_BLOCKS = (1, 3, 7, 64)
@@ -28,11 +29,12 @@ def _reference_retrieve(index, query, k, mu):
     if not scored:
         return RankedList(query.query_id, (), degenerate=True)
     qtfs = Counter(scored)
+    plists = postings(index)
     candidates = set()
     for term in qtfs:
-        candidates.update(index.postings[term])
+        candidates.update(plists[term])
     mu_pc = {t: mu * index.cf[t] / index.total_tokens for t in qtfs}
-    term_stats = [(index.postings[t], qtf, mu_pc[t]) for t, qtf in qtfs.items()]
+    term_stats = [(plists[t], qtf, mu_pc[t]) for t, qtf in qtfs.items()]
     results = []
     for doc_id in candidates:
         denom = index.doc_len[doc_id] + mu
@@ -45,8 +47,10 @@ def _reference_retrieve(index, query, k, mu):
 
 
 def _reference_sums(index, terms, doc_ids, mu, weights, log, per):
+    plists = postings(index)
+
     def cell(term, doc_id):
-        f = ((index.postings[term].get(doc_id, 0) + mu * index.cf[term] / index.total_tokens)
+        f = ((plists[term].get(doc_id, 0) + mu * index.cf[term] / index.total_tokens)
              / (index.doc_len[doc_id] + mu))
         return math.log(f) if log else f
 
@@ -240,6 +244,7 @@ class TestZeroTfLogTable:
                 return math.log(x)
 
         grids = []  # (terms, doc_ids) of every log-scored grid of the first pass
+        plists = postings(index)
 
         def sequence(record):
             for query in queries:
@@ -248,17 +253,17 @@ class TestZeroTfLogTable:
                 rm_rerank_similarity(index, ranked, m=20, model=model)
                 if record:
                     terms = {t for t in query.terms if t in index.cf}
-                    grids.append((terms, {d for t in terms for d in index.postings[t]}))
+                    grids.append((terms, {d for t in terms for d in plists[t]}))
                     grids.append(({index.terms[t] for t in model.terms.tolist()},
                                   set(ranked.doc_ids[:20])))
 
         monkeypatch.setattr(retrieval, "math", CountingMath)
         sequence(record=True)
         first = len(calls)
-        tf_cells = sum(index.postings[t].get(d, 0) > 0 for terms, docs in grids
+        tf_cells = sum(plists[t].get(d, 0) > 0 for terms, docs in grids
                        for t in terms for d in docs)
         zero_cells = [(index.cf[t], index.doc_len[d]) for terms, docs in grids
-                      for t in terms for d in docs if index.postings[t].get(d, 0) == 0]
+                      for t in terms for d in docs if plists[t].get(d, 0) == 0]
         assert len(set(zero_cells)) < len(zero_cells) // 10  # the table saves most logs
         assert first == tf_cells + len(set(zero_cells))
         sequence(record=False)
@@ -336,7 +341,7 @@ class TestDirichletSums:
     def grid(self, random_corpus):
         index, _ = random_corpus
         rng = np.random.default_rng(5)
-        terms = sorted(rng.choice(sorted(index.postings), size=40, replace=False).tolist())
+        terms = sorted(rng.choice(sorted(index.terms), size=40, replace=False).tolist())
         docs = sorted(index.doc_len)
         # repeated documents, in the order a hand-built ranked list might give
         doc_ids = [docs[i] for i in rng.integers(0, len(docs), size=30)] + docs[:3] + docs[:2]

@@ -14,13 +14,10 @@ import pytest
 from qppfuse.corpus import (
     CorpusError,
     Document,
-    build_index,
-    dump_stats,
     ingest,
     load_lexicon,
     load_qrels,
     load_queries,
-    load_stats,
 )
 from qppfuse.experiment import ExperimentConfig, build_score_table, import_external_scores
 from qppfuse.fusion import RegressionModel, ScoreTable, read_model, write_model
@@ -168,16 +165,12 @@ def test_loader_reads_a_bom_and_any_line_end_as_the_plain_file(tmp_path, name, t
     assert load(path) == plain
 
 
-def test_model_and_stats_dumps_read_with_a_bom_and_crlf(tmp_path, toy_docs):
-    model_path, stats_path = tmp_path / "model.txt", tmp_path / "stats.txt"
+def test_model_dump_reads_with_a_bom_and_crlf(tmp_path):
+    model_path = tmp_path / "model.txt"
     write_model(_MODEL, model_path)
-    dump_stats(build_index(toy_docs), stats_path)
-    plain_model, dumped = _model(model_path), stats_path.read_bytes()
+    plain_model = _model(model_path)
     resave(model_path)
-    resave(stats_path)
     assert _model(model_path) == plain_model
-    dump_stats(load_stats(stats_path), tmp_path / "again.txt")
-    assert (tmp_path / "again.txt").read_bytes() == dumped
 
 
 def test_jsonl_with_a_bom_loads(tmp_path):
