@@ -7,7 +7,8 @@ package fits in a loop the package no longer runs: ``bolasso_full_b`` runs
 all b resamples, as an oracle for BOLASSO's early stop, and
 ``loo_rmse_loop`` makes the n leave-one-out fits that ``rmse_single``
 replaces by its closed form. ``postings`` reads a package index, through its
-attributes only, into the term -> {doc_id: tf} dicts the reference loops use.
+attributes only, into the term -> {doc_id: tf} dicts the reference loops use,
+and ``read_stats_dump`` reads a stats dump back into the same dicts.
 Run as a script to print the full table:
 
     python3 tests/brute_force_reference.py data/toy
@@ -87,6 +88,59 @@ def stats_dump(docs):
     for t in sorted(tfs):
         lines.append("\t".join(["term", t] + [f"{d}:{tf}" for d, tf in tfs[t].items()]))
     return "".join(line + "\n" for line in lines)
+
+
+def read_stats_dump(path):
+    """(n_docs, total, doc_len, postings) of a stats dump: doc_id -> length and
+    term -> {doc_id: tf}. A wrong header, a malformed record or statistics that
+    break an index invariant raise ValueError naming the file (and the line)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != "# qppfuse-index stats v1":
+        raise ValueError(f"{path}: not an index stats dump")
+    n_docs = total = None
+    doc_len = {}
+    plists = {}
+    for lineno, line in enumerate(lines[1:], 2):
+        parts = line.split("\t")
+        kind = parts[0]
+        try:
+            if kind == "N" and len(parts) == 2:
+                n_docs = int(parts[1])
+            elif kind == "C" and len(parts) == 2:
+                total = int(parts[1])
+            elif kind == "doc" and len(parts) == 3:
+                doc_len[parts[1]] = int(parts[2])
+            elif kind == "term" and len(parts) >= 2:
+                plist = {}
+                for cell in parts[2:]:
+                    doc_id, _, tf = cell.rpartition(":")
+                    if not doc_id or int(tf) < 1 or doc_id in plist:
+                        raise ValueError(cell)
+                    plist[doc_id] = int(tf)
+                plists[parts[1]] = plist
+            else:
+                raise ValueError(kind)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed record {line!r}") from None
+    if n_docs is None or total is None:
+        raise ValueError(f"{path}: missing N or C")
+    if n_docs != len(doc_len):
+        raise ValueError(f"{path}: N = {n_docs} but {len(doc_len)} documents")
+    if sum(doc_len.values()) != total:
+        raise ValueError(f"{path}: sum of doc lengths != total_tokens")
+    tf_sums = {}
+    for term, plist in plists.items():
+        if not plist:
+            raise ValueError(f"{path}: df out of range for {term!r}")
+        for doc_id, tf in plist.items():
+            if doc_id not in doc_len:
+                raise ValueError(f"{path}: postings of {term!r} name unknown documents")
+            tf_sums[doc_id] = tf_sums.get(doc_id, 0) + tf
+    bad = sorted(d for d, n in doc_len.items() if tf_sums.get(d, 0) != n)
+    if bad:
+        raise ValueError(f"{path}: sum of tf != doc length for documents {bad}")
+    return n_docs, total, doc_len, plists
 
 
 def postings(index):

@@ -942,6 +942,9 @@ class TestPersistence:
         path = tmp_path / "stats.txt"
         dump_stats(toy_index, path)
         assert path.read_bytes() == _reference_dump(toy_docs)
+        assert brute_force_reference.read_stats_dump(path) == (
+            toy_index.n_docs, toy_index.total_tokens, dict(toy_index.doc_len),
+            brute_force_reference.postings(toy_index))
 
     @pytest.mark.parametrize("clone", [lambda index: pickle.loads(pickle.dumps(index)),
                                        copy.deepcopy, copy.copy],
@@ -967,6 +970,81 @@ class TestPersistence:
         lines = path.read_text().splitlines()
         assert lines[1] == f"N\t{toy_index.n_docs}"
         assert lines[2] == f"C\t{toy_index.total_tokens}"
+
+    # The reference reader is a strict check of the dump: each broken dump below fails it.
+
+    @pytest.mark.parametrize("first_line", [
+        None,
+        "# other-index stats v1",
+        "# qppfuse-index stats v2",
+    ], ids=["missing", "wrong-magic", "wrong-version"])
+    def test_stats_dump_rejects_bad_header(self, toy_index, tmp_path, first_line):
+        path = tmp_path / "stats.txt"
+        dump_stats(toy_index, path)
+        lines = path.read_text().splitlines()
+        lines = lines[1:] if first_line is None else [first_line] + lines[1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="not an index stats dump"):
+            brute_force_reference.read_stats_dump(path)
+
+    @pytest.mark.parametrize("record", [
+        "doc\td1",
+        "doc\td1\tmany",
+        "term",
+        "term\tdog\td1",
+        "term\tdog\td1:x",
+        "term\tdog\td1:0",
+        "N\tfifty",
+        "term\tdog\td1:1\td1:1",
+    ], ids=["doc-short", "doc-length", "term-bare", "term-no-tf", "term-tf-text",
+            "term-tf-zero", "n-text", "term-repeated-doc"])
+    def test_stats_dump_rejects_malformed_record(self, toy_index, tmp_path, record):
+        path = tmp_path / "stats.txt"
+        dump_stats(toy_index, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [record]) + "\n")
+        with pytest.raises(ValueError, match=f":{len(lines) + 1}: malformed"):
+            brute_force_reference.read_stats_dump(path)
+
+    @staticmethod
+    def _broken_dumps(index, path):
+        """(message, dump text) of each statistic that breaks an index invariant."""
+        dump_stats(index, path)
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("N\t") and lines[2].startswith("C\t")
+        first_doc = next(i for i, line in enumerate(lines) if line.startswith("doc\t"))
+        _, doc_id, length = lines[first_doc].split("\t")
+        first_term = next(i for i, line in enumerate(lines) if line.startswith("term\t"))
+        broken = {
+            "total_tokens": {2: f"C\t{index.total_tokens + 1}"},
+            # IDF would use the wrong N
+            "documents": {1: f"N\t{index.n_docs + 1}"},
+            # retrieve would hit a bare KeyError on the unknown doc
+            "unknown documents": {first_term: lines[first_term] + "\tzz9:1"},
+            # a term with no postings: df = 0
+            "df out of range": {len(lines) - 1: lines[-1] + "\nterm\tzzz"},
+            "sum of tf != doc length": {
+                first_doc: f"doc\t{doc_id}\t{int(length) + 1}",
+                2: f"C\t{index.total_tokens + 1}",
+            },
+        }
+        for message, edits in broken.items():
+            yield message, "\n".join(edits.get(i, line) for i, line in enumerate(lines)) + "\n"
+
+    def test_stats_dump_rejects_broken_invariant(self, toy_index, tmp_path):
+        path = tmp_path / "stats.txt"
+        for message, text in self._broken_dumps(toy_index, path):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                brute_force_reference.read_stats_dump(path)
+
+    def test_broken_dump_error_names_the_file(self, toy_index, tmp_path):
+        path = tmp_path / "stats.txt"
+        for message, text in self._broken_dumps(toy_index, path):
+            path.write_text(text)
+            with pytest.raises(ValueError) as err:
+                brute_force_reference.read_stats_dump(path)
+            assert str(err.value).startswith(f"{path}: "), message
 
 
 class TestFileLoaders:

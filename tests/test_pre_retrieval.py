@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qppfuse.corpus import Document, SenseLexicon, build_index
+from qppfuse.corpus import Document, SenseLexicon, build_index, dump_stats
 from qppfuse.pre_retrieval import (
     _exact_pstdev,
     PRE_PREDICTORS,
@@ -20,7 +20,7 @@ from qppfuse.pre_retrieval import (
     write_scores_long,
     write_scores_wide,
 )
-from tests.brute_force_reference import postings
+from tests.brute_force_reference import postings, read_stats_dump
 
 
 def _docs(*texts):
@@ -225,6 +225,23 @@ class TestFamilyProperties:
         assert once == twice
         multiset = idf_family(toy_index, ["galaxy", "galaxy"], distinct=False)
         assert multiset.n_terms == 2
+
+    def test_stats_dump_recomputation_exact(self, toy_index, toy_queries, toy_lexicon, tmp_path):
+        # the dump holds every statistic the predictors read: an index built from
+        # its counts alone scores every query exactly as the live one
+        path = tmp_path / "stats.txt"
+        dump_stats(toy_index, path)
+        _, _, doc_len, plists = read_stats_dump(path)
+        tokens = {doc_id: [] for doc_id in doc_len}
+        for term, plist in plists.items():
+            for doc_id, tf in plist.items():
+                tokens[doc_id] += [term] * tf
+        rebuilt = build_index([Document(d, " ".join(t)) for d, t in tokens.items()])
+        assert rebuilt == toy_index
+        for query in toy_queries:
+            live = compute_pre_scores(toy_index, query, toy_lexicon)
+            redone = compute_pre_scores(rebuilt, query, toy_lexicon)
+            assert live == redone  # exact equality, not approximate
 
     def test_canonical_names(self, toy_index, toy_queries, toy_lexicon):
         scores = compute_pre_scores(toy_index, toy_queries[0], toy_lexicon)
