@@ -127,14 +127,14 @@ def _pearson_columns(vectors, min_n=2):
     return r
 
 
-def fisher_ci(r: float, n: int, z_quantile: float = Z_95) -> tuple[float, float]:
-    """95% interval tanh(atanh(r) +- z/sqrt(n-3)); collapses to [r, r] at |r| = 1."""
+def fisher_ci(r: float, n: int) -> tuple[float, float]:
+    """95% interval tanh(atanh(r) +- Z_95/sqrt(n-3)); collapses to [r, r] at |r| = 1."""
     if abs(r) >= 1.0:
         return (r, r)
     z = math.atanh(r)
     if n <= 3:
         return (-1.0, 1.0)
-    half = z_quantile / math.sqrt(n - 3)
+    half = Z_95 / math.sqrt(n - 3)
     return (math.tanh(z - half), math.tanh(z + half))
 
 

@@ -47,7 +47,7 @@ class RelevanceModel:
     def __post_init__(self):
         if np.ndim(self.terms) != 1 or np.shape(self.probs) != np.shape(self.terms):
             raise ValueError("terms and probs must be 1-d arrays of one length")
-        # a negative number would read from the end; dirichlet_sums would drop a repeat's cells
+        # a negative number would read from the end; dirichlet_sums rejects a repeat
         if np.any(np.less(self.terms, 0)) or np.any(np.diff(self.terms) <= 0):
             raise ValueError("term numbers must be >= 0 and strictly ascending")
 
@@ -78,7 +78,7 @@ def rm1(index: Index, ranked: RankedList, k_fb: int = 100, mu: float = 1000.0) -
     used[index.by_doc.take(docs)[1]] = True
     terms = np.flatnonzero(used)
     # per term, the weighted smoothed probabilities summed in feedback-doc order
-    sums = dirichlet_sums(index, terms, docs, mu, weights, log=False, per="term")
+    sums = dirichlet_sums(index, terms, docs, mu, weights, per="term")
     return RelevanceModel(terms, sums / seq_sum(sums.tolist()), len(top))
 
 
@@ -140,7 +140,7 @@ def rm_rerank_similarity(
     # each document's sum runs over the model's terms in order; dirichlet_sums
     # checks mu before the length test, so a short list rejects a bad mu too
     rm_scores = dirichlet_sums(index, model.terms, [index.doc_row[d] for d, _ in top], mu,
-                               model.probs, log=True, per="doc").tolist()
+                               model.probs, per="doc").tolist()
     if len(top) < 2:
         return None
     original = [s for _, s in top]

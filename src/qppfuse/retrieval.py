@@ -40,11 +40,15 @@ class DegenerateQueryError(Exception):
 
 @dataclass(frozen=True)
 class RankedList:
-    """Top-k documents for one query, sorted by (log_score desc, doc_id asc)."""
+    """Top-k documents for one query, each once, sorted by (log_score desc, doc_id asc)."""
 
     query_id: str
     entries: tuple[tuple[str, float], ...]
     degenerate: bool = False
+
+    def __post_init__(self):
+        if len({d for d, _ in self.entries}) < len(self.entries):
+            raise ValueError(f"ranked list for query {self.query_id!r} repeats a doc_id")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -75,10 +79,9 @@ def _logs(values) -> np.ndarray:
                        count=values.size).reshape(values.shape)
 
 
-def _tf_cells(index: Index, term_rows, docs, first_cols):
-    """Rows, columns and tfs of the tf > 0 cells of the terms ``term_rows`` x
-    the distinct documents ``docs`` (first seen at the columns ``first_cols``),
-    ordered by row, plus the cell count of each row.
+def _tf_cells(index: Index, term_rows, docs):
+    """Rows, columns and tfs of the tf > 0 cells of the distinct terms ``term_rows``
+    x the distinct documents ``docs``, ordered by row, plus the cell count of each row.
 
     They are read from the index rows of the side with fewer: a query's terms
     in ``by_term``, or the feedback documents in ``by_doc``.
@@ -86,29 +89,28 @@ def _tf_cells(index: Index, term_rows, docs, first_cols):
     if len(term_rows) <= len(docs):
         rows, found, tfs = index.by_term.take(term_rows)
         col_of = np.full(len(index.doc_ids), -1, dtype=np.int32)
-        col_of[docs] = first_cols
+        col_of[docs] = np.arange(len(docs))
         cols = col_of[found]
     else:
         owner, found, tfs = index.by_doc.take(docs)
         row_of = np.full(len(index.terms), -1, dtype=np.int32)
         row_of[term_rows] = np.arange(len(term_rows))
-        rows, cols = row_of[found], first_cols[owner]
+        rows, cols = row_of[found], owner
     hit = np.flatnonzero((rows >= 0) & (cols >= 0))
     hit = hit[np.argsort(rows[hit], kind="stable")]
     rows = rows[hit]
     return rows, cols[hit], tfs[hit], np.bincount(rows, minlength=len(term_rows))
 
 
-def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
-                   log: bool, per: str) -> np.ndarray:
+def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *, per: str) -> np.ndarray:
     """Weighted sums of Dirichlet-smoothed term probabilities over terms x documents.
 
-    ``terms`` and ``docs`` are term and document numbers. Cell (t, d) is
-    f = (tf(t, d) + mu * cf(t)/|C|) / (|d| + mu), or ln f when ``log`` is true;
-    cf and |d| are the index rows' sums. ``per="doc"`` returns, for each document,
-    the sum over ``terms`` in order of weights[t] * f (query likelihood, RM
-    re-ranking); ``per="term"`` returns, for each term, the sum over ``docs`` in
-    order of weights[d] * f (RM1). ``terms`` must be distinct with cf > 0.
+    ``terms`` and ``docs`` are distinct term and document numbers, the terms with
+    cf > 0. Let f = (tf(t, d) + mu * cf(t)/|C|) / (|d| + mu); cf and |d| are the
+    index rows' sums. ``per="doc"`` returns, for each document, the sum over
+    ``terms`` in order of weights[t] * ln f (query likelihood, RM re-ranking);
+    ``per="term"`` returns, for each term, the sum over ``docs`` in order of
+    weights[d] * f (RM1).
 
     The result equals, bit for bit, a Python loop that starts each sum at 0.0
     and adds cell by cell: every cell is the same IEEE operations done
@@ -129,6 +131,9 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
     terms, docs = np.asarray(terms, dtype=np.intp), np.asarray(docs, dtype=np.intp)
     if (terms < 0).any() or (docs < 0).any():  # numpy would read a negative one from the end
         raise ValueError("term and document numbers must be >= 0")
+    # a sort, not np.unique, whose hash path imports numpy.ma
+    if any((np.diff(np.sort(numbers)) == 0).any() for numbers in (terms, docs)):
+        raise ValueError("term and document numbers must be distinct")
     weights = np.array(weights, dtype=float)
     n, axis = (len(docs), "documents") if per == "term" else (len(terms), "terms")
     if len(weights) != n:
@@ -142,7 +147,7 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
     out = np.zeros(len(docs) if per == "doc" else len(terms))
     if not len(terms) or not len(docs):
         return out
-    if log:
+    if per == "doc":
         table = index.zero_tf_logs.get(mu)
         if table is None:
             table = index.zero_tf_logs[mu] = np.zeros((len(cfs), len(lengths)))
@@ -150,10 +155,8 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
     height = max(1, BLOCK_CELLS // width)
     for c0 in range(0, len(docs), width):
         cols = slice(c0, c0 + width)
-        distinct, first_cols, copy_of = np.unique(docs[cols], return_index=True,
-                                                  return_inverse=True)
         den = denoms[cols]
-        cell_r, cell_c, cell_tf, row_counts = _tf_cells(index, terms, distinct, first_cols)
+        cell_r, cell_c, cell_tf, row_counts = _tf_cells(index, terms, docs[cols])
         bounds = np.concatenate(([0], np.cumsum(row_counts)))  # row i: bounds[i]:bounds[i + 1]
         for r0 in range(0, len(terms), height):
             rows = slice(r0, r0 + height)
@@ -161,13 +164,11 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
             at = slice(bounds[r0], bounds[r0 + len(pri)])
             r, c, tf = cell_r[at] - r0, cell_c[at], cell_tf[at]
             cells = (tf + pri[r]) / den[c]
-            if log:
+            if per == "doc":
                 keys = term_class[rows, None] * len(lengths) + doc_class[None, cols]  # in table.flat
                 block = table.take(keys)
                 fresh = block == 0.0  # cells not filled yet, and exact-zero logs
                 fresh[r, c] = False  # tf > 0 cells take their own logs
-                if len(distinct) < len(den):  # a repeated document's columns become copies
-                    fresh[:, np.setdiff1d(np.arange(len(den)), first_cols)] = False
                 if fresh.any():
                     new = np.sort(keys[fresh])  # np.unique's hash path is slower here
                     new = new[np.concatenate(([True], new[1:] != new[:-1]))]
@@ -175,16 +176,12 @@ def dirichlet_sums(index: Index, terms, docs, mu: float, weights, *,
                                             / denom_of[new % len(lengths)])
                     block[fresh] = table.take(keys[fresh])
                 block[r, c] = _logs(cells)
-            else:
-                block = pri[:, None] / den[None, :]
-                block[r, c] = cells
-            if len(distinct) < len(den):  # a repeated document copies its first column
-                block = block[:, first_cols[copy_of]]
-            if per == "doc":
                 block *= weights[rows, None]
                 block[0] += out[cols]
                 out[cols] = np.cumsum(block, axis=0)[-1]
             else:
+                block = pri[:, None] / den[None, :]
+                block[r, c] = cells
                 block *= weights[None, cols]
                 block[:, 0] += out[rows]
                 out[rows] = np.cumsum(block, axis=1)[:, -1]
@@ -199,7 +196,7 @@ def score_dirichlet(index: Index, terms, doc_id: str, mu: float = 1000.0) -> flo
     if not qtfs:
         raise DegenerateQueryError("no query term occurs in the collection")
     return float(dirichlet_sums(index, [index.term_row[t] for t in qtfs], [index.doc_row[doc_id]],
-                                mu, list(qtfs.values()), log=True, per="doc")[0])
+                                mu, list(qtfs.values()), per="doc")[0])
 
 
 def collection_likelihood(index: Index, terms) -> float:
@@ -226,7 +223,7 @@ def retrieve(index: Index, query: Query, k: int = 1000, mu: float = 1000.0) -> R
     holds = np.zeros(len(index.doc_ids), dtype=bool)
     holds[index.by_term.take(terms)[1]] = True
     candidates = np.flatnonzero(holds)
-    scores = dirichlet_sums(index, terms, candidates, mu, list(qtfs.values()), log=True, per="doc")
+    scores = dirichlet_sums(index, terms, candidates, mu, list(qtfs.values()), per="doc")
     top = np.arange(len(scores))
     if len(scores) > k:  # the candidates at or above the k-th score
         top = np.flatnonzero(scores >= np.partition(scores, len(scores) - k)[len(scores) - k])

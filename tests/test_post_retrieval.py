@@ -233,8 +233,8 @@ class TestNqc:
         assert nqc(toy_index, ["galaxy"], ranked) == 0.0
 
     def test_zero_collection_likelihood_rejected(self):
-        index = build_index(_docs("t t t"))
-        ranked = RankedList("q", (("d1", -1.0), ("d1", -2.0)))
+        index = build_index(_docs("t t t", "t"))
+        ranked = RankedList("q", (("d1", -1.0), ("d2", -2.0)))
         with pytest.raises(DegenerateQueryError):
             nqc(index, ["t"], ranked)
 

@@ -183,6 +183,11 @@ def _ranked(qid, *doc_ids):
 
 
 class TestAveragePrecision:
+    def test_repeated_document_rejected(self):
+        # a relevant document listed twice would count twice: AP 2.0 here
+        with pytest.raises(ValueError, match="query 'q' repeats a doc_id"):
+            RankedList("q", (("d1", -1.0), ("d1", -1.0), ("d2", -2.0)))
+
     def test_single_relevant_at_rank_1(self):
         qrels = Qrels({("q", "d1"): 1})
         assert average_precision(_ranked("q", "d1", "d2"), qrels) == 1.0

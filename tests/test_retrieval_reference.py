@@ -46,8 +46,9 @@ def _reference_retrieve(index, query, k, mu):
     return RankedList(query.query_id, tuple(results[:k]))
 
 
-def _reference_sums(index, terms, doc_ids, mu, weights, log, per):
+def _reference_sums(index, terms, doc_ids, mu, weights, per):
     plists = postings(index)
+    log = per == "doc"
 
     def cell(term, doc_id):
         f = ((plists[term].get(doc_id, 0) + mu * index.cf[term] / index.total_tokens)
@@ -171,7 +172,7 @@ def _sort_selected(index, query, k, mu):
     qtfs = Counter(t for t in query.terms if index.cf.get(t, 0) > 0)
     terms = [index.term_row[t] for t in qtfs]
     candidates = np.unique(index.by_term.take(terms)[1])
-    scores = dirichlet_sums(index, terms, candidates, mu, list(qtfs.values()), log=True,
+    scores = dirichlet_sums(index, terms, candidates, mu, list(qtfs.values()),
                             per="doc").tolist()
     results = list(zip(candidates.tolist(), scores))
     if len(results) > k:
@@ -287,11 +288,11 @@ class TestZeroTfLogTable:
         # ln(mu / (0 + mu)) = 0.0, the table's "not yet" value
         index = build_index([Document("a", "t t t"), Document("b", ""), Document("c", "t")])
         assert index.doc_len["b"] == 0
-        terms, docs = _numbered(index, ["t"], ["b", "a", "b", "c"])
-        expected = _reference_sums(index, ["t"], ["b", "a", "b", "c"], mu, [2.0], True, "doc")
-        assert expected == [0.0] * 4
+        terms, docs = _numbered(index, ["t"], ["b", "a", "c"])
+        expected = _reference_sums(index, ["t"], ["b", "a", "c"], mu, [2.0], "doc")
+        assert expected == [0.0] * 3
         for _ in range(3):
-            got = dirichlet_sums(index, terms, docs, mu, [2.0], log=True, per="doc")
+            got = dirichlet_sums(index, terms, docs, mu, [2.0], per="doc")
             assert got.tolist() == expected
         assert retrieve(index, Query("q", ("t",)), mu=mu) == _reference_retrieve(
             index, Query("q", ("t",)), 1000, mu)
@@ -309,9 +310,9 @@ class TestOneCellReadPerColumnBlock:
         reads, grids = [], []
         tf_cells, sums = retrieval._tf_cells, retrieval.dirichlet_sums
 
-        def counting_cells(index, term_rows, docs, first_cols):
+        def counting_cells(index, term_rows, docs):
             reads.append(len(term_rows))
-            return tf_cells(index, term_rows, docs, first_cols)
+            return tf_cells(index, term_rows, docs)
 
         def recording_sums(index, terms, docs, *args, **kwargs):
             start = len(reads)
@@ -342,24 +343,21 @@ class TestDirichletSums:
         index, _ = random_corpus
         rng = np.random.default_rng(5)
         terms = sorted(rng.choice(sorted(index.terms), size=40, replace=False).tolist())
-        docs = sorted(index.doc_len)
-        # repeated documents, in the order a hand-built ranked list might give
-        doc_ids = [docs[i] for i in rng.integers(0, len(docs), size=30)] + docs[:3] + docs[:2]
+        # distinct documents, in the order a hand-built ranked list might give
+        doc_ids = rng.choice(sorted(index.doc_len), size=35, replace=False).tolist()
         return index, terms, doc_ids
 
     @pytest.mark.parametrize("cells", (None,) + SMALL_BLOCKS)
-    @pytest.mark.parametrize("log", [True, False], ids=["log", "plain"])
-    @pytest.mark.parametrize("per", ["doc", "term"])
-    def test_matches_cell_loop(self, monkeypatch, grid, cells, log, per):
+    @pytest.mark.parametrize("per", ["doc", "term"], ids=["doc-log", "term-plain"])
+    def test_matches_cell_loop(self, monkeypatch, grid, cells, per):
         index, terms, doc_ids = grid
         if cells is not None:
             monkeypatch.setattr(retrieval, "BLOCK_CELLS", cells)
         rng = np.random.default_rng(6)
         weights = rng.uniform(0.0, 2.0, size=len(doc_ids) if per == "term" else len(terms)).tolist()
         for mu in MU_VALUES:
-            got = dirichlet_sums(index, *_numbered(index, terms, doc_ids), mu, weights, log=log,
-                                 per=per)
-            assert got.tolist() == _reference_sums(index, terms, doc_ids, mu, weights, log, per)
+            got = dirichlet_sums(index, *_numbered(index, terms, doc_ids), mu, weights, per=per)
+            assert got.tolist() == _reference_sums(index, terms, doc_ids, mu, weights, per)
 
     @pytest.mark.parametrize("cells", [12, 24, 60])
     def test_rows_beyond_the_kept_priors(self, monkeypatch, grid, cells):
@@ -370,24 +368,21 @@ class TestDirichletSums:
         doc_ids = doc_ids[:6]
         assert len({index.cf[t] for t in terms}) > cells // len({index.doc_len[d] for d in doc_ids})
         weights = np.random.default_rng(8).uniform(0.0, 2.0, size=len(terms)).tolist()
-        got = dirichlet_sums(index, *_numbered(index, terms, doc_ids), 37.5, weights, log=True,
-                             per="doc")
-        assert got.tolist() == _reference_sums(index, terms, doc_ids, 37.5, weights, True, "doc")
+        got = dirichlet_sums(index, *_numbered(index, terms, doc_ids), 37.5, weights, per="doc")
+        assert got.tolist() == _reference_sums(index, terms, doc_ids, 37.5, weights, "doc")
 
     def test_empty_grid(self, grid):
         index, terms, doc_ids = grid
-        no_terms = dirichlet_sums(index, *_numbered(index, [], doc_ids), 1000.0, [], log=True,
-                                  per="doc")
+        no_terms = dirichlet_sums(index, *_numbered(index, [], doc_ids), 1000.0, [], per="doc")
         assert no_terms.tolist() == [0.0] * len(doc_ids)
-        no_docs = dirichlet_sums(index, *_numbered(index, terms, []), 1000.0, [], log=False,
-                                 per="term")
+        no_docs = dirichlet_sums(index, *_numbered(index, terms, []), 1000.0, [], per="term")
         assert no_docs.tolist() == [0.0] * len(terms)
 
     def test_rejects_unknown_axis(self, grid):
         index, terms, doc_ids = grid
         with pytest.raises(ValueError):
             dirichlet_sums(index, *_numbered(index, terms, doc_ids), 1000.0, [1.0] * len(terms),
-                           log=True, per="cell")
+                           per="cell")
 
     @pytest.mark.parametrize("mu", [0.0, -5.0, math.inf, math.nan])
     @pytest.mark.parametrize("per", ["doc", "term"])
@@ -395,13 +390,28 @@ class TestDirichletSums:
         index, terms, doc_ids = grid
         weights = [1.0] * (len(terms) if per == "doc" else len(doc_ids))
         with pytest.raises(ValueError, match="mu must be > 0 and finite"):
-            dirichlet_sums(index, *_numbered(index, terms, doc_ids), mu, weights, log=True, per=per)
+            dirichlet_sums(index, *_numbered(index, terms, doc_ids), mu, weights, per=per)
 
     @pytest.mark.parametrize("term, doc", [(-1, 0), (0, -1)])
     def test_rejects_negative_numbers(self, grid, term, doc):
         index, _, _ = grid
         with pytest.raises(ValueError, match="numbers must be >= 0"):
-            dirichlet_sums(index, [term], [doc], 1000.0, [1.0], log=True, per="doc")
+            dirichlet_sums(index, [term], [doc], 1000.0, [1.0], per="doc")
+
+    @pytest.mark.parametrize("n_docs", [1, 5], ids=["feedback-rows", "term-rows"])
+    def test_rejects_a_repeated_term(self, toy_index, n_docs):
+        # three terms x one document are read from the document's row, where the
+        # first copy of t scored as tf = 0; three x five from the term rows
+        t, u = toy_index.by_doc.take([0])[1][:2].tolist()
+        with pytest.raises(ValueError, match="numbers must be distinct"):
+            dirichlet_sums(toy_index, [t, t, u], range(n_docs), 1000.0, [1.0] * n_docs,
+                           per="term")
+
+    @pytest.mark.parametrize("per", ["doc", "term"])
+    def test_rejects_a_repeated_document(self, toy_index, per):
+        with pytest.raises(ValueError, match="numbers must be distinct"):
+            dirichlet_sums(toy_index, [0], [0, 1, 0], 1000.0, [1.0] * (3 if per == "term" else 1),
+                           per=per)
 
     @pytest.mark.parametrize("per, n_weights, message", [
         ("doc", 1, "1 weights for 3 terms"), ("doc", 4, "4 weights for 3 terms"),
@@ -411,7 +421,7 @@ class TestDirichletSums:
         index, terms, doc_ids = grid
         with pytest.raises(ValueError, match=message):
             dirichlet_sums(index, *_numbered(index, terms[:3], doc_ids[:2]), 1000.0,
-                           [1.0] * n_weights, log=False, per=per)
+                           [1.0] * n_weights, per=per)
 
 
 @pytest.fixture(scope="module")

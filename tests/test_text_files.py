@@ -11,6 +11,7 @@ import shutil
 
 import pytest
 
+from qppfuse.cli import main
 from qppfuse.corpus import (
     CorpusError,
     Document,
@@ -19,7 +20,7 @@ from qppfuse.corpus import (
     load_qrels,
     load_queries,
 )
-from qppfuse.experiment import ExperimentConfig, build_score_table, import_external_scores
+from qppfuse.experiment import ExperimentConfig, import_external_scores
 from qppfuse.fusion import RegressionModel, ScoreTable, read_model, write_model
 from qppfuse.seeding import read_lines, write_lines
 
@@ -198,14 +199,17 @@ def test_error_line_numbers_survive_a_bom_and_crlf(tmp_path, name, text, load, m
 
 
 def test_toy_score_table_is_the_same_from_a_bom_and_crlf_bundle(tmp_path, toy_dir):
-    # a BOM read as text would rename the first query id, and its AP would read 0.0
+    # a BOM read as text would rename the first query id, and its AP would read 0.0;
+    # every artifact is compared, so a misread key that only the reports read shows too
     bundle = tmp_path / "toy"
     shutil.copytree(toy_dir, bundle)
     for name in ("experiment.cfg", "docs.jsonl", "queries.tsv", "qrels.txt", "lexicon.tsv"):
         resave(bundle / name)
-    tables = []
-    for cfg in (toy_dir / "experiment.cfg", bundle / "experiment.cfg"):
-        table, excluded, _, _ = build_score_table(ExperimentConfig.from_file(cfg))
-        tables.append((table.query_ids, table.column_names, table.matrix().tobytes(),
-                       table.target.tobytes(), excluded))
-    assert tables[0] == tables[1]
+    artifacts = []
+    for cfg, out in ((toy_dir / "experiment.cfg", tmp_path / "plain"),
+                     (bundle / "experiment.cfg", tmp_path / "resaved")):
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                          if p.name != "config_used.txt"})
+    assert len(artifacts[0]) >= 7
+    assert artifacts[0] == artifacts[1]
