@@ -407,6 +407,23 @@ class TestDirichletSums:
             dirichlet_sums(toy_index, [t, t, u], range(n_docs), 1000.0, [1.0] * n_docs,
                            per="term")
 
+    @pytest.mark.parametrize("cells", (None,) + SMALL_BLOCKS)
+    @pytest.mark.parametrize("per", ["doc", "term"])
+    def test_rejects_a_repeat_in_another_block(self, monkeypatch, grid, cells, per):
+        # the whole grid is checked: a last term or document that repeats the
+        # first lies in another row or column block at small BLOCK_CELLS
+        index, terms, doc_ids = grid
+        if cells is not None:
+            monkeypatch.setattr(retrieval, "BLOCK_CELLS", cells)
+        terms, docs = _numbered(index, terms, doc_ids)
+        weights = [1.0] * (len(docs) if per == "term" else len(terms))
+        assert len(dirichlet_sums(index, terms, docs, 1000.0, weights, per=per)) == (
+            len(docs) if per == "doc" else len(terms))
+        for grid_terms, grid_docs in ((terms[:-1] + terms[:1], docs),
+                                      (terms, docs[:-1] + docs[:1])):
+            with pytest.raises(ValueError, match="numbers must be distinct"):
+                dirichlet_sums(index, grid_terms, grid_docs, 1000.0, weights, per=per)
+
     @pytest.mark.parametrize("per", ["doc", "term"])
     def test_rejects_a_repeated_document(self, toy_index, per):
         with pytest.raises(ValueError, match="numbers must be distinct"):
